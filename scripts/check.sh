@@ -61,6 +61,20 @@ if [ -n "$LINT_HITS" ]; then
   exit 1
 fi
 
+echo "=== [0/4] lint: no path-selecting flags in src/ ==="
+# Every miner and quality application has one production path (the
+# encoded one, with the evidence kernel where the input allows it);
+# reference implementations live in tests/ as brute-force oracles. A
+# use_encoding / use_evidence knob would bring back a second path that only
+# tests reach.
+FLAG_HITS="$(grep -rnE 'use_encoding|use_evidence' src || true)"
+if [ -n "$FLAG_HITS" ]; then
+  echo "lint: path-selecting flag in src/; put the reference in a test" >&2
+  echo "oracle instead (tests/miner_oracle_test.cc):" >&2
+  echo "$FLAG_HITS" >&2
+  exit 1
+fi
+
 echo "=== [1/4] Release: ctest -L tier1 ==="
 run cmake -B "$PREFIX" >/dev/null
 run cmake --build "$PREFIX" -j "$JOBS"

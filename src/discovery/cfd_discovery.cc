@@ -1,7 +1,6 @@
 #include "discovery/cfd_discovery.h"
 
 #include <algorithm>
-#include <bit>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -11,10 +10,7 @@
 
 #include "common/run_context.h"
 #include "common/thread_pool.h"
-#include "deps/fd.h"
 #include "discovery/discovery_util.h"
-#include "engine/evidence.h"
-#include "engine/evidence_cache.h"
 
 namespace famtree {
 
@@ -30,25 +26,27 @@ PatternTuple ConstPatternFromRow(const Relation& relation, int row,
   return PatternTuple(std::move(items));
 }
 
-/// Row agreement on a projection: integer code comparison on the encoded
-/// path (code equality ⇔ Value equality), AgreeOn on the oracle path.
-bool RowsAgree(const Relation& relation, const EncodedRelation* encoded,
-               int r1, int r2, AttrSet attrs) {
-  if (encoded != nullptr) {
-    for (int a : attrs.ToVector()) {
-      if (encoded->code(r1, a) != encoded->code(r2, a)) return false;
-    }
-    return true;
+/// Row agreement on a projection: integer code comparison (code equality
+/// ⇔ Value equality).
+bool RowsAgree(const EncodedRelation& encoded, int r1, int r2, AttrSet attrs) {
+  for (int a : attrs) {
+    if (encoded.code(r1, a) != encoded.code(r2, a)) return false;
   }
-  return relation.AgreeOn(r1, r2, attrs);
+  return true;
 }
 
-bool CellsEqual(const Relation& relation, const EncodedRelation* encoded,
-                int r1, int r2, int attr) {
-  if (encoded != nullptr) {
-    return encoded->code(r1, attr) == encoded->code(r2, attr);
+/// Whether the FD lhs -> rhs holds within `rows`: each LHS key maps to one
+/// RHS code.
+bool HoldsWithin(const std::vector<int>& rows,
+                 const std::vector<uint32_t>& lhs_keys,
+                 const std::vector<uint32_t>& rhs_codes) {
+  std::unordered_map<uint32_t, uint32_t> image;
+  image.reserve(rows.size() * 2);
+  for (int row : rows) {
+    auto [it, inserted] = image.try_emplace(lhs_keys[row], rhs_codes[row]);
+    if (!inserted && it->second != rhs_codes[row]) return false;
   }
-  return relation.Get(r1, attr) == relation.Get(r2, attr);
+  return true;
 }
 
 /// All general-CFD rows mined for one embedded FD X -> A. The subsumption
@@ -56,23 +54,16 @@ bool CellsEqual(const Relation& relation, const EncodedRelation* encoded,
 /// RHS, so each embedded FD's tableau is fully independent of the others —
 /// which is what makes the per-candidate parallel fan-out below exact.
 std::vector<DiscoveredCfd> MineGeneralCandidate(
-    const Relation& relation, const EncodedRelation* encoded, AttrSet lhs,
+    const Relation& relation, const EncodedRelation& encoded, AttrSet lhs,
     int a, const CfdDiscoveryOptions& options) {
   int nc = relation.num_columns();
   std::vector<DiscoveredCfd> mined;
   // Skip embedded FDs that hold globally — the plain FD subsumes every
   // conditional refinement. Exact FD check: distinct(X) == distinct(XA).
   std::vector<uint32_t> lhs_keys;
-  bool global;
-  if (encoded != nullptr) {
-    int kx = encoded->RowKeys(lhs, &lhs_keys);
-    std::vector<uint32_t> xa_keys;
-    int kxa = encoded->RowKeys(lhs.With(a), &xa_keys);
-    global = kx == kxa;
-  } else {
-    global = Fd(lhs, AttrSet::Single(a)).Holds(relation);
-  }
-  if (global) return mined;
+  int kx = encoded.RowKeys(lhs, &lhs_keys);
+  std::vector<uint32_t> xa_keys;
+  if (kx == encoded.RowKeys(lhs.With(a), &xa_keys)) return mined;
   // Condition head rows and attribute sets of the already-mined rows, for
   // the pattern-minimality (subsumption) filter.
   struct MinedInfo {
@@ -84,43 +75,19 @@ std::vector<DiscoveredCfd> MineGeneralCandidate(
   for (int cond_size = 1; cond_size <= max_cond; ++cond_size) {
     for (AttrSet cond : AllSubsetsOfSize(nc, cond_size)) {
       if (!lhs.ContainsAll(cond)) continue;
-      auto groups =
-          encoded != nullptr ? encoded->GroupBy(cond) : relation.GroupBy(cond);
-      for (const auto& group : groups) {
+      for (const auto& group : encoded.GroupBy(cond)) {
         if (static_cast<int>(group.size()) < options.min_support) {
           continue;
         }
         // Does the FD hold within the condition group?
-        bool local_holds;
-        if (encoded != nullptr) {
-          // Functional check over the group's rows: each LHS key maps to
-          // one A code.
-          local_holds = true;
-          const std::vector<uint32_t>& a_codes = encoded->codes(a);
-          std::unordered_map<uint32_t, uint32_t> image;
-          image.reserve(group.size() * 2);
-          for (int row : group) {
-            auto [it, inserted] = image.try_emplace(lhs_keys[row],
-                                                    a_codes[row]);
-            if (!inserted && it->second != a_codes[row]) {
-              local_holds = false;
-              break;
-            }
-          }
-        } else {
-          Relation subset = relation.Select(group);
-          Fd local(lhs, AttrSet::Single(a));
-          local_holds = local.Holds(subset);
-        }
-        if (!local_holds) continue;
+        if (!HoldsWithin(group, lhs_keys, encoded.codes(a))) continue;
         // Pattern minimality: skip when an already-mined CFD on this
         // embedded FD has a condition subset matching this group (the
         // broader condition subsumes this one).
         bool subsumed = false;
         for (const MinedInfo& prev : infos) {
           if (cond.ContainsAll(prev.cond) && prev.cond != cond &&
-              RowsAgree(relation, encoded, prev.head_row, group[0],
-                        prev.cond)) {
+              RowsAgree(encoded, prev.head_row, group[0], prev.cond)) {
             subsumed = true;
             break;
           }
@@ -154,76 +121,15 @@ Result<std::vector<DiscoveredCfd>> DiscoverConstantCfds(
   std::unique_ptr<EncodedRelation> local_encoding;
   FAMTREE_ASSIGN_OR_RETURN(
       const EncodedRelation* encoded,
-      ResolveEncoding(relation, options.use_encoding, options.cache,
-                      &local_encoding));
+      ResolveEncoding(relation, options.cache, &local_encoding));
   RunContext* ctx = options.context;
   RunContext::BeginRun(ctx, "constant_cfds");
   const int64_t total_levels = options.max_lhs_size;
   int64_t levels_done = 0;
   std::vector<DiscoveredCfd> out;
-  // Pairwise equality evidence: one PLI-pruned kernel build over every
-  // attribute gives, per deduplicated comparison word, the set of
-  // attributes a row pair agrees on plus the pair count. A
-  // support-qualified group of size s >= min_support contributes
-  // C(s, 2) >= C(min_support, 2) pairs agreeing on its LHS — and, when
-  // RHS-uniform, on LHS + RHS — so any attribute set whose agreeing-pair
-  // total falls short can be skipped without changing the output.
-  bool have_evidence = false;
-  std::vector<AttrSet> word_masks;
-  std::vector<int64_t> word_counts;
-  int64_t need_pairs = static_cast<int64_t>(options.min_support) *
-                       (options.min_support - 1) / 2;
-  std::vector<EvidenceColumn> config;
-  if (encoded != nullptr && options.use_evidence && need_pairs > 0) {
-    for (int a = 0; a < nc; ++a) {
-      EvidenceColumn col;
-      col.attr = a;
-      col.cmp = EvidenceColumn::Cmp::kEquality;
-      config.push_back(std::move(col));
-    }
-  }
-  // The packed comparison word carries one equality facet per column, so
-  // the evidence fast path only exists for narrow schemas; wide schemas
-  // fall through to the unpruned group scans below.
-  if (!config.empty() && EvidenceWordBits(config) <= 64) {
-    EvidenceOptions eopts;
-    eopts.pool = pool;
-    eopts.pli = options.cache;
-    eopts.prune_all_unequal = true;
-    eopts.context = ctx;
-    Result<std::shared_ptr<const EvidenceSet>> set_result =
-        GetOrBuildEvidence(options.evidence, *encoded, config, eopts);
-    if (!set_result.ok() && RunContext::IsStop(set_result.status())) {
-      // Cut before any level completed: the partial result is the empty
-      // prefix.
-      RunContext::MarkExhausted(ctx, set_result.status(), 0, total_levels);
-      return out;
-    }
-    FAMTREE_ASSIGN_OR_RETURN(std::shared_ptr<const EvidenceSet> set,
-                             std::move(set_result));
-    for (const EvidenceSet::Word& w : set->words()) {
-      AttrSet mask;
-      for (int a = 0; a < nc; ++a) {
-        if (set->AgreesOn(w.bits, a)) mask.Add(a);
-      }
-      // All-unequal words can never pass a subset test; drop them here.
-      if (mask.empty()) continue;
-      word_masks.push_back(mask);
-      word_counts.push_back(w.count);
-    }
-    have_evidence = true;
-  }
-  // Track (rhs attr, lhs attrs, head row) of accepted CFDs for the
-  // minimality filter (oracle path).
-  struct Accepted {
-    int rhs;
-    AttrSet lhs;
-    int head_row;
-  };
-  std::vector<Accepted> accepted;
-  // Minimality index (encoded path): accepted CFDs keyed by (RHS attr,
-  // LHS attr mask), each holding the accepted head rows' code tuples
-  // projected on LHS + RHS. An emission is non-minimal exactly when some
+  // Minimality index: accepted CFDs keyed by (RHS attr, LHS attr mask),
+  // each holding the accepted head rows' code tuples projected on
+  // LHS + RHS. An emission is non-minimal exactly when some
   // key with a subset LHS and the same RHS holds the emission head row's
   // projection — a few tuple lookups instead of a scan over every
   // accepted CFD.
@@ -261,48 +167,19 @@ Result<std::vector<DiscoveredCfd>> DiscoverConstantCfds(
         pool, static_cast<int64_t>(level.size()), [&](int64_t li) {
           FAMTREE_RETURN_NOT_OK(RunContext::Poll(ctx));
           AttrSet lhs = level[li];
-          // Evidence pruning: fold the agreeing-pair totals for the LHS
-          // and for every LHS + attribute extension in one pass over the
-          // deduplicated words; sets short of C(min_support, 2) pairs
-          // cannot host a qualifying group.
-          std::vector<int64_t> agree_with(nc, 0);
-          if (have_evidence) {
-            int64_t agree_lhs = 0;
-            for (size_t wi = 0; wi < word_masks.size(); ++wi) {
-              if (!word_masks[wi].ContainsAll(lhs)) continue;
-              agree_lhs += word_counts[wi];
-              for (int a : word_masks[wi].Minus(lhs)) {
-                agree_with[a] += word_counts[wi];
-              }
-            }
-            if (agree_lhs < need_pairs) return Status::OK();
-          }
-          auto groups = encoded != nullptr ? encoded->GroupBy(lhs)
-                                           : relation.GroupBy(lhs);
-          for (const auto& group : groups) {
+          for (const auto& group : encoded->GroupBy(lhs)) {
             if (static_cast<int>(group.size()) < options.min_support) {
               continue;
             }
             for (int a = 0; a < nc; ++a) {
               if (lhs.Contains(a)) continue;
-              if (have_evidence && agree_with[a] < need_pairs) continue;
               // All group members must agree on a.
               bool uniform = true;
-              if (encoded != nullptr) {
-                const std::vector<uint32_t>& codes = encoded->codes(a);
-                for (size_t i = 1; i < group.size(); ++i) {
-                  if (codes[group[i]] != codes[group[0]]) {
-                    uniform = false;
-                    break;
-                  }
-                }
-              } else {
-                for (size_t i = 1; i < group.size(); ++i) {
-                  if (!(relation.Get(group[0], a) ==
-                        relation.Get(group[i], a))) {
-                    uniform = false;
-                    break;
-                  }
+              const std::vector<uint32_t>& codes = encoded->codes(a);
+              for (size_t i = 1; i < group.size(); ++i) {
+                if (codes[group[i]] != codes[group[0]]) {
+                  uniform = false;
+                  break;
                 }
               }
               if (uniform) {
@@ -326,26 +203,11 @@ Result<std::vector<DiscoveredCfd>> DiscoverConstantCfds(
         // Minimality: some accepted CFD with lhs' subset of lhs whose
         // pattern values agree with this group pins the same (a, value)?
         bool minimal = true;
-        if (encoded != nullptr) {
-          for (const auto& [key, entry] : index) {
-            if (key.first != e.rhs || !lhs.ContainsAll(key.second)) {
-              continue;
-            }
-            if (entry.tuples.count(project(entry, e.rhs, e.head_row)) > 0) {
-              minimal = false;
-              break;
-            }
-          }
-        } else {
-          for (const Accepted& acc : accepted) {
-            if (acc.rhs != e.rhs || !lhs.ContainsAll(acc.lhs)) continue;
-            if (RowsAgree(relation, encoded, acc.head_row, e.head_row,
-                          acc.lhs) &&
-                CellsEqual(relation, encoded, acc.head_row, e.head_row,
-                           e.rhs)) {
-              minimal = false;
-              break;
-            }
+        for (const auto& [key, entry] : index) {
+          if (key.first != e.rhs || !lhs.ContainsAll(key.second)) continue;
+          if (entry.tuples.count(project(entry, e.rhs, e.head_row)) > 0) {
+            minimal = false;
+            break;
           }
         }
         if (!minimal) continue;
@@ -355,13 +217,9 @@ Result<std::vector<DiscoveredCfd>> DiscoverConstantCfds(
             PatternItem::Const(e.rhs, relation.Get(e.head_row, e.rhs)));
         Cfd cfd(lhs, AttrSet::Single(e.rhs), PatternTuple(std::move(items)));
         out.push_back(DiscoveredCfd{std::move(cfd), e.size});
-        if (encoded != nullptr) {
-          IndexEntry& entry = index[{e.rhs, lhs}];
-          if (entry.attrs.empty()) entry.attrs = lhs.ToVector();
-          entry.tuples.insert(project(entry, e.rhs, e.head_row));
-        } else {
-          accepted.push_back(Accepted{e.rhs, lhs, e.head_row});
-        }
+        IndexEntry& entry = index[{e.rhs, lhs}];
+        if (entry.attrs.empty()) entry.attrs = lhs.ToVector();
+        entry.tuples.insert(project(entry, e.rhs, e.head_row));
         if (static_cast<int>(out.size()) >= options.max_results) {
           RunContext::MarkComplete(ctx, levels_done);
           return out;
@@ -382,8 +240,7 @@ Result<std::vector<DiscoveredCfd>> DiscoverGeneralCfds(
   std::unique_ptr<EncodedRelation> local_encoding;
   FAMTREE_ASSIGN_OR_RETURN(
       const EncodedRelation* encoded,
-      ResolveEncoding(relation, options.use_encoding, options.cache,
-                      &local_encoding));
+      ResolveEncoding(relation, options.cache, &local_encoding));
   // Embedded FD candidates in the serial walk's order; each one's tableau
   // is independent (see MineGeneralCandidate), so the fan-out is per
   // candidate with a serial concatenation.
@@ -407,7 +264,7 @@ Result<std::vector<DiscoveredCfd>> DiscoverGeneralCfds(
       int64_t done,
       AnytimeParallelFor(
           ctx, pool, static_cast<int64_t>(candidates.size()), [&](int64_t i) {
-            mined[i] = MineGeneralCandidate(relation, encoded,
+            mined[i] = MineGeneralCandidate(relation, *encoded,
                                             candidates[i].lhs,
                                             candidates[i].rhs, options);
             return Status::OK();
@@ -450,8 +307,7 @@ Result<std::vector<DiscoveredCfd>> BuildGreedyTableau(
   std::unique_ptr<EncodedRelation> local_encoding;
   FAMTREE_ASSIGN_OR_RETURN(
       const EncodedRelation* encoded,
-      ResolveEncoding(relation, options.use_encoding, options.cache,
-                      &local_encoding));
+      ResolveEncoding(relation, options.cache, &local_encoding));
   // Candidate patterns: the distinct values of condition_attr, scored by
   // group size, violation-free groups only. The per-group embedded-FD
   // checks are independent, so they fan out; the max_patterns cutoff
@@ -459,34 +315,13 @@ Result<std::vector<DiscoveredCfd>> BuildGreedyTableau(
   RunContext* ctx = options.context;
   RunContext::BeginRun(ctx, "greedy_tableau");
   std::vector<uint32_t> lhs_keys;
-  if (encoded != nullptr) encoded->RowKeys(lhs, &lhs_keys);
-  auto groups = encoded != nullptr
-                    ? encoded->GroupBy(AttrSet::Single(condition_attr))
-                    : relation.GroupBy(AttrSet::Single(condition_attr));
+  encoded->RowKeys(lhs, &lhs_keys);
+  auto groups = encoded->GroupBy(AttrSet::Single(condition_attr));
   std::vector<char> qualifies(groups.size(), 0);
   Status qualify_status = ParallelFor(
       pool, static_cast<int64_t>(groups.size()), [&](int64_t g) {
         FAMTREE_RETURN_NOT_OK(RunContext::Poll(ctx));
-        const std::vector<int>& group = groups[g];
-        if (encoded != nullptr) {
-          bool holds = true;
-          const std::vector<uint32_t>& rhs_codes = encoded->codes(rhs);
-          std::unordered_map<uint32_t, uint32_t> image;
-          image.reserve(group.size() * 2);
-          for (int row : group) {
-            auto [it, inserted] =
-                image.try_emplace(lhs_keys[row], rhs_codes[row]);
-            if (!inserted && it->second != rhs_codes[row]) {
-              holds = false;
-              break;
-            }
-          }
-          qualifies[g] = holds ? 1 : 0;
-        } else {
-          Relation subset = relation.Select(group);
-          Fd local(lhs, AttrSet::Single(rhs));
-          qualifies[g] = local.Holds(subset) ? 1 : 0;
-        }
+        qualifies[g] = HoldsWithin(groups[g], lhs_keys, encoded->codes(rhs));
         return Status::OK();
       });
   if (RunContext::IsStop(qualify_status)) {

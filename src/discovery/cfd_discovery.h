@@ -9,7 +9,6 @@
 
 namespace famtree {
 
-class EvidenceCache;
 class PliCache;
 class RunContext;
 class ThreadPool;
@@ -23,16 +22,13 @@ struct CfdDiscoveryOptions {
   /// CTANE-lite, 2 = pairs of constants).
   int max_condition_attrs = 1;
   int max_results = 100000;
-  /// Run on the dictionary-encoded columnar backend (the default):
-  /// grouping, uniformity and embedded-FD checks become integer code
-  /// scans. `false` keeps the Value-based oracle walk; the discovered list
-  /// is bit-identical either way.
-  bool use_encoding = true;
-  /// Optional engine hooks: when `pool` is set the per-LHS grouping scans
-  /// (constant mining) / per-embedded-FD tableaus (general mining) are
-  /// computed in parallel, with the minimality and subsumption filters
-  /// replayed serially in the walk's order — bit-identical output at any
-  /// thread count. `cache` lends its encoding.
+  /// Optional engine hooks (the miners run on the dictionary-encoded backend,
+  /// so grouping, uniformity and embedded-FD checks are integer code scans):
+  /// when `pool` is set the per-LHS grouping scans (constant mining) /
+  /// per-embedded-FD tableaus (general mining) are computed in parallel, with
+  /// the minimality and subsumption filters replayed serially in the walk's
+  /// order — bit-identical output at any thread count. `cache` lends its
+  /// encoding.
   ThreadPool* pool = nullptr;
   PliCache* cache = nullptr;
   /// Optional run limits (common/run_context.h): the driver check-points
@@ -40,22 +36,6 @@ struct CfdDiscoveryOptions {
   /// the prefix of its results completed so far with RunReport.exhausted
   /// set. Null means unlimited.
   RunContext* context = nullptr;
-  /// Prune constant mining with the shared pairwise evidence multiset
-  /// (engine/evidence.h): one PLI-pruned equality-evidence build counts,
-  /// per attribute set, how many row pairs agree on it — an LHS (or an
-  /// LHS + RHS attribute) whose agreeing-pair count cannot reach
-  /// C(min_support, 2) can never produce a support-qualified pattern, so
-  /// its grouping / uniformity scans are skipped. Pure pruning: the
-  /// discovered list is bit-identical with the flag off. Opt-in (unlike
-  /// the pairwise miners, whose work is inherently quadratic): the
-  /// evidence build scans O(n^2) candidate pairs while the levelwise
-  /// lattice is linear per attribute set, so the pruning pays off only
-  /// when high min_support kills most of a large lattice — on big
-  /// relations with small schemas the build costs more than it saves.
-  /// Requires use_encoding.
-  bool use_evidence = false;
-  /// Optional shared store for the kernel-built evidence multiset.
-  EvidenceCache* evidence = nullptr;
 };
 
 /// A discovered CFD plus its measured support.
@@ -85,10 +65,9 @@ struct TableauOptions {
   double target_coverage = 0.8;
   /// Patterns considered per condition attribute.
   int max_patterns = 64;
-  /// Fast-path knobs, same convention as CfdDiscoveryOptions: the
-  /// per-group violation checks run encoded and/or in parallel, the
-  /// greedy cover itself stays serial (each pick depends on the last).
-  bool use_encoding = true;
+  /// Engine hooks, same convention as CfdDiscoveryOptions: the per-group
+  /// violation checks run in parallel, the greedy cover itself stays
+  /// serial (each pick depends on the last).
   ThreadPool* pool = nullptr;
   PliCache* cache = nullptr;
   /// Optional run limits (common/run_context.h): the driver check-points

@@ -2,9 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <map>
-#include <memory>
-#include <unordered_map>
 
 #include "common/rng.h"
 #include "common/run_context.h"
@@ -13,24 +10,6 @@
 #include "relation/encoded_relation.h"
 
 namespace famtree {
-
-namespace {
-
-/// Category id of a value, bucketing the long tail into one id.
-int CategoryOf(const Value& v,
-               std::unordered_map<size_t, int>* ids,
-               std::vector<Value>* reps, int cap) {
-  size_t h = v.Hash();
-  auto it = ids->find(h);
-  if (it != ids->end()) return it->second;
-  if (static_cast<int>(reps->size()) >= cap) return cap;  // "other" bucket
-  int id = static_cast<int>(reps->size());
-  ids->emplace(h, id);
-  reps->push_back(v);
-  return id;
-}
-
-}  // namespace
 
 Result<std::vector<DiscoveredSfd>> DiscoverSfdsCords(
     const Relation& relation, const CordsOptions& options) {
@@ -49,10 +28,7 @@ Result<std::vector<DiscoveredSfd>> DiscoverSfdsCords(
   Relation sample = relation.Select(sample_rows);
   // Encoded once per sweep; every pair analysis reads the shared code
   // arrays instead of re-hashing sample Values per pair.
-  std::unique_ptr<EncodedRelation> encoded;
-  if (options.use_encoding) {
-    encoded = std::make_unique<EncodedRelation>(sample);
-  }
+  EncodedRelation encoded(sample);
 
   // The per-pair analyses only read the shared sample, so the sweep runs
   // one pair per ParallelFor iteration, each writing its pre-assigned slot.
@@ -78,84 +54,46 @@ Result<std::vector<DiscoveredSfd>> DiscoverSfdsCords(
       finding.lhs = a;
       finding.rhs = b;
       finding.strength =
-          encoded != nullptr
-              ? Sfd::Strength(*encoded, AttrSet::Single(a), AttrSet::Single(b))
-              : Sfd::Strength(sample, AttrSet::Single(a), AttrSet::Single(b));
+          Sfd::Strength(encoded, AttrSet::Single(a), AttrSet::Single(b));
       finding.is_soft_fd = finding.strength >= options.min_strength;
 
       int total = sample.num_rows();
       double chi2 = 0.0;
-      if (encoded != nullptr) {
-        // Contingency table over bucketed categories, columnar: the code of
-        // a cell is its first-occurrence rank, so min(code, cap) reproduces
-        // the id the hashing path below assigns, with codes >= cap folded
-        // into the shared "other" bucket. Every id in [0, ka) occurs in the
-        // sample (codes are dense), so the flat totals have no zero slots
-        // and the ascending-id walk adds chi2 terms in the same order the
-        // std::map-based path does.
-        int cap = options.max_categories;
-        int ka = total == 0 ? 0 : std::min(encoded->dict_size(a), cap + 1);
-        int kb = total == 0 ? 0 : std::min(encoded->dict_size(b), cap + 1);
-        const std::vector<uint32_t>& codes_a = encoded->codes(a);
-        const std::vector<uint32_t>& codes_b = encoded->codes(b);
-        std::vector<int> counts(static_cast<size_t>(ka) * kb, 0);
-        std::vector<int> row_totals(ka, 0), col_totals(kb, 0);
-        for (int r = 0; r < total; ++r) {
-          int ca = std::min(static_cast<int>(codes_a[r]), cap);
-          int cb = std::min(static_cast<int>(codes_b[r]), cap);
-          ++counts[static_cast<size_t>(ca) * kb + cb];
-          ++row_totals[ca];
-          ++col_totals[cb];
-        }
-        if (total > 0 && ka > 1 && kb > 1) {
-          for (int ra = 0; ra < ka; ++ra) {
-            for (int cb = 0; cb < kb; ++cb) {
-              double expected = static_cast<double>(row_totals[ra]) *
-                                col_totals[cb] / total;
-              double observed = counts[static_cast<size_t>(ra) * kb + cb];
-              if (expected > 0) {
-                chi2 += (observed - expected) * (observed - expected) /
-                        expected;
-              }
+      // Contingency table over bucketed categories, columnar: the code of
+      // a cell is its first-occurrence rank, so min(code, cap) keeps the
+      // first `cap` distinct values as their own categories and folds the
+      // long tail into the shared "other" bucket. Every id in [0, ka)
+      // occurs in the sample (codes are dense), so the flat totals have no
+      // zero slots.
+      int cap = options.max_categories;
+      int ka = total == 0 ? 0 : std::min(encoded.dict_size(a), cap + 1);
+      int kb = total == 0 ? 0 : std::min(encoded.dict_size(b), cap + 1);
+      const std::vector<uint32_t>& codes_a = encoded.codes(a);
+      const std::vector<uint32_t>& codes_b = encoded.codes(b);
+      std::vector<int> counts(static_cast<size_t>(ka) * kb, 0);
+      std::vector<int> row_totals(ka, 0), col_totals(kb, 0);
+      for (int r = 0; r < total; ++r) {
+        int ca = std::min(static_cast<int>(codes_a[r]), cap);
+        int cb = std::min(static_cast<int>(codes_b[r]), cap);
+        ++counts[static_cast<size_t>(ca) * kb + cb];
+        ++row_totals[ca];
+        ++col_totals[cb];
+      }
+      if (total > 0 && ka > 1 && kb > 1) {
+        for (int ra = 0; ra < ka; ++ra) {
+          for (int cb = 0; cb < kb; ++cb) {
+            double expected = static_cast<double>(row_totals[ra]) *
+                              col_totals[cb] / total;
+            double observed = counts[static_cast<size_t>(ra) * kb + cb];
+            if (expected > 0) {
+              chi2 += (observed - expected) * (observed - expected) /
+                      expected;
             }
           }
-          int k = std::min(ka, kb);
-          double v = std::sqrt(chi2 / (total * std::max(1, k - 1)));
-          finding.cramers_v = std::min(1.0, v);
         }
-      } else {
-        // Value-based oracle path.
-        std::unordered_map<size_t, int> ids_a, ids_b;
-        std::vector<Value> reps_a, reps_b;
-        std::map<std::pair<int, int>, int> counts;
-        std::map<int, int> row_totals, col_totals;
-        for (int r = 0; r < total; ++r) {
-          int ca = CategoryOf(sample.Get(r, a), &ids_a, &reps_a,
-                              options.max_categories);
-          int cb = CategoryOf(sample.Get(r, b), &ids_b, &reps_b,
-                              options.max_categories);
-          ++counts[{ca, cb}];
-          ++row_totals[ca];
-          ++col_totals[cb];
-        }
-        if (total > 0 && row_totals.size() > 1 && col_totals.size() > 1) {
-          for (const auto& [ra, ra_count] : row_totals) {
-            for (const auto& [cb, cb_count] : col_totals) {
-              double expected =
-                  static_cast<double>(ra_count) * cb_count / total;
-              auto it = counts.find({ra, cb});
-              double observed = it == counts.end() ? 0.0 : it->second;
-              if (expected > 0) {
-                chi2 += (observed - expected) * (observed - expected) /
-                        expected;
-              }
-            }
-          }
-          int k = static_cast<int>(
-              std::min(row_totals.size(), col_totals.size()));
-          double v = std::sqrt(chi2 / (total * std::max(1, k - 1)));
-          finding.cramers_v = std::min(1.0, v);
-        }
+        int k = std::min(ka, kb);
+        double v = std::sqrt(chi2 / (total * std::max(1, k - 1)));
+        finding.cramers_v = std::min(1.0, v);
       }
       finding.chi2 = chi2;
       finding.is_correlated = finding.cramers_v >= options.min_cramers_v;

@@ -22,13 +22,6 @@ struct CordsOptions {
   /// Contingency-table cap per dimension (infrequent values bucketed).
   int max_categories = 25;
   uint64_t seed = 42;
-  /// Analyse the sample through the dictionary-encoded backend: category
-  /// ids are `min(code, cap)` (codes are dense in first-occurrence order,
-  /// exactly the id assignment the Value-hashing path makes) and the
-  /// contingency tables are flat arrays walked in ascending id order — the
-  /// same summation order as the Value path, so strength, chi2 and
-  /// Cramer's V are bit-identical. `false` keeps the Value-based oracle.
-  bool use_encoding = true;
   /// When set, the ordered column pairs are analysed in parallel. Every
   /// pair's finding is written into its own pre-assigned output slot, so
   /// the result vector is bit-identical to the serial sweep for any thread

@@ -22,42 +22,6 @@ MetricPtr MetricForColumn(const Relation& relation, int attr) {
   return DefaultMetricFor(relation.schema().column(attr).type);
 }
 
-/// All pairwise distances on one attribute (n <= a few thousand). When a
-/// distance table is given the metric runs once per distinct code pair;
-/// the returned doubles are bit-identical to the Value-path ones.
-std::vector<double> PairwiseDistances(const Relation& relation, int attr,
-                                      const Metric& metric,
-                                      const CodeDistanceTable* table) {
-  std::vector<double> out;
-  int n = relation.num_rows();
-  out.reserve(static_cast<size_t>(n) * (n - 1) / 2);
-  for (int i = 0; i + 1 < n; ++i) {
-    for (int j = i + 1; j < n; ++j) {
-      double d = table != nullptr
-                     ? table->RowDistance(i, j)
-                     : metric.Distance(relation.Get(i, attr),
-                                       relation.Get(j, attr));
-      if (std::isfinite(d)) out.push_back(d);
-    }
-  }
-  return out;
-}
-
-std::vector<double> ThresholdsFromDistances(std::vector<double> dists,
-                                            const std::vector<double>& quantiles) {
-  std::sort(dists.begin(), dists.end());
-  std::vector<double> out;
-  for (double q : quantiles) {
-    if (dists.empty()) break;
-    size_t idx = std::min(dists.size() - 1,
-                          static_cast<size_t>(q * dists.size()));
-    out.push_back(dists[idx]);
-  }
-  std::sort(out.begin(), out.end());
-  out.erase(std::unique(out.begin(), out.end()), out.end());
-  return out;
-}
-
 /// The pairwise distance distribution of one attribute as a code-pair
 /// histogram: every unordered row pair falls into one code pair, so the
 /// sorted (distance, multiplicity) list is the sorted row-pair distance
@@ -125,9 +89,13 @@ void HistogramThresholds(const EncodedRelation& encoded, int a,
 
 std::vector<double> DetermineThresholds(const Relation& relation, int attr,
                                         const std::vector<double>& quantiles) {
-  MetricPtr metric = MetricForColumn(relation, attr);
-  return ThresholdsFromDistances(
-      PairwiseDistances(relation, attr, *metric, nullptr), quantiles);
+  EncodedRelation encoded(relation);
+  CodeDistanceTable table(encoded, attr, MetricForColumn(relation, attr));
+  std::vector<double> thresholds;
+  double global_max;
+  HistogramThresholds(encoded, attr, table, quantiles, &thresholds,
+                      &global_max);
+  return thresholds;
 }
 
 Result<std::vector<DiscoveredDd>> DiscoverDds(
@@ -157,8 +125,7 @@ Result<std::vector<DiscoveredDd>> DiscoverDds(
   std::unique_ptr<EncodedRelation> local_encoding;
   FAMTREE_ASSIGN_OR_RETURN(
       const EncodedRelation* encoded,
-      ResolveEncoding(relation, options.use_encoding,
-                      source == &input ? options.cache : nullptr,
+      ResolveEncoding(relation, source == &input ? options.cache : nullptr,
                       &local_encoding));
   RunContext* ctx = options.context;
   RunContext::BeginRun(ctx, "dds");
@@ -174,34 +141,21 @@ Result<std::vector<DiscoveredDd>> DiscoverDds(
   // Code-pair distance tables, one per attribute. Built before any outer
   // ParallelFor (each fill parallelizes internally on the same pool).
   std::vector<std::unique_ptr<CodeDistanceTable>> tables(nc);
-  if (encoded != nullptr) {
-    for (int a = 0; a < nc; ++a) {
-      Status st = RunContext::Poll(ctx);
-      if (RunContext::IsStop(st)) return exhausted_early(st, 0);
-      tables[a] =
-          std::make_unique<CodeDistanceTable>(*encoded, a, metrics[a], pool);
-    }
+  for (int a = 0; a < nc; ++a) {
+    Status st = RunContext::Poll(ctx);
+    if (RunContext::IsStop(st)) return exhausted_early(st, 0);
+    tables[a] =
+        std::make_unique<CodeDistanceTable>(*encoded, a, metrics[a], pool);
   }
   // Per-attribute threshold candidates and global max pairwise distance
-  // (the vacuity bound): code-pair histograms on the encoded path, one
-  // O(n^2) scan per attribute on the oracle path — same sorted multiset,
-  // same picks.
+  // (the vacuity bound), read off code-pair histograms.
   std::vector<std::vector<double>> thresholds(nc);
   std::vector<double> global_max(nc, 0.0);
   Status threshold_status = ParallelFor(pool, nc, [&](int64_t a) {
     FAMTREE_RETURN_NOT_OK(RunContext::Poll(ctx));
-    if (encoded != nullptr) {
-      HistogramThresholds(*encoded, static_cast<int>(a), *tables[a],
-                          options.threshold_quantiles, &thresholds[a],
-                          &global_max[a]);
-      return Status::OK();
-    }
-    std::vector<double> dists =
-        PairwiseDistances(relation, static_cast<int>(a), *metrics[a],
-                          tables[a].get());
-    for (double d : dists) global_max[a] = std::max(global_max[a], d);
-    thresholds[a] =
-        ThresholdsFromDistances(std::move(dists), options.threshold_quantiles);
+    HistogramThresholds(*encoded, static_cast<int>(a), *tables[a],
+                        options.threshold_quantiles, &thresholds[a],
+                        &global_max[a]);
     return Status::OK();
   });
   if (RunContext::IsStop(threshold_status)) {
@@ -245,114 +199,106 @@ Result<std::vector<DiscoveredDd>> DiscoverDds(
   // per-word distance maxima; each candidate then folds over the
   // deduplicated words instead of all row pairs. d <= thresholds[a][ti]
   // exactly when the bucket index is <= ti, and max/or folds over word
-  // groups equal the pairwise folds, so the stats are bit-identical.
-  bool used_evidence = false;
+  // groups equal the pairwise folds, so the stats are bit-identical. A
+  // threshold grid too wide for one packed word falls back to the direct
+  // pair scan below.
   int64_t candidates_done = 0;
-  if (encoded != nullptr && options.use_evidence) {
-    std::vector<EvidenceColumn> config(nc);
-    for (int a = 0; a < nc; ++a) {
-      config[a].attr = a;
-      config[a].cmp = EvidenceColumn::Cmp::kNone;
-      config[a].metric = metrics[a];
-      config[a].thresholds = thresholds[a];
-      config[a].track_max = true;
-      config[a].table = tables[a].get();
-    }
-    if (EvidenceWordBits(config) <= 64) {
-      EvidenceOptions eopts;
-      eopts.pool = pool;
-      eopts.context = ctx;
-      Result<std::shared_ptr<const EvidenceSet>> set_result =
-          GetOrBuildEvidence(options.evidence, *encoded, config, eopts);
-      if (!set_result.ok() && RunContext::IsStop(set_result.status())) {
-        return exhausted_early(
-            set_result.status(),
-            static_cast<int64_t>(lhs_candidates.size()));
-      }
-      FAMTREE_ASSIGN_OR_RETURN(std::shared_ptr<const EvidenceSet> set,
-                               std::move(set_result));
-      // Each LHS function's threshold as its index in the attribute's
-      // sorted list (the exact doubles the config was built from).
-      std::vector<std::vector<std::pair<int, int>>> lhs_buckets(
-          lhs_candidates.size());
-      for (size_t c = 0; c < lhs_candidates.size(); ++c) {
-        for (const auto& fn : lhs_candidates[c]) {
-          const std::vector<double>& th = thresholds[fn.attr];
-          int ti = static_cast<int>(
-              std::find(th.begin(), th.end(), fn.range.max) - th.begin());
-          lhs_buckets[c].push_back({fn.attr, ti});
-        }
-      }
-      const std::vector<EvidenceSet::Word>& words = set->words();
-      FAMTREE_ASSIGN_OR_RETURN(
-          candidates_done,
-          AnytimeParallelFor(
-              ctx, pool, static_cast<int64_t>(lhs_candidates.size()),
-              [&](int64_t c) {
-            CandidateStats& st = stats[c];
-            st.bound.assign(nc, 0.0);
-            st.finite.assign(nc, 1);
-            for (size_t wi = 0; wi < words.size(); ++wi) {
-              bool ok = true;
-              for (const auto& [a, ti] : lhs_buckets[c]) {
-                if (set->BucketOf(words[wi].bits, a) > ti) {
-                  ok = false;
-                  break;
-                }
-              }
-              if (!ok) continue;
-              st.support += words[wi].count;
-              for (int b = 0; b < nc; ++b) {
-                const EvidenceSet::Aggregate& agg = set->agg(wi, b);
-                if (agg.saw_nonfinite) st.finite[b] = 0;
-                st.bound[b] = std::max(st.bound[b], agg.max_finite);
-              }
-            }
-            return Status::OK();
-              }));
-      used_evidence = true;
-    }
+  std::vector<EvidenceColumn> config(nc);
+  for (int a = 0; a < nc; ++a) {
+    config[a].attr = a;
+    config[a].cmp = EvidenceColumn::Cmp::kNone;
+    config[a].metric = metrics[a];
+    config[a].thresholds = thresholds[a];
+    config[a].track_max = true;
+    config[a].table = tables[a].get();
   }
-  if (!used_evidence) {
-  FAMTREE_ASSIGN_OR_RETURN(
-      candidates_done,
-      AnytimeParallelFor(
-          ctx, pool, static_cast<int64_t>(lhs_candidates.size()),
-          [&](int64_t c) {
-        const auto& lhs = lhs_candidates[c];
-        CandidateStats& st = stats[c];
-        st.bound.assign(nc, 0.0);
-        st.finite.assign(nc, 1);
-        for (int i = 0; i + 1 < n; ++i) {
-          for (int j = i + 1; j < n; ++j) {
+  if (EvidenceWordBits(config) <= 64) {
+    EvidenceOptions eopts;
+    eopts.pool = pool;
+    eopts.context = ctx;
+    Result<std::shared_ptr<const EvidenceSet>> set_result =
+        GetOrBuildEvidence(options.evidence, *encoded, config, eopts);
+    if (!set_result.ok() && RunContext::IsStop(set_result.status())) {
+      return exhausted_early(
+          set_result.status(),
+          static_cast<int64_t>(lhs_candidates.size()));
+    }
+    FAMTREE_ASSIGN_OR_RETURN(std::shared_ptr<const EvidenceSet> set,
+                             std::move(set_result));
+    // Each LHS function's threshold as its index in the attribute's
+    // sorted list (the exact doubles the config was built from).
+    std::vector<std::vector<std::pair<int, int>>> lhs_buckets(
+        lhs_candidates.size());
+    for (size_t c = 0; c < lhs_candidates.size(); ++c) {
+      for (const auto& fn : lhs_candidates[c]) {
+        const std::vector<double>& th = thresholds[fn.attr];
+        int ti = static_cast<int>(
+            std::find(th.begin(), th.end(), fn.range.max) - th.begin());
+        lhs_buckets[c].push_back({fn.attr, ti});
+      }
+    }
+    const std::vector<EvidenceSet::Word>& words = set->words();
+    FAMTREE_ASSIGN_OR_RETURN(
+        candidates_done,
+        AnytimeParallelFor(
+            ctx, pool, static_cast<int64_t>(lhs_candidates.size()),
+            [&](int64_t c) {
+          CandidateStats& st = stats[c];
+          st.bound.assign(nc, 0.0);
+          st.finite.assign(nc, 1);
+          for (size_t wi = 0; wi < words.size(); ++wi) {
             bool ok = true;
-            for (const auto& fn : lhs) {
-              double d = encoded != nullptr
-                             ? tables[fn.attr]->RowDistance(i, j)
-                             : fn.DistanceBetween(relation, i, j);
-              if (!fn.range.Contains(d)) {
+            for (const auto& [a, ti] : lhs_buckets[c]) {
+              if (set->BucketOf(words[wi].bits, a) > ti) {
                 ok = false;
                 break;
               }
             }
             if (!ok) continue;
-            ++st.support;
+            st.support += words[wi].count;
             for (int b = 0; b < nc; ++b) {
-              if (!st.finite[b]) continue;
-              double d = encoded != nullptr
-                             ? tables[b]->RowDistance(i, j)
-                             : metrics[b]->Distance(relation.Get(i, b),
-                                                    relation.Get(j, b));
-              if (!std::isfinite(d)) {
-                st.finite[b] = 0;
-              } else {
-                st.bound[b] = std::max(st.bound[b], d);
+              const EvidenceSet::Aggregate& agg = set->agg(wi, b);
+              if (agg.saw_nonfinite) st.finite[b] = 0;
+              st.bound[b] = std::max(st.bound[b], agg.max_finite);
+            }
+          }
+          return Status::OK();
+            }));
+  } else {
+    FAMTREE_ASSIGN_OR_RETURN(
+        candidates_done,
+        AnytimeParallelFor(
+            ctx, pool, static_cast<int64_t>(lhs_candidates.size()),
+            [&](int64_t c) {
+          const auto& lhs = lhs_candidates[c];
+          CandidateStats& st = stats[c];
+          st.bound.assign(nc, 0.0);
+          st.finite.assign(nc, 1);
+          for (int i = 0; i + 1 < n; ++i) {
+            for (int j = i + 1; j < n; ++j) {
+              bool ok = true;
+              for (const auto& fn : lhs) {
+                double d = tables[fn.attr]->RowDistance(i, j);
+                if (!fn.range.Contains(d)) {
+                  ok = false;
+                  break;
+                }
+              }
+              if (!ok) continue;
+              ++st.support;
+              for (int b = 0; b < nc; ++b) {
+                if (!st.finite[b]) continue;
+                double d = tables[b]->RowDistance(i, j);
+                if (!std::isfinite(d)) {
+                  st.finite[b] = 0;
+                } else {
+                  st.bound[b] = std::max(st.bound[b], d);
+                }
               }
             }
           }
-        }
-        return Status::OK();
-          }));
+          return Status::OK();
+            }));
   }
 
   std::vector<DiscoveredDd> out;

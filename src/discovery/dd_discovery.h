@@ -28,12 +28,6 @@ struct DdDiscoveryOptions {
   int sample_rows = 0;
   uint64_t seed = 42;
   int max_results = 10000;
-  /// Run on the dictionary-encoded columnar backend (the default): every
-  /// metric distance becomes a lookup in a per-attribute code-pair table
-  /// (CodeDistanceTable), so repeated Levenshtein / numeric evaluations
-  /// collapse to one per distinct value pair. `false` keeps the Value-based
-  /// oracle; the discovered list is bit-identical either way.
-  bool use_encoding = true;
   /// Optional engine hooks: when `pool` is set the distance tables, the
   /// per-attribute threshold scans and the per-LHS-candidate pair scans run
   /// in parallel; the min-support / vacuity / subsumption / max_results
@@ -47,16 +41,15 @@ struct DdDiscoveryOptions {
   /// the prefix of its results completed so far with RunReport.exhausted
   /// set. Null means unlimited.
   RunContext* context = nullptr;
-  /// Mine from the shared pairwise evidence multiset (engine/evidence.h)
-  /// instead of re-scanning all row pairs per LHS candidate: one kernel
-  /// build packs every attribute's threshold bucket into a word per pair
-  /// and folds per-word distance maxima, so each candidate is a fold over
-  /// the deduplicated words. Candidate thresholds and the vacuity bounds
-  /// come from code-pair distance histograms (multiplicity-weighted, so
-  /// the quantiles are bit-identical to the row-pair scan's). Requires
-  /// use_encoding; falls back when the packed word exceeds 64 bits.
-  bool use_evidence = true;
-  /// Optional shared store for the kernel-built evidence multiset.
+  /// Optional shared store for the kernel-built evidence multiset. The
+  /// miner runs on the dictionary-encoded backend: every metric distance
+  /// is a lookup in a per-attribute code-pair table (CodeDistanceTable),
+  /// candidate thresholds and vacuity bounds come from code-pair distance
+  /// histograms, and one evidence build (engine/evidence.h) packs every
+  /// attribute's threshold bucket into a word per pair, so each LHS
+  /// candidate folds over the deduplicated words. A threshold grid whose
+  /// packed word exceeds 64 bits falls back to a direct pair scan with
+  /// identical output.
   EvidenceCache* evidence = nullptr;
 };
 

@@ -39,6 +39,14 @@ inline bool CellLess(const OrderCell& x, const OrderCell& y) {
   return x.num < y.num;
 }
 
+/// Exactly Value::operator== for non-string cells (NaN equals nothing).
+inline bool CellEqual(const OrderCell& x, const OrderCell& y) {
+  if (x.rank != y.rank) return false;
+  if (x.rank != 1) return true;  // null == null
+  if (x.is_int && y.is_int) return x.i == y.i;
+  return x.num == y.num;
+}
+
 /// A predicate lowered onto the encoded backend. Anything the lowering does
 /// not cover exactly keeps the Value evaluator (kFallback).
 struct CompiledPred {
@@ -234,10 +242,10 @@ bool IsNumericColumn(const Relation& relation, int a) {
   return t == ValueType::kInt || t == ValueType::kDouble;
 }
 
-/// NaN order-ties with every numeric under Value's comparison, which the
-/// kernel's rank trit cannot represent (distinct codes always read < or >),
-/// so a NaN anywhere in an order column's dictionary disables the kernel
-/// path.
+/// Under Value's comparison a NaN is neither less than, greater than nor
+/// equal to any numeric, which the kernel's rank trit cannot represent
+/// (distinct codes always read < or >), so a NaN anywhere in an order
+/// column's dictionary disables the kernel path.
 bool DictHasNan(const EncodedRelation& encoded, int a) {
   for (int code = 0; code < encoded.dict_size(a); ++code) {
     const Value& v = encoded.Decode(a, code);
@@ -333,8 +341,10 @@ Result<std::vector<DiscoveredDc>> DiscoverDcs(const Relation& relation,
   // word. The ordered-pair evidence FASTDC mines over is the unordered
   // multiset plus its mirror (order trits swapped), so the cover search
   // sees exactly the multiset the per-predicate path would produce.
-  if (options.use_encoding && options.use_evidence && !options.cross_column) {
-    EncodedRelation enc(relation);
+  // Cross-column predicates, NaN order ties and words wider than 64 bits
+  // take the per-predicate path below instead.
+  EncodedRelation encoded(relation);
+  if (!options.cross_column) {
     std::vector<EvidenceColumn> config;
     bool supported = true;
     for (int a = 0; a < relation.num_columns(); ++a) {
@@ -342,7 +352,7 @@ Result<std::vector<DiscoveredDc>> DiscoverDcs(const Relation& relation,
       c.attr = a;
       if (IsNumericColumn(relation, a)) {
         c.cmp = EvidenceColumn::Cmp::kOrder;
-        if (DictHasNan(enc, a)) {
+        if (DictHasNan(encoded, a)) {
           supported = false;
           break;
         }
@@ -359,7 +369,7 @@ Result<std::vector<DiscoveredDc>> DiscoverDcs(const Relation& relation,
       bool exact = n <= options.max_rows_exact;
       if (exact) {
         Result<std::shared_ptr<const EvidenceSet>> set_result =
-            GetOrBuildEvidence(options.evidence, enc, config, eopts);
+            GetOrBuildEvidence(options.evidence, encoded, config, eopts);
         if (!set_result.ok() && RunContext::IsStop(set_result.status())) {
           return exhausted_early(set_result.status());
         }
@@ -379,7 +389,7 @@ Result<std::vector<DiscoveredDc>> DiscoverDcs(const Relation& relation,
           if (i != j) sampled.push_back({i, j});
         }
         Result<std::shared_ptr<const EvidenceSet>> set_result =
-            BuildEvidenceForPairs(enc, config, sampled, eopts);
+            BuildEvidenceForPairs(encoded, config, sampled, eopts);
         if (!set_result.ok() && RunContext::IsStop(set_result.status())) {
           return exhausted_early(set_result.status());
         }
@@ -433,59 +443,54 @@ Result<std::vector<DiscoveredDc>> DiscoverDcs(const Relation& relation,
   // =/!=, per-dictionary OrderCells for </<=/>/>=. Cells are materialized
   // once per dictionary entry, not per pair, so the quadratic loop touches
   // only flat arrays.
-  std::unique_ptr<EncodedRelation> encoded;
   std::vector<CompiledPred> compiled;
-  std::vector<std::vector<OrderCell>> cells;
-  if (options.use_encoding) {
-    encoded = std::make_unique<EncodedRelation>(relation);
-    compiled.reserve(preds.size());
-    for (const DcPredicate& p : preds) compiled.push_back(CompilePred(p));
-    cells.resize(relation.num_columns());
-    for (int a = 0; a < relation.num_columns(); ++a) {
-      cells[a].resize(encoded->dict_size(a));
-      for (int code = 0; code < encoded->dict_size(a); ++code) {
-        const Value& v = encoded->Decode(a, code);
-        OrderCell& c = cells[a][code];
-        switch (v.type()) {
-          case ValueType::kNull:
-            c.rank = 0;
-            break;
-          case ValueType::kInt:
-            c.rank = 1;
-            c.is_int = true;
-            c.i = v.as_int();
-            c.num = static_cast<double>(v.as_int());
-            break;
-          case ValueType::kDouble:
-            c.rank = 1;
-            c.num = v.as_double();
-            break;
-          case ValueType::kString:
-            c.rank = 2;
-            break;
-        }
+  compiled.reserve(preds.size());
+  for (const DcPredicate& p : preds) compiled.push_back(CompilePred(p));
+  std::vector<std::vector<OrderCell>> cells(relation.num_columns());
+  for (int a = 0; a < relation.num_columns(); ++a) {
+    cells[a].resize(encoded.dict_size(a));
+    for (int code = 0; code < encoded.dict_size(a); ++code) {
+      const Value& v = encoded.Decode(a, code);
+      OrderCell& c = cells[a][code];
+      switch (v.type()) {
+        case ValueType::kNull:
+          c.rank = 0;
+          break;
+        case ValueType::kInt:
+          c.rank = 1;
+          c.is_int = true;
+          c.i = v.as_int();
+          c.num = static_cast<double>(v.as_int());
+          break;
+        case ValueType::kDouble:
+          c.rank = 1;
+          c.num = v.as_double();
+          break;
+        case ValueType::kString:
+          c.rank = 2;
+          break;
       }
     }
   }
   auto eval_pred = [&](size_t p, int i, int j) {
-    if (encoded == nullptr) return preds[p].Eval(relation, i, j);
     const CompiledPred& cp = compiled[p];
     switch (cp.kind) {
       case CompiledPred::Kind::kSameColEq:
-        return encoded->code(i, cp.col_a) == encoded->code(j, cp.col_a);
+        return encoded.code(i, cp.col_a) == encoded.code(j, cp.col_a);
       case CompiledPred::Kind::kSameColNeq:
-        return encoded->code(i, cp.col_a) != encoded->code(j, cp.col_a);
+        return encoded.code(i, cp.col_a) != encoded.code(j, cp.col_a);
       case CompiledPred::Kind::kOrder: {
-        const OrderCell& x = cells[cp.col_a][encoded->code(i, cp.col_a)];
-        const OrderCell& y = cells[cp.col_b][encoded->code(j, cp.col_b)];
+        const OrderCell& x = cells[cp.col_a][encoded.code(i, cp.col_a)];
+        const OrderCell& y = cells[cp.col_b][encoded.code(j, cp.col_b)];
         if (x.rank == 2 || y.rank == 2) {
           return preds[p].Eval(relation, i, j);  // string under order op
         }
         switch (cp.op) {
+          // Value's <= is (< or ==), not !(>): a NaN cell is neither.
           case CmpOp::kLt: return CellLess(x, y);
-          case CmpOp::kLe: return !CellLess(y, x);
+          case CmpOp::kLe: return CellLess(x, y) || CellEqual(x, y);
           case CmpOp::kGt: return CellLess(y, x);
-          case CmpOp::kGe: return !CellLess(x, y);
+          case CmpOp::kGe: return CellLess(y, x) || CellEqual(x, y);
           default: return preds[p].Eval(relation, i, j);
         }
       }

@@ -28,15 +28,6 @@ struct FastDcOptions {
   /// at most this; beyond it, a random sample of pairs is used.
   int max_rows_exact = 2000;
   uint64_t seed = 42;
-  /// Evaluate tuple-pair predicates on the dictionary-encoded backend:
-  /// same-column =/!= are single code compares, and order predicates read
-  /// per-dictionary numeric cells that replicate Value's comparison
-  /// semantics exactly (null rank, exact int-int, cross-type via the
-  /// double image). String cells under an order predicate and any operand
-  /// shape outside the generated predicate space fall back to the Value
-  /// evaluator, so evidence sets are bit-identical to the `false` (oracle)
-  /// setting.
-  bool use_encoding = true;
   /// When set, the evidence set — FASTDC's quadratic hotspot — is built in
   /// parallel: tuple pairs are split into contiguous chunks, each chunk
   /// accumulates a private evidence multiset, and the chunks are merged by
@@ -48,17 +39,20 @@ struct FastDcOptions {
   /// the prefix of its results completed so far with RunReport.exhausted
   /// set. Null means unlimited.
   RunContext* context = nullptr;
-  /// Build the evidence set through the shared pairwise kernel
-  /// (engine/evidence.h): one packed comparison word per unordered pair —
-  /// an equality bit per categorical column, an order trit per numeric
-  /// column — deduplicated into a multiset, and each of the six predicate
-  /// outcomes decoded from the word once per distinct word instead of once
-  /// per pair. Ordered-pair evidence is the unordered multiset plus its
-  /// mirror. Falls back to the per-predicate path (identical output) when
-  /// cross-column predicates are requested, the word exceeds 64 bits, or a
-  /// numeric dictionary holds NaN (whose Value order ties are not
-  /// representable as a rank trit). Requires use_encoding.
-  bool use_evidence = true;
+  /// The evidence set is built on the dictionary-encoded backend through
+  /// the shared pairwise kernel (engine/evidence.h): one packed comparison
+  /// word per unordered pair — an equality bit per categorical column, an
+  /// order trit per numeric column — deduplicated into a multiset, and
+  /// each of the six predicate outcomes decoded from the word once per
+  /// distinct word instead of once per pair. Ordered-pair evidence is the
+  /// unordered multiset plus its mirror. The inputs the word cannot
+  /// represent — cross-column predicates, a word wider than 64 bits, or a
+  /// numeric dictionary holding NaN (which Value orders neither below,
+  /// above nor equal to anything, so it is not a rank trit) — take a
+  /// per-predicate pair scan instead: same-column =/!= as code compares,
+  /// order predicates on per-dictionary numeric cells with Value's exact
+  /// semantics, and string cells under an order operator through
+  /// DcPredicate::Eval.
   /// Optional shared store for kernel-built evidence multisets, keyed by
   /// relation content + column config; only the exact (all-pairs) build is
   /// cacheable.

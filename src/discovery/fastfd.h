@@ -16,11 +16,6 @@ struct FastFdOptions {
   int max_results = 100000;
   /// Bound on LHS size (covers larger than this are cut off).
   int max_lhs_size = 8;
-  /// Build difference sets from dictionary codes (one uint32 compare per
-  /// cell pair) instead of Value comparisons. Code equality is exactly
-  /// Value equality, so the discovered FDs are bit-identical; `false`
-  /// keeps the Value-based oracle path.
-  bool use_encoding = true;
   /// When set, the quadratic difference-set construction is chunked over
   /// row ranges and the per-RHS cover searches run concurrently; results
   /// merge in attribute order, bit-identical to the serial search for any

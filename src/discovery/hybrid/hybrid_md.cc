@@ -7,139 +7,58 @@
 
 #include "common/run_context.h"
 #include "common/thread_pool.h"
-#include "discovery/discovery_util.h"
 #include "discovery/hybrid/cover.h"
 #include "discovery/hybrid/fd_tree.h"
+#include "discovery/md_setup.h"
 #include "engine/evidence.h"
 #include "engine/evidence_cache.h"
-#include "metric/code_distance.h"
-#include "metric/metric.h"
 
 namespace famtree {
 
 Result<std::vector<DiscoveredMd>> DiscoverMdsHybrid(
     const Relation& relation, AttrSet rhs, const MdDiscoveryOptions& options,
     HybridMdStats* stats) {
-  int nc = relation.num_columns();
-  FAMTREE_RETURN_NOT_OK(CheckAttrCapacity(nc, "MD discovery"));
-  if (!AttrSet::Full(nc).ContainsAll(rhs) || rhs.empty()) {
-    return Status::Invalid("MD discovery needs a valid RHS attribute set");
-  }
   // The cover tree answers exact validity (confidence == 1); approximate
-  // confidence bounds — and the evidence-free paths — go to the oracle.
-  if (options.min_confidence != 1.0 || !options.use_encoding ||
-      !options.use_evidence) {
+  // confidence bounds go to the lattice miner.
+  if (options.min_confidence != 1.0) {
     return DiscoverMds(relation, rhs, options);
   }
-  // Everything below mirrors DiscoverMds' setup move for move (sampling,
-  // candidate enumeration, evidence config), so supports, confidences and
-  // candidate order come out bit-identical.
-  bool sampling =
-      options.sample_rows > 0 && options.sample_rows < relation.num_rows();
-  Relation sampled;
-  if (sampling) {
-    std::vector<int> rows(options.sample_rows);
-    for (int i = 0; i < options.sample_rows; ++i) rows[i] = i;
-    sampled = relation.Select(rows);
-  }
-  const Relation& sample = sampling ? sampled : relation;
-  ThreadPool* pool = options.pool;
-  std::unique_ptr<EncodedRelation> local_encoding;
-  FAMTREE_ASSIGN_OR_RETURN(
-      const EncodedRelation* encoded,
-      ResolveEncoding(sample, options.use_encoding,
-                      sampling ? nullptr : options.cache, &local_encoding));
-
-  std::vector<SimilarityPredicate> candidates;
-  std::vector<MetricPtr> metrics(nc);
-  // Per-attribute sorted-unique thresholds: the evidence bucket axes and,
-  // below, one predicate bit per (attribute, threshold index).
-  std::vector<std::vector<double>> attr_th(nc);
+  md_internal::MdSetup setup;
+  FAMTREE_RETURN_NOT_OK(md_internal::Prepare(relation, rhs, options, &setup));
+  // One predicate bit per (attribute, sorted-unique threshold).
+  int nc = relation.num_columns();
   std::vector<int> pbit_base(nc, -1);
   int pbits = 0;
-  bool supported = true;
   for (int a = 0; a < nc; ++a) {
     if (rhs.Contains(a)) continue;
-    ValueType t = relation.schema().column(a).type;
-    const std::vector<double>& ths =
-        (t == ValueType::kInt || t == ValueType::kDouble)
-            ? options.numeric_thresholds
-            : options.string_thresholds;
-    metrics[a] = DefaultMetricFor(t);
-    for (double th : ths) {
-      candidates.push_back(SimilarityPredicate{a, metrics[a], th});
-    }
-    if (DictHasNonFiniteDouble(*encoded, a)) supported = false;
-    attr_th[a] = ths;
-    std::sort(attr_th[a].begin(), attr_th[a].end());
-    attr_th[a].erase(std::unique(attr_th[a].begin(), attr_th[a].end()),
-                     attr_th[a].end());
     pbit_base[a] = pbits;
-    pbits += static_cast<int>(attr_th[a].size());
+    pbits += static_cast<int>(setup.attr_th[a].size());
   }
-  if (!supported || pbits > kMaxAttrs) {
-    // The cover tree cannot carry more predicate bits than the AttrSet
-    // capacity; the oracle handles it with identical output.
-    return DiscoverMds(relation, rhs, options);
+  // Evidence words wider than 64 bits, and predicate sets wider than the
+  // cover tree's AttrSet capacity, take the lattice miner's candidate
+  // evaluation on the same setup (identical output).
+  if (!setup.evidence_ok || pbits > kMaxAttrs) {
+    return md_internal::Mine(&setup, options);
   }
 
+  ThreadPool* pool = options.pool;
   RunContext* ctx = options.context;
   RunContext::BeginRun(ctx, "hybrid_md");
+  int64_t num_candidates = static_cast<int64_t>(setup.lhs_sets.size());
   auto exhausted_early = [&](const Status& stop, int64_t total) {
     RunContext::MarkExhausted(ctx, stop, 0, total);
     return std::vector<DiscoveredMd>{};
   };
-  std::vector<std::unique_ptr<CodeDistanceTable>> tables(nc);
-  for (int a = 0; a < nc; ++a) {
-    if (rhs.Contains(a)) continue;
-    Status st = RunContext::Poll(ctx);
-    if (RunContext::IsStop(st)) return exhausted_early(st, 0);
-    tables[a] =
-        std::make_unique<CodeDistanceTable>(*encoded, a, metrics[a], pool);
+  Status tables_status = md_internal::BuildTables(&setup, pool, ctx);
+  if (RunContext::IsStop(tables_status)) {
+    return exhausted_early(tables_status, 0);
   }
-
-  std::vector<std::vector<SimilarityPredicate>> lhs_sets;
-  for (const auto& p : candidates) lhs_sets.push_back({p});
-  if (options.max_lhs_attrs >= 2) {
-    for (size_t i = 0; i < candidates.size(); ++i) {
-      for (size_t j = i + 1; j < candidates.size(); ++j) {
-        if (candidates[i].attr == candidates[j].attr) continue;
-        lhs_sets.push_back({candidates[i], candidates[j]});
-      }
-    }
-  }
-  int64_t num_candidates = static_cast<int64_t>(lhs_sets.size());
-
-  std::vector<EvidenceColumn> config;
-  std::vector<int> cfg_of(nc, -1);
-  for (int a = 0; a < nc; ++a) {
-    if (rhs.Contains(a)) continue;
-    EvidenceColumn col;
-    col.attr = a;
-    col.cmp = EvidenceColumn::Cmp::kNone;
-    col.metric = metrics[a];
-    col.thresholds = attr_th[a];
-    col.table = tables[a].get();
-    cfg_of[a] = static_cast<int>(config.size());
-    config.push_back(std::move(col));
-  }
-  std::vector<int> rhs_cols;
-  for (int a = 0; a < nc; ++a) {
-    if (!rhs.Contains(a)) continue;
-    EvidenceColumn col;
-    col.attr = a;
-    col.cmp = EvidenceColumn::Cmp::kEquality;
-    rhs_cols.push_back(static_cast<int>(config.size()));
-    config.push_back(std::move(col));
-  }
-  if (EvidenceWordBits(config) > 64) {
-    return DiscoverMds(relation, rhs, options);
-  }
+  FAMTREE_RETURN_NOT_OK(tables_status);
   EvidenceOptions eopts;
   eopts.pool = pool;
   eopts.context = ctx;
-  Result<std::shared_ptr<const EvidenceSet>> set_result =
-      GetOrBuildEvidence(options.evidence, *encoded, config, eopts);
+  Result<std::shared_ptr<const EvidenceSet>> set_result = GetOrBuildEvidence(
+      options.evidence, *setup.encoded, setup.config, eopts);
   if (!set_result.ok() && RunContext::IsStop(set_result.status())) {
     return exhausted_early(set_result.status(), num_candidates);
   }
@@ -149,7 +68,7 @@ Result<std::vector<DiscoveredMd>> DiscoverMdsHybrid(
   std::vector<char> identified(words.size());
   for (size_t wi = 0; wi < words.size(); ++wi) {
     bool id = true;
-    for (int col : rhs_cols) {
+    for (int col : setup.rhs_cols) {
       if (!set->AgreesOn(words[wi].bits, col)) {
         id = false;
         break;
@@ -175,6 +94,8 @@ Result<std::vector<DiscoveredMd>> DiscoverMdsHybrid(
   FAMTREE_RETURN_NOT_OK(charged);
   // closure(a, ti): predicate ti of attribute a plus every looser one —
   // bits [pbit_base + ti, pbit_base + #thresholds).
+  const std::vector<std::vector<double>>& attr_th = setup.attr_th;
+  const std::vector<int>& cfg_of = setup.cfg_of;
   auto closure = [&](int a, int ti) {
     int nth = static_cast<int>(attr_th[a].size());
     return AttrSet::Range(pbit_base[a] + ti, pbit_base[a] + nth);
@@ -220,26 +141,24 @@ Result<std::vector<DiscoveredMd>> DiscoverMdsHybrid(
   // --- Candidate evaluation: validity is one cover-tree lookup; only the
   // support fold still walks the words (identified == similar for valid
   // candidates, and invalid ones are filtered on confidence below).
-  std::vector<std::vector<std::pair<int, int>>> lhs_buckets(lhs_sets.size());
-  std::vector<AttrSet> cand_bits(lhs_sets.size());
-  for (size_t c = 0; c < lhs_sets.size(); ++c) {
-    for (const auto& p : lhs_sets[c]) {
+  std::vector<AttrSet> cand_bits(num_candidates);
+  for (int64_t c = 0; c < num_candidates; ++c) {
+    for (const auto& p : setup.lhs_sets[c]) {
       const std::vector<double>& th = attr_th[p.attr];
       int ti = static_cast<int>(std::find(th.begin(), th.end(), p.threshold) -
                                 th.begin());
-      lhs_buckets[c].push_back({cfg_of[p.attr], ti});
       cand_bits[c] = cand_bits[c].Union(closure(p.attr, ti));
     }
   }
   charged = RunContext::ChargeAlloc(
-      ctx, lhs_sets.size() * (sizeof(Md::Stats) + sizeof(char)),
+      ctx, num_candidates * (sizeof(Md::Stats) + sizeof(char)),
       "hybrid_validate");
   if (RunContext::IsStop(charged)) {
     return exhausted_early(charged, num_candidates);
   }
   FAMTREE_RETURN_NOT_OK(charged);
-  std::vector<Md::Stats> cstats(lhs_sets.size());
-  std::vector<char> valid(lhs_sets.size());
+  std::vector<Md::Stats> cstats(num_candidates);
+  std::vector<char> valid(num_candidates);
   int64_t candidates_done = 0;
   FAMTREE_ASSIGN_OR_RETURN(
       candidates_done,
@@ -251,7 +170,7 @@ Result<std::vector<DiscoveredMd>> DiscoverMdsHybrid(
         st.total_pairs = set->total_pairs();
         for (size_t wi = 0; wi < words.size(); ++wi) {
           bool similar = true;
-          for (const auto& [col, ti] : lhs_buckets[c]) {
+          for (const auto& [col, ti] : setup.lhs_buckets[c]) {
             if (set->BucketOf(words[wi].bits, col) > ti) {
               similar = false;
               break;
@@ -276,48 +195,7 @@ Result<std::vector<DiscoveredMd>> DiscoverMdsHybrid(
     }
   }
 
-  // --- Replay: verbatim the oracle's support / confidence / RCK filters.
-  std::vector<DiscoveredMd> out;
-  for (size_t c = 0; c < static_cast<size_t>(candidates_done); ++c) {
-    auto& lhs = lhs_sets[c];
-    if (cstats[c].support() < options.min_support) continue;
-    if (cstats[c].confidence() < options.min_confidence) continue;
-    bool redundant = false;
-    for (const DiscoveredMd& prev : out) {
-      bool covers = true;
-      for (const auto& pp : prev.md.lhs()) {
-        bool found = false;
-        for (const auto& p : lhs) {
-          if (p.attr == pp.attr && pp.threshold >= p.threshold) {
-            found = true;
-            break;
-          }
-        }
-        if (!found) {
-          covers = false;
-          break;
-        }
-      }
-      if (covers && prev.md.lhs().size() <= lhs.size()) {
-        redundant = true;
-        break;
-      }
-    }
-    if (redundant) continue;
-    out.push_back(DiscoveredMd{Md(std::move(lhs), rhs), cstats[c].support(),
-                               cstats[c].confidence()});
-    if (static_cast<int>(out.size()) >= options.max_results) {
-      RunContext::MarkComplete(ctx, static_cast<int64_t>(c) + 1);
-      return out;
-    }
-  }
-  if (candidates_done < num_candidates) {
-    RunContext::MarkExhausted(ctx, RunContext::StopStatus(ctx),
-                              candidates_done, num_candidates);
-  } else {
-    RunContext::MarkComplete(ctx, candidates_done);
-  }
-  return out;
+  return md_internal::Replay(&setup, cstats, candidates_done, options);
 }
 
 }  // namespace famtree

@@ -12,8 +12,9 @@
 namespace famtree {
 
 /// Observability counters of one hybrid MD run. `used_cover_tree` is false
-/// when the run fell back to the lattice oracle (approximate confidence
-/// bound, evidence kernel ineligible, or more than 63 predicate bits).
+/// when the run fell back to the lattice miner (approximate confidence
+/// bound, an evidence word wider than 64 bits, or more predicate bits than
+/// kMaxAttrs).
 struct HybridMdStats {
   bool used_cover_tree = false;
   int64_t predicate_bits = 0;
@@ -40,11 +41,13 @@ struct HybridMdStats {
 ///
 /// Semantics: bit-identical output (MDs, supports, confidences, order) to
 /// DiscoverMds for runs whose min_confidence is exactly 1.0; any other
-/// configuration — and any input the evidence kernel steps aside for —
-/// delegates to DiscoverMds wholesale, so this entry point is always safe
-/// to call. RunContext-aware at the "hybrid_sample" (evidence-word
-/// induction) and "hybrid_validate" (candidate stats) sites; anytime
-/// prefixes mirror the oracle's per-candidate units.
+/// confidence bound delegates to DiscoverMds, and inputs beyond the
+/// evidence word or the cover tree's capacity run DiscoverMds' candidate
+/// evaluation on the shared setup (discovery/md_setup.h), so this entry
+/// point is always safe to call.
+/// RunContext-aware at the "hybrid_sample" (evidence-word induction) and
+/// "hybrid_validate" (candidate stats) sites; anytime prefixes mirror
+/// DiscoverMds' per-candidate units.
 Result<std::vector<DiscoveredMd>> DiscoverMdsHybrid(
     const Relation& relation, AttrSet rhs,
     const MdDiscoveryOptions& options = {}, HybridMdStats* stats = nullptr);

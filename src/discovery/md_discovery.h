@@ -29,12 +29,6 @@ struct MdDiscoveryOptions {
   /// order — the approximation algorithm of [85], [87].
   int sample_rows = 0;  // 0 = all rows
   int max_results = 10000;
-  /// Run on the dictionary-encoded columnar backend (the default): LHS
-  /// similarity distances become lookups in per-attribute code-pair tables
-  /// and the RHS identification check compares dense row keys instead of
-  /// Value tuples. `false` keeps the Value-based oracle; the discovered
-  /// list is bit-identical either way.
-  bool use_encoding = true;
   /// Optional engine hooks: when `pool` is set the per-candidate pair
   /// scans run in parallel and the support / confidence / RCK-minimality
   /// filters replay the serial candidate order (bit-identical at any
@@ -47,16 +41,17 @@ struct MdDiscoveryOptions {
   /// the prefix of its results completed so far with RunReport.exhausted
   /// set. Null means unlimited.
   RunContext* context = nullptr;
-  /// Evaluate every candidate against the shared pairwise evidence
-  /// multiset (engine/evidence.h): one kernel build packs each LHS
-  /// attribute's threshold-bucket index and each RHS attribute's equality
-  /// bit into a word per pair, and each candidate's support / confidence
-  /// counts become folds over the deduplicated words instead of O(n^2)
-  /// row-pair scans. Requires use_encoding; falls back (identical output)
-  /// when the word exceeds 64 bits or a dictionary holds a non-finite
-  /// double (whose NaN distances the bucket index cannot mirror).
-  bool use_evidence = true;
-  /// Optional shared store for the kernel-built evidence multiset.
+  /// Optional shared store for the kernel-built evidence multiset. The
+  /// miner runs on the dictionary-encoded backend and evaluates every
+  /// candidate against the shared pairwise evidence multiset
+  /// (engine/evidence.h): one kernel build packs each LHS attribute's
+  /// threshold-bucket index and each RHS attribute's equality bit into a
+  /// word per pair, and each candidate's support / confidence counts are
+  /// folds over the deduplicated words. When the word exceeds 64 bits the
+  /// counts come from row-pair scans over code-pair distance tables
+  /// instead, with identical output: both read similarity as
+  /// SimilarityPredicate::Similar does (d <= threshold, so a NaN distance
+  /// is dissimilar).
   EvidenceCache* evidence = nullptr;
 };
 

@@ -16,22 +16,6 @@ namespace famtree {
 
 namespace {
 
-double GlobalDiameter(const Relation& relation, int attr,
-                      const Metric& metric, const CodeDistanceTable* table) {
-  double diameter = 0.0;
-  int n = relation.num_rows();
-  for (int i = 0; i + 1 < n; ++i) {
-    for (int j = i + 1; j < n; ++j) {
-      double d = table != nullptr
-                     ? table->RowDistance(i, j)
-                     : metric.Distance(relation.Get(i, attr),
-                                       relation.Get(j, attr));
-      if (std::isfinite(d)) diameter = std::max(diameter, d);
-    }
-  }
-  return diameter;
-}
-
 /// The max finite pairwise distance from the code-count histogram: every
 /// cross-code pair with both codes present occurs among the row pairs, and
 /// a diagonal pair needs its code on at least two rows — so the fold over
@@ -71,8 +55,7 @@ Result<std::vector<DiscoveredMfd>> DiscoverMfds(
   std::unique_ptr<EncodedRelation> local_encoding;
   FAMTREE_ASSIGN_OR_RETURN(
       const EncodedRelation* encoded,
-      ResolveEncoding(relation, options.use_encoding, options.cache,
-                      &local_encoding));
+      ResolveEncoding(relation, options.cache, &local_encoding));
   std::vector<MetricPtr> metrics(nc);
   for (int a = 0; a < nc; ++a) {
     metrics[a] = DefaultMetricFor(relation.schema().column(a).type);
@@ -88,22 +71,17 @@ Result<std::vector<DiscoveredMfd>> DiscoverMfds(
     return std::vector<DiscoveredMfd>{};
   };
   std::vector<std::unique_ptr<CodeDistanceTable>> tables(nc);
-  if (encoded != nullptr) {
-    for (int a = 0; a < nc; ++a) {
-      Status st = RunContext::Poll(ctx);
-      if (RunContext::IsStop(st)) return exhausted_early(st, 0);
-      tables[a] =
-          std::make_unique<CodeDistanceTable>(*encoded, a, metrics[a], pool);
-    }
+  for (int a = 0; a < nc; ++a) {
+    Status st = RunContext::Poll(ctx);
+    if (RunContext::IsStop(st)) return exhausted_early(st, 0);
+    tables[a] =
+        std::make_unique<CodeDistanceTable>(*encoded, a, metrics[a], pool);
   }
   std::vector<double> global(nc);
   Status global_status = ParallelFor(pool, nc, [&](int64_t a) {
     FAMTREE_RETURN_NOT_OK(RunContext::Poll(ctx));
-    global[a] = encoded != nullptr
-                    ? GlobalDiameterFromCodes(*encoded, static_cast<int>(a),
-                                              *tables[a])
-                    : GlobalDiameter(relation, static_cast<int>(a),
-                                     *metrics[a], tables[a].get());
+    global[a] =
+        GlobalDiameterFromCodes(*encoded, static_cast<int>(a), *tables[a]);
     return Status::OK();
   });
   if (RunContext::IsStop(global_status)) {
@@ -134,60 +112,56 @@ Result<std::vector<DiscoveredMfd>> DiscoverMfds(
   // group maxes is the group-pair max, so the diameters are bit-identical
   // to the per-candidate GroupBy scans. The synthesized all-unequal word
   // disagrees with every (non-empty) LHS, so its zeroed aggregates are
-  // never read.
-  bool used_evidence = false;
+  // never read. Schemas wider than the 64-bit word fall back to the
+  // per-candidate GroupBy scans below.
   int64_t candidates_done = 0;
-  if (encoded != nullptr && options.use_evidence) {
-    std::vector<EvidenceColumn> config(nc);
-    for (int a = 0; a < nc; ++a) {
-      config[a].attr = a;
-      config[a].cmp = EvidenceColumn::Cmp::kEquality;
-      config[a].metric = metrics[a];
-      config[a].track_max = true;
-      config[a].table = tables[a].get();
-    }
-    if (EvidenceWordBits(config) <= 64) {
-      EvidenceOptions eopts;
-      eopts.pool = pool;
-      eopts.pli = options.cache;
-      eopts.prune_all_unequal = true;
-      eopts.context = ctx;
-      Result<std::shared_ptr<const EvidenceSet>> set_result =
-          GetOrBuildEvidence(options.evidence, *encoded, config, eopts);
-      if (!set_result.ok() && RunContext::IsStop(set_result.status())) {
-        return exhausted_early(set_result.status(),
-                               static_cast<int64_t>(candidates.size()));
-      }
-      FAMTREE_ASSIGN_OR_RETURN(std::shared_ptr<const EvidenceSet> set,
-                               std::move(set_result));
-      const std::vector<EvidenceSet::Word>& words = set->words();
-      // Per-word attribute-agreement masks, shared by every candidate:
-      // the word's pairs lie in one LHS group exactly when the mask covers
-      // the LHS.
-      std::vector<AttrSet> agree(words.size());
-      for (size_t wi = 0; wi < words.size(); ++wi) {
-        for (int a = 0; a < nc; ++a) {
-          if (set->AgreesOn(words[wi].bits, a)) agree[wi].Add(a);
-        }
-      }
-      FAMTREE_ASSIGN_OR_RETURN(
-          candidates_done,
-          AnytimeParallelFor(
-              ctx, pool, static_cast<int64_t>(candidates.size()),
-              [&](int64_t i) {
-                Candidate& c = candidates[i];
-                double diameter = 0.0;
-                for (size_t wi = 0; wi < words.size(); ++wi) {
-                  if (!agree[wi].ContainsAll(c.lhs)) continue;
-                  diameter = std::max(diameter, set->agg(wi, c.attr).max_all);
-                }
-                c.diameter = diameter;
-                return Status::OK();
-              }));
-      used_evidence = true;
-    }
+  std::vector<EvidenceColumn> config(nc);
+  for (int a = 0; a < nc; ++a) {
+    config[a].attr = a;
+    config[a].cmp = EvidenceColumn::Cmp::kEquality;
+    config[a].metric = metrics[a];
+    config[a].track_max = true;
+    config[a].table = tables[a].get();
   }
-  if (!used_evidence) {
+  if (EvidenceWordBits(config) <= 64) {
+    EvidenceOptions eopts;
+    eopts.pool = pool;
+    eopts.pli = options.cache;
+    eopts.prune_all_unequal = true;
+    eopts.context = ctx;
+    Result<std::shared_ptr<const EvidenceSet>> set_result =
+        GetOrBuildEvidence(options.evidence, *encoded, config, eopts);
+    if (!set_result.ok() && RunContext::IsStop(set_result.status())) {
+      return exhausted_early(set_result.status(),
+                             static_cast<int64_t>(candidates.size()));
+    }
+    FAMTREE_ASSIGN_OR_RETURN(std::shared_ptr<const EvidenceSet> set,
+                             std::move(set_result));
+    const std::vector<EvidenceSet::Word>& words = set->words();
+    // Per-word attribute-agreement masks, shared by every candidate:
+    // the word's pairs lie in one LHS group exactly when the mask covers
+    // the LHS.
+    std::vector<AttrSet> agree(words.size());
+    for (size_t wi = 0; wi < words.size(); ++wi) {
+      for (int a = 0; a < nc; ++a) {
+        if (set->AgreesOn(words[wi].bits, a)) agree[wi].Add(a);
+      }
+    }
+    FAMTREE_ASSIGN_OR_RETURN(
+        candidates_done,
+        AnytimeParallelFor(
+            ctx, pool, static_cast<int64_t>(candidates.size()),
+            [&](int64_t i) {
+              Candidate& c = candidates[i];
+              double diameter = 0.0;
+              for (size_t wi = 0; wi < words.size(); ++wi) {
+                if (!agree[wi].ContainsAll(c.lhs)) continue;
+                diameter = std::max(diameter, set->agg(wi, c.attr).max_all);
+              }
+              c.diameter = diameter;
+              return Status::OK();
+            }));
+  } else {
     FAMTREE_ASSIGN_OR_RETURN(
         candidates_done,
         AnytimeParallelFor(
@@ -195,10 +169,7 @@ Result<std::vector<DiscoveredMfd>> DiscoverMfds(
             [&](int64_t i) {
               Candidate& c = candidates[i];
               c.diameter =
-                  encoded != nullptr
-                      ? Mfd::MaxGroupDiameter(*encoded, c.lhs, *tables[c.attr])
-                      : Mfd::MaxGroupDiameter(relation, c.lhs, c.attr,
-                                              *metrics[c.attr]);
+                  Mfd::MaxGroupDiameter(*encoded, c.lhs, *tables[c.attr]);
               return Status::OK();
             }));
   }

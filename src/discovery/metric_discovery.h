@@ -26,11 +26,6 @@ struct MfdDiscoveryOptions {
   /// LHS size cap.
   int max_lhs_size = 1;
   int max_results = 10000;
-  /// Run on the dictionary-encoded columnar backend (the default): groups
-  /// come from integer GroupBy and every metric distance is memoized per
-  /// code pair. `false` keeps the Value-based oracle; the discovered list
-  /// is bit-identical either way.
-  bool use_encoding = true;
   /// Optional engine hooks: when `pool` is set the global diameters and the
   /// per-(LHS, attr) group diameters are measured in parallel and merged in
   /// the serial walk's candidate order (bit-identical at any thread count);
@@ -42,15 +37,16 @@ struct MfdDiscoveryOptions {
   /// the prefix of its results completed so far with RunReport.exhausted
   /// set. Null means unlimited.
   RunContext* context = nullptr;
-  /// Measure every candidate from the shared pairwise evidence multiset
-  /// (engine/evidence.h): one PLI-pruned kernel build packs an equality
-  /// bit per attribute and folds each attribute's per-word distance
-  /// maxima, so a candidate's group diameter is a max over the words whose
-  /// LHS bits agree — no per-candidate GroupBy or pair scan. Global
-  /// diameters come from code-pair histograms. Requires use_encoding;
-  /// falls back (identical output) when the word exceeds 64 bits.
-  bool use_evidence = true;
-  /// Optional shared store for the kernel-built evidence multiset.
+  /// Optional shared store for the kernel-built evidence multiset. The
+  /// miner runs on the dictionary-encoded backend with every metric
+  /// distance memoized per code pair, and measures every candidate from
+  /// the shared pairwise evidence multiset (engine/evidence.h): one
+  /// PLI-pruned kernel build packs an equality bit per attribute and folds
+  /// each attribute's per-word distance maxima, so a candidate's group
+  /// diameter is a max over the words whose LHS bits agree. Global
+  /// diameters come from code-pair histograms. Schemas wider than the
+  /// 64-bit word measure each candidate by integer GroupBy instead, with
+  /// identical output.
   EvidenceCache* evidence = nullptr;
 };
 

@@ -25,8 +25,7 @@ Result<std::vector<DiscoveredMvd>> DiscoverMvds(
   std::unique_ptr<EncodedRelation> local_encoding;
   FAMTREE_ASSIGN_OR_RETURN(
       const EncodedRelation* encoded,
-      ResolveEncoding(relation, options.use_encoding, options.cache,
-                      &local_encoding));
+      ResolveEncoding(relation, options.cache, &local_encoding));
   std::vector<DiscoveredMvd> out;
   AttrSet full = AttrSet::Full(nc);
   // Candidates enumerated in the serial walk's order; ratios fill
@@ -67,9 +66,7 @@ Result<std::vector<DiscoveredMvd>> DiscoverMvds(
       AnytimeParallelFor(
           ctx, pool, static_cast<int64_t>(candidates.size()), [&](int64_t i) {
             Candidate& c = candidates[i];
-            c.ratio = encoded != nullptr
-                          ? Mvd::SpuriousTupleRatio(*encoded, c.lhs, c.rhs)
-                          : Mvd::SpuriousTupleRatio(relation, c.lhs, c.rhs);
+            c.ratio = Mvd::SpuriousTupleRatio(*encoded, c.lhs, c.rhs);
             return Status::OK();
           }));
   // The threshold filter replays the completed candidate prefix only, so a

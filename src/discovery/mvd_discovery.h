@@ -19,16 +19,12 @@ struct MvdDiscoveryOptions {
   /// AMVD tolerance: maximum spurious-tuple ratio (0 = exact MVDs).
   double max_spurious_ratio = 0.0;
   int max_results = 100000;
-  /// Run on the dictionary-encoded columnar backend (the default): the
-  /// spurious-tuple ratios are counted over dense row keys instead of
-  /// quadratic AgreeOn scans. `false` keeps the Value-based oracle; the
-  /// discovered list is bit-identical either way.
-  bool use_encoding = true;
-  /// Optional engine hooks: when `pool` is set the candidate (LHS, RHS)
-  /// ratios are computed in parallel and merged in candidate order
-  /// (bit-identical at any thread count); `cache` lends its encoding. The
-  /// FHD assembly on top of the discovered MVDs stays serial (each greedy
-  /// step depends on the previous acceptance).
+  /// Optional engine hooks (the spurious-tuple ratios are counted over the
+  /// dictionary-encoded backend's dense row keys): when `pool` is set the
+  /// candidate (LHS, RHS) ratios are computed in parallel and merged in
+  /// candidate order (bit-identical at any thread count); `cache` lends its
+  /// encoding. The FHD assembly on top of the discovered MVDs stays serial
+  /// (each greedy step depends on the previous acceptance).
   ThreadPool* pool = nullptr;
   PliCache* cache = nullptr;
   /// Optional run limits (common/run_context.h): the driver check-points

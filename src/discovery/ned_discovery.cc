@@ -19,10 +19,10 @@ namespace famtree {
 
 namespace {
 
-/// ComputePairStats over code-pair distance tables: the distances are the
-/// exact doubles the metrics return, so the counts match the Value path
-/// bit for bit (and integer counts are order-insensitive anyway).
-Ned::PairStats EncodedPairStats(
+/// Ned::ComputePairStats over code-pair distance tables: the distances are
+/// the exact doubles the metrics return, so the counts match it bit for bit
+/// (and integer counts are order-insensitive anyway).
+Ned::PairStats PairScanStats(
     const std::vector<Ned::Predicate>& lhs,
     const std::vector<Ned::Predicate>& rhs, int n,
     const std::vector<std::unique_ptr<CodeDistanceTable>>& tables) {
@@ -57,8 +57,7 @@ Result<std::vector<DiscoveredNed>> DiscoverNeds(
   std::unique_ptr<EncodedRelation> local_encoding;
   FAMTREE_ASSIGN_OR_RETURN(
       const EncodedRelation* encoded,
-      ResolveEncoding(relation, options.use_encoding, options.cache,
-                      &local_encoding));
+      ResolveEncoding(relation, options.cache, &local_encoding));
   std::vector<Ned::Predicate> candidates;
   std::vector<MetricPtr> metrics(nc);
   for (int a = 0; a < nc; ++a) {
@@ -81,13 +80,11 @@ Result<std::vector<DiscoveredNed>> DiscoverNeds(
     return std::vector<DiscoveredNed>{};
   };
   std::vector<std::unique_ptr<CodeDistanceTable>> tables(nc);
-  if (encoded != nullptr) {
-    for (int a = 0; a < nc; ++a) {
-      Status st = RunContext::Poll(ctx);
-      if (RunContext::IsStop(st)) return exhausted_early(st, 0);
-      tables[a] =
-          std::make_unique<CodeDistanceTable>(*encoded, a, metrics[a], pool);
-    }
+  for (int a = 0; a < nc; ++a) {
+    Status st = RunContext::Poll(ctx);
+    if (RunContext::IsStop(st)) return exhausted_early(st, 0);
+    tables[a] =
+        std::make_unique<CodeDistanceTable>(*encoded, a, metrics[a], pool);
   }
   std::vector<std::vector<Ned::Predicate>> lhs_sets;
   for (const auto& p : candidates) lhs_sets.push_back({p});
@@ -112,101 +109,92 @@ Result<std::vector<DiscoveredNed>> DiscoverNeds(
   // or below the threshold's index, so the stats match the pair scans bit
   // for bit. The target metric is caller-supplied, so the path is gated to
   // the built-in metrics whose NaN behavior the non-finite-dictionary
-  // guard covers.
-  bool used_evidence = false;
-  if (encoded != nullptr && options.use_evidence) {
-    const std::string& tname = target.metric->name();
-    bool supported =
-        tname == "edit" || tname == "absdiff" || tname == "discrete";
-    std::vector<double> lhs_th = options.thresholds;
-    std::sort(lhs_th.begin(), lhs_th.end());
-    lhs_th.erase(std::unique(lhs_th.begin(), lhs_th.end()), lhs_th.end());
-    std::vector<EvidenceColumn> config;
-    std::vector<int> cfg_of(nc, -1);
-    for (int a = 0; a < nc && supported; ++a) {
-      if (a != target.attr && DictHasNonFiniteDouble(*encoded, a)) {
-        supported = false;
-        break;
-      }
-      EvidenceColumn col;
-      col.attr = a;
-      col.cmp = EvidenceColumn::Cmp::kNone;
-      col.metric = metrics[a];
-      col.thresholds =
-          a == target.attr ? std::vector<double>{target.threshold} : lhs_th;
-      col.table = tables[a].get();
-      cfg_of[a] = static_cast<int>(config.size());
-      config.push_back(std::move(col));
-    }
-    if (supported && target.attr < nc &&
-        DictHasNonFiniteDouble(*encoded, target.attr)) {
+  // guard covers; other metrics, non-finite dictionaries and words wider
+  // than 64 bits take the pair scans below.
+  const std::string& tname = target.metric->name();
+  bool supported =
+      tname == "edit" || tname == "absdiff" || tname == "discrete";
+  std::vector<double> lhs_th = options.thresholds;
+  std::sort(lhs_th.begin(), lhs_th.end());
+  lhs_th.erase(std::unique(lhs_th.begin(), lhs_th.end()), lhs_th.end());
+  std::vector<EvidenceColumn> config;
+  std::vector<int> cfg_of(nc, -1);
+  for (int a = 0; a < nc && supported; ++a) {
+    if (a != target.attr && DictHasNonFiniteDouble(*encoded, a)) {
       supported = false;
+      break;
     }
-    if (supported && EvidenceWordBits(config) <= 64) {
-      EvidenceOptions eopts;
-      eopts.pool = pool;
-      eopts.context = ctx;
-      Result<std::shared_ptr<const EvidenceSet>> set_result =
-          GetOrBuildEvidence(options.evidence, *encoded, config, eopts);
-      if (!set_result.ok() && RunContext::IsStop(set_result.status())) {
-        return exhausted_early(set_result.status(),
-                               static_cast<int64_t>(lhs_sets.size()));
-      }
-      FAMTREE_ASSIGN_OR_RETURN(std::shared_ptr<const EvidenceSet> set,
-                               std::move(set_result));
-      const std::vector<EvidenceSet::Word>& words = set->words();
-      // Per-word target satisfaction (bucket 0 of the single-threshold
-      // facet), shared by every candidate.
-      std::vector<char> target_ok(words.size());
-      for (size_t wi = 0; wi < words.size(); ++wi) {
-        target_ok[wi] =
-            set->BucketOf(words[wi].bits, cfg_of[target.attr]) == 0 ? 1 : 0;
-      }
-      std::vector<std::vector<std::pair<int, int>>> lhs_buckets(
-          lhs_sets.size());
-      for (size_t c = 0; c < lhs_sets.size(); ++c) {
-        for (const auto& p : lhs_sets[c]) {
-          int ti = static_cast<int>(
-              std::find(lhs_th.begin(), lhs_th.end(), p.threshold) -
-              lhs_th.begin());
-          lhs_buckets[c].push_back({cfg_of[p.attr], ti});
-        }
-      }
-      FAMTREE_ASSIGN_OR_RETURN(
-          candidates_done,
-          AnytimeParallelFor(
-              ctx, pool, static_cast<int64_t>(lhs_sets.size()),
-              [&](int64_t c) {
-            Ned::PairStats& st = stats[c];
-            st.total_pairs = set->total_pairs();
-            for (size_t wi = 0; wi < words.size(); ++wi) {
-              bool agrees = true;
-              for (const auto& [col, ti] : lhs_buckets[c]) {
-                if (set->BucketOf(words[wi].bits, col) > ti) {
-                  agrees = false;
-                  break;
-                }
-              }
-              if (!agrees) continue;
-              st.lhs_pairs += words[wi].count;
-              if (target_ok[wi]) st.satisfying_pairs += words[wi].count;
-            }
-            return Status::OK();
-              }));
-      used_evidence = true;
-    }
+    EvidenceColumn col;
+    col.attr = a;
+    col.cmp = EvidenceColumn::Cmp::kNone;
+    col.metric = metrics[a];
+    col.thresholds =
+        a == target.attr ? std::vector<double>{target.threshold} : lhs_th;
+    col.table = tables[a].get();
+    cfg_of[a] = static_cast<int>(config.size());
+    config.push_back(std::move(col));
   }
-  if (!used_evidence) {
+  if (supported && target.attr < nc &&
+      DictHasNonFiniteDouble(*encoded, target.attr)) {
+    supported = false;
+  }
+  if (supported && EvidenceWordBits(config) <= 64) {
+    EvidenceOptions eopts;
+    eopts.pool = pool;
+    eopts.context = ctx;
+    Result<std::shared_ptr<const EvidenceSet>> set_result =
+        GetOrBuildEvidence(options.evidence, *encoded, config, eopts);
+    if (!set_result.ok() && RunContext::IsStop(set_result.status())) {
+      return exhausted_early(set_result.status(),
+                             static_cast<int64_t>(lhs_sets.size()));
+    }
+    FAMTREE_ASSIGN_OR_RETURN(std::shared_ptr<const EvidenceSet> set,
+                             std::move(set_result));
+    const std::vector<EvidenceSet::Word>& words = set->words();
+    // Per-word target satisfaction (bucket 0 of the single-threshold
+    // facet), shared by every candidate.
+    std::vector<char> target_ok(words.size());
+    for (size_t wi = 0; wi < words.size(); ++wi) {
+      target_ok[wi] =
+          set->BucketOf(words[wi].bits, cfg_of[target.attr]) == 0 ? 1 : 0;
+    }
+    std::vector<std::vector<std::pair<int, int>>> lhs_buckets(
+        lhs_sets.size());
+    for (size_t c = 0; c < lhs_sets.size(); ++c) {
+      for (const auto& p : lhs_sets[c]) {
+        int ti = static_cast<int>(
+            std::find(lhs_th.begin(), lhs_th.end(), p.threshold) -
+            lhs_th.begin());
+        lhs_buckets[c].push_back({cfg_of[p.attr], ti});
+      }
+    }
+    FAMTREE_ASSIGN_OR_RETURN(
+        candidates_done,
+        AnytimeParallelFor(
+            ctx, pool, static_cast<int64_t>(lhs_sets.size()),
+            [&](int64_t c) {
+          Ned::PairStats& st = stats[c];
+          st.total_pairs = set->total_pairs();
+          for (size_t wi = 0; wi < words.size(); ++wi) {
+            bool agrees = true;
+            for (const auto& [col, ti] : lhs_buckets[c]) {
+              if (set->BucketOf(words[wi].bits, col) > ti) {
+                agrees = false;
+                break;
+              }
+            }
+            if (!agrees) continue;
+            st.lhs_pairs += words[wi].count;
+            if (target_ok[wi]) st.satisfying_pairs += words[wi].count;
+          }
+          return Status::OK();
+            }));
+  } else {
     FAMTREE_ASSIGN_OR_RETURN(
         candidates_done,
         AnytimeParallelFor(
             ctx, pool, static_cast<int64_t>(lhs_sets.size()), [&](int64_t c) {
-              if (encoded != nullptr) {
-                stats[c] = EncodedPairStats(lhs_sets[c], {target}, n, tables);
-              } else {
-                stats[c] =
-                    Ned(lhs_sets[c], {target}).ComputePairStats(relation);
-              }
+              stats[c] = PairScanStats(lhs_sets[c], {target}, n, tables);
               return Status::OK();
             }));
   }

@@ -18,16 +18,11 @@ struct OdDiscoveryOptions {
   /// for the paper's workloads, but can be enabled).
   bool numeric_only = true;
   int max_results = 10000;
-  /// Run on the dictionary-encoded columnar backend (the default): each
-  /// column is counting-sorted once by dictionary-code rank and every
-  /// validity scan compares integer ranks instead of Values. `false` keeps
-  /// the original sort-per-pair Value path — the differential-test oracle.
-  /// The discovered OD list is bit-identical either way.
-  bool use_encoding = true;
-  /// Optional engine hooks: when `pool` is set the per-column-pair validity
-  /// scans run in parallel (results merged in pair order, so the output is
-  /// bit-identical at any thread count); `cache` lends its encoding (ODs
-  /// sort rather than build partitions).
+  /// Optional engine hooks (each column is counting-sorted once by
+  /// dictionary-code rank and every validity scan compares integer ranks): when
+  /// `pool` is set the per-column-pair validity scans run in parallel (results
+  /// merged in pair order, so the output is bit-identical at any thread count);
+  /// `cache` lends its encoding (ODs sort rather than build partitions).
   ThreadPool* pool = nullptr;
   PliCache* cache = nullptr;
   /// Optional run limits (common/run_context.h): the driver check-points

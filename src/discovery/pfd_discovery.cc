@@ -51,12 +51,9 @@ Result<std::vector<DiscoveredPfd>> DiscoverPfds(
   std::unique_ptr<EncodedRelation> local_encoding;
   FAMTREE_ASSIGN_OR_RETURN(
       const EncodedRelation* encoded,
-      ResolveEncoding(relation, options.use_encoding, options.cache,
-                      &local_encoding));
+      ResolveEncoding(relation, options.cache, &local_encoding));
   auto probability = [&](AttrSet lhs, int a) {
-    return encoded != nullptr
-               ? Pfd::Probability(*encoded, lhs, AttrSet::Single(a))
-               : Pfd::Probability(relation, lhs, AttrSet::Single(a));
+    return Pfd::Probability(*encoded, lhs, AttrSet::Single(a));
   };
   std::vector<DiscoveredPfd> out;
   RunContext* ctx = options.context;
@@ -148,35 +145,29 @@ Result<std::vector<DiscoveredPfd>> DiscoverPfdsMultiSource(
   const int64_t total_levels = options.max_lhs_size;
   // The PliCache is keyed to a single relation, so the multi-source merge
   // only uses per-source local encodings.
-  std::vector<std::unique_ptr<EncodedRelation>> encodings;
-  if (options.use_encoding) {
-    encodings.resize(sources.size());
-    Status encode_status = ParallelFor(
-        pool, static_cast<int64_t>(sources.size()), [&](int64_t i) {
-          FAMTREE_RETURN_NOT_OK(RunContext::Poll(ctx));
-          encodings[i] = std::make_unique<EncodedRelation>(sources[i]);
-          return Status::OK();
-        });
-    if (RunContext::IsStop(encode_status)) {
-      RunContext::MarkExhausted(ctx, encode_status, 0, total_levels);
-      return std::vector<DiscoveredPfd>{};
-    }
-    FAMTREE_RETURN_NOT_OK(encode_status);
+  std::vector<std::unique_ptr<EncodedRelation>> encodings(sources.size());
+  Status encode_status = ParallelFor(
+      pool, static_cast<int64_t>(sources.size()), [&](int64_t i) {
+        FAMTREE_RETURN_NOT_OK(RunContext::Poll(ctx));
+        encodings[i] = std::make_unique<EncodedRelation>(sources[i]);
+        return Status::OK();
+      });
+  if (RunContext::IsStop(encode_status)) {
+    RunContext::MarkExhausted(ctx, encode_status, 0, total_levels);
+    return std::vector<DiscoveredPfd>{};
   }
+  FAMTREE_RETURN_NOT_OK(encode_status);
   long long total_rows = 0;
   for (const Relation& s : sources) total_rows += s.num_rows();
   std::vector<DiscoveredPfd> out;
   if (total_rows == 0) return out;
   // Tuple-count weighted average across sources, accumulated in source
-  // order on both paths.
+  // order.
   auto merged_probability = [&](AttrSet lhs, int a) {
     double merged = 0.0;
     for (size_t s = 0; s < sources.size(); ++s) {
       if (sources[s].num_rows() == 0) continue;
-      double prob =
-          options.use_encoding
-              ? Pfd::Probability(*encodings[s], lhs, AttrSet::Single(a))
-              : Pfd::Probability(sources[s], lhs, AttrSet::Single(a));
+      double prob = Pfd::Probability(*encodings[s], lhs, AttrSet::Single(a));
       merged += prob * sources[s].num_rows() / total_rows;
     }
     return merged;

@@ -96,24 +96,23 @@ Result<std::vector<DiscoveredFd>> DiscoverFdsTaneImpl(
   const bool exact = options.max_error == 0.0;
   const AttrSet full = AttrSet::Full(nc);
 
-  // The encoded columnar backend is the default substrate: borrowed from
-  // the cache when one is attached (it encodes once per relation), built
-  // locally otherwise. `encoded == nullptr` is the Value-based oracle walk.
+  // The encoded columnar backend is the substrate: borrowed from the cache
+  // when one is attached (it encodes once per relation), built locally
+  // otherwise.
   std::unique_ptr<EncodedRelation> local_encoding;
   const EncodedRelation* encoded = nullptr;
-  if (options.use_encoding) {
-    if (cache != nullptr) {
-      // Null for an out-of-core cache that has not materialized its flat
-      // encoding: exact discovery never needs it (the g3-free validity
-      // tests below compare partition costs), and the cache-only entry
-      // materializes it up front for approximate discovery.
-      encoded = cache->encoded_or_null();
-    } else {
-      local_encoding = std::make_unique<EncodedRelation>(*relation);
-      encoded = local_encoding.get();
-    }
+  if (cache != nullptr) {
+    // Null for an out-of-core cache that has not materialized its flat
+    // encoding: exact discovery never needs it (the g3-free validity tests
+    // below compare partition costs and every partition comes from the
+    // cache), and the cache-only entry materializes it up front for
+    // approximate discovery.
+    encoded = cache->encoded_or_null();
+  } else {
+    local_encoding = std::make_unique<EncodedRelation>(*relation);
+    encoded = local_encoding.get();
   }
-  if (!exact && encoded == nullptr && relation == nullptr) {
+  if (!exact && encoded == nullptr) {
     return Status::Invalid(
         "approximate TANE on an out-of-core cache requires the encoded "
         "columns; call PliCache::EnsureEncoded first");
@@ -128,12 +127,9 @@ Result<std::vector<DiscoveredFd>> DiscoverFdsTaneImpl(
     if (cache != nullptr) {
       singles[a] = cache->Get(AttrSet::Single(attr), ctx);
       if (singles[a] == nullptr) return PliStopStatus(ctx);
-    } else if (encoded != nullptr) {
-      singles[a] = std::make_shared<StrippedPartition>(
-          StrippedPartition::ForAttribute(*encoded, attr));
     } else {
       singles[a] = std::make_shared<StrippedPartition>(
-          StrippedPartition::ForAttribute(*relation, attr));
+          StrippedPartition::ForAttribute(*encoded, attr));
     }
     return Status::OK();
   });
@@ -216,11 +212,7 @@ Result<std::vector<DiscoveredFd>> DiscoverFdsTaneImpl(
                              : 1.0;
           } else {
             test.error =
-                encoded != nullptr
-                    ? prev->second->FdError(*encoded,
-                                            AttrSet::Single(test.rhs))
-                    : prev->second->FdError(*relation,
-                                            AttrSet::Single(test.rhs));
+                prev->second->FdError(*encoded, AttrSet::Single(test.rhs));
           }
           return Status::OK();
         });
@@ -352,7 +344,7 @@ Result<std::vector<DiscoveredFd>> DiscoverFdsTane(PliCache* cache,
   // Approximate discovery's g3 tests read flat code arrays; materialize
   // them once up front (charged with shard-spill fallback) so the lattice
   // walk itself never blocks on encoding. Exact discovery stays PLI-only.
-  if (opts.max_error > 0.0 && opts.use_encoding && !cache->has_encoded()) {
+  if (opts.max_error > 0.0 && !cache->has_encoded()) {
     FAMTREE_RETURN_NOT_OK(cache->EnsureEncoded(opts.context));
   }
   return DiscoverFdsTaneImpl(cache->relation_or_null(), opts);

@@ -31,20 +31,16 @@ struct TaneOptions {
   int max_lhs_size = 5;
   /// Safety valve on emitted dependencies.
   int max_results = 100000;
-  /// Run on the dictionary-encoded columnar backend (the default): level-1
-  /// partitions are counting-sorted from per-column code arrays and the g3
-  /// validity tests count plurality RHS codes instead of hashing Values.
-  /// `false` keeps the original Value-based path — the differential-test
-  /// oracle, and the baseline bench/bench_engine compares against. The
-  /// discovered dependency list is bit-identical either way.
-  bool use_encoding = true;
-  /// Optional engine hooks (see src/engine/): when `pool` is set, each
-  /// lattice level's validity tests and partition products are evaluated in
-  /// parallel; when `cache` is set, partitions are served from the shared
-  /// per-relation PLI store instead of private copies (and the cache's
-  /// encoded backend is reused instead of re-encoding). All hooks are
-  /// independent and the discovered dependency list is bit-identical in
-  /// every combination (asserted by tests/engine_determinism_test.cc).
+  /// Optional engine hooks (see src/engine/; the walk runs on the
+  /// dictionary-encoded backend, so level-1 partitions are counting-sorted from
+  /// per-column code arrays and the g3 validity tests count plurality RHS
+  /// codes): when `pool` is set, each lattice level's validity tests and
+  /// partition products are evaluated in parallel; when `cache` is set,
+  /// partitions are served from the shared per-relation PLI store instead of
+  /// private copies (and the cache's encoded backend is reused instead of
+  /// re-encoding). All hooks are independent and the discovered dependency list
+  /// is bit-identical in every combination (asserted by
+  /// tests/engine_determinism_test.cc).
   ThreadPool* pool = nullptr;
   PliCache* cache = nullptr;
   /// Optional run limits; the driver check-points once per lattice level.

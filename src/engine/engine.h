@@ -206,7 +206,7 @@ class DiscoveryEngine {
 
   // Every driver below wires the same fast path: the engine pool, the
   // shared PLI store, and the encoded columnar substrate. Each remains
-  // bit-identical to its serial free function (the oracle).
+  // bit-identical to its serial free function.
 
   /// CFDMiner-style constant CFD mining.
   Result<std::vector<DiscoveredCfd>> ConstantCfds(

@@ -117,7 +117,7 @@ class Accumulator {
   void Fold(EvidenceSet::Aggregate* a, const double* td) {
     for (int t = 0; t < tracked_; ++t) {
       double d = td[t];
-      // Mirrors the oracle folds exactly: std::max never replaces the
+      // Mirrors the row-pair scan folds exactly: std::max never replaces the
       // accumulator with NaN, +inf is sticky, and max_finite only sees
       // finite distances.
       a[t].max_all = std::max(a[t].max_all, d);

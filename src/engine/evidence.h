@@ -100,7 +100,7 @@ class EvidenceSet {
   };
 
   /// Distance fold over one tracked column within one word's pairs,
-  /// mirroring the oracle folds exactly: max_finite starts at 0.0 and
+  /// mirroring the row-pair scan folds exactly: max_finite starts at 0.0 and
   /// folds only finite distances (DD bound semantics), max_all is a plain
   /// std::max fold (MFD diameter semantics — +inf is sticky, NaN never
   /// replaces the accumulator), saw_nonfinite flags any non-finite

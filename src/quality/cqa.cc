@@ -115,28 +115,19 @@ Result<Relation> CertainAnswers(const Relation& relation, const Fd& fd,
 Result<Relation> CertainAnswers(const Relation& relation, const Fd& fd,
                                 const SelectionQuery& query,
                                 const QualityOptions& options) {
-  if (!options.use_encoding && options.pool == nullptr &&
-      options.context == nullptr) {
-    return CertainAnswers(relation, fd, query);
-  }
   FAMTREE_RETURN_NOT_OK(CheckQuery(relation, query));
   RunContext* ctx = options.context;
   RunContext::BeginRun(ctx, "certain_answers");
   std::unique_ptr<EncodedRelation> local_encoding;
   FAMTREE_ASSIGN_OR_RETURN(
       const EncodedRelation* encoded,
-      ResolveEncoding(relation, options.use_encoding, options.cache,
-                      &local_encoding));
-  std::vector<std::vector<int>> groups =
-      encoded != nullptr ? encoded->GroupBy(fd.lhs())
-                         : relation.GroupBy(fd.lhs());
+      ResolveEncoding(relation, options.cache, &local_encoding));
+  std::vector<std::vector<int>> groups = encoded->GroupBy(fd.lhs());
   // Dense keys: projection equality and RHS agreement become integer
   // compares (key equality <=> value-tuple equality).
   std::vector<uint32_t> rhs_keys, proj_keys;
-  if (encoded != nullptr) {
-    encoded->RowKeys(fd.rhs(), &rhs_keys);
-    encoded->RowKeys(query.projection, &proj_keys);
-  }
+  encoded->RowKeys(fd.rhs(), &rhs_keys);
+  encoded->RowKeys(query.projection, &proj_keys);
   // Per-group certain rows (in group-row order) are independent; the
   // dedup + append below replays group order serially.
   std::vector<std::vector<int>> certain(groups.size());
@@ -147,20 +138,16 @@ Result<Relation> CertainAnswers(const Relation& relation, const Fd& fd,
           [&](int64_t g) {
         const std::vector<int>& group = groups[g];
         std::vector<std::vector<int>> sub;
-        if (encoded != nullptr) {
-          for (int row : group) {
-            bool placed = false;
-            for (auto& s : sub) {
-              if (rhs_keys[s[0]] == rhs_keys[row]) {
-                s.push_back(row);
-                placed = true;
-                break;
-              }
+        for (int row : group) {
+          bool placed = false;
+          for (auto& s : sub) {
+            if (rhs_keys[s[0]] == rhs_keys[row]) {
+              s.push_back(row);
+              placed = true;
+              break;
             }
-            if (!placed) sub.push_back({row});
           }
-        } else {
-          sub = Subgroups(relation, group, fd.rhs());
+          if (!placed) sub.push_back({row});
         }
         if (sub.size() == 1) {
           for (int row : group) {
@@ -170,20 +157,12 @@ Result<Relation> CertainAnswers(const Relation& relation, const Fd& fd,
         }
         for (int row : group) {
           if (!Selected(relation, row, query)) continue;
-          std::vector<Value> proj;
-          if (encoded == nullptr) {
-            proj = relation.Project(row, query.projection);
-          }
           bool in_all = true;
           for (const auto& s : sub) {
             bool found = false;
             for (int other : s) {
               if (!Selected(relation, other, query)) continue;
-              bool same_proj =
-                  encoded != nullptr
-                      ? proj_keys[other] == proj_keys[row]
-                      : relation.Project(other, query.projection) == proj;
-              if (same_proj) {
+              if (proj_keys[other] == proj_keys[row]) {
                 found = true;
                 break;
               }

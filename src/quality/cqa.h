@@ -34,7 +34,7 @@ Result<Relation> PossibleAnswers(const Relation& relation, const Fd& fd,
 /// comparisons run over dense row keys from the encoded backend, and the
 /// per-group certain-answer checks fan out on the pool; the answers append
 /// serially in group/row order, so the answer relation is identical to the
-/// oracle at any thread count. `cache` lends its encoding.
+/// plain overload at any thread count. `cache` lends its encoding.
 Result<Relation> CertainAnswers(const Relation& relation, const Fd& fd,
                                 const SelectionQuery& query,
                                 const QualityOptions& options);

@@ -68,39 +68,27 @@ Result<MatchResult> MdMatcher::Match(const Relation& relation) const {
 
 Result<MatchResult> MdMatcher::Match(const Relation& relation,
                                      const QualityOptions& options) const {
-  if (!options.use_encoding && options.pool == nullptr &&
-      options.context == nullptr) {
-    return Match(relation);
-  }
   int n = relation.num_rows();
   RunContext* ctx = options.context;
   RunContext::BeginRun(ctx, "md_match");
   std::unique_ptr<EncodedRelation> local_encoding;
   FAMTREE_ASSIGN_OR_RETURN(
       const EncodedRelation* encoded,
-      ResolveEncoding(relation, options.use_encoding, options.cache,
-                      &local_encoding));
+      ResolveEncoding(relation, options.cache, &local_encoding));
   // Kernel path: every (rule, predicate) compiles to one single-threshold
   // bucket facet of a PairComparator word — for edit distance that is a
   // byte-wide banded-Levenshtein bucket table instead of a full distance
   // table — and a rule matches a pair exactly when its predicates' bits
   // are all zero (bucket 0 = within threshold), one bitmask test per rule.
-  // Rules can carry arbitrary caller metrics, so the path is gated to the
-  // built-ins whose NaN behavior the non-finite-dictionary guard covers
-  // (`d > threshold` keeps a NaN-distance pair; a bucket index drops it).
+  // A bucket is "d <= threshold", the plain overload's similarity test, so
+  // NaN distances are dissimilar on both paths. Words wider than 64 bits
+  // scan per-predicate distance tables instead.
   std::unique_ptr<PairComparator> comparator;
   std::vector<uint64_t> rule_masks(rules_.size(), 0);
-  if (encoded != nullptr && options.use_evidence) {
+  {
     std::vector<EvidenceColumn> config;
-    bool supported = true;
-    for (size_t r = 0; r < rules_.size() && supported; ++r) {
-      for (const auto& p : rules_[r].lhs()) {
-        const std::string& name = p.metric->name();
-        if ((name != "edit" && name != "absdiff" && name != "discrete") ||
-            DictHasNonFiniteDouble(*encoded, p.attr)) {
-          supported = false;
-          break;
-        }
+    for (const Md& rule : rules_) {
+      for (const auto& p : rule.lhs()) {
         EvidenceColumn col;
         col.attr = p.attr;
         col.cmp = EvidenceColumn::Cmp::kNone;
@@ -109,7 +97,7 @@ Result<MatchResult> MdMatcher::Match(const Relation& relation,
         config.push_back(std::move(col));
       }
     }
-    if (supported && !config.empty() && EvidenceWordBits(config) <= 64) {
+    if (!config.empty() && EvidenceWordBits(config) <= 64) {
       FAMTREE_ASSIGN_OR_RETURN(
           comparator,
           PairComparator::Make(*encoded, std::move(config), options.pool));
@@ -126,7 +114,7 @@ Result<MatchResult> MdMatcher::Match(const Relation& relation,
   // metrics, so tables cannot be shared across rules by attribute alone.
   std::vector<std::vector<std::unique_ptr<CodeDistanceTable>>> tables(
       rules_.size());
-  if (encoded != nullptr && comparator == nullptr) {
+  if (comparator == nullptr) {
     for (size_t r = 0; r < rules_.size(); ++r) {
       for (const auto& p : rules_[r].lhs()) {
         tables[r].push_back(std::make_unique<CodeDistanceTable>(
@@ -137,7 +125,8 @@ Result<MatchResult> MdMatcher::Match(const Relation& relation,
   // Per-anchor-row scans are independent: row i collects its per-rule
   // match count and the partners to union. The union-find merges replay
   // serially below; the cluster partition is the same for any merge order
-  // and ids densify in row order, so the result matches the oracle.
+  // and ids densify in row order, so the result matches the serial
+  // Match(relation).
   std::vector<int64_t> counts(n, 0);
   std::vector<std::vector<int>> partners(n);
   FAMTREE_ASSIGN_OR_RETURN(
@@ -156,17 +145,13 @@ Result<MatchResult> MdMatcher::Match(const Relation& relation,
       } else {
         for (size_t r = 0; r < rules_.size(); ++r) {
           bool similar = true;
-          if (encoded != nullptr) {
-            const auto& lhs = rules_[r].lhs();
-            for (size_t k = 0; k < lhs.size(); ++k) {
-              if (tables[r][k]->RowDistance(static_cast<int>(i), j) >
-                  lhs[k].threshold) {
-                similar = false;
-                break;
-              }
+          const auto& lhs = rules_[r].lhs();
+          for (size_t k = 0; k < lhs.size(); ++k) {
+            if (!(tables[r][k]->RowDistance(static_cast<int>(i), j) <=
+                  lhs[k].threshold)) {
+              similar = false;
+              break;
             }
-          } else {
-            similar = rules_[r].LhsSimilar(relation, static_cast<int>(i), j);
           }
           if (similar) {
             ++counts[i];

@@ -32,7 +32,7 @@ class MdMatcher {
   /// per-predicate code-pair distance tables and fans out per anchor row;
   /// the union-find merges replay serially. The cluster partition is
   /// order-independent and ids are densified in row order, so the result
-  /// is identical to the oracle at any thread count.
+  /// is identical to the plain overload at any thread count.
   Result<MatchResult> Match(const Relation& relation,
                             const QualityOptions& options) const;
 

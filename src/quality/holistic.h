@@ -26,7 +26,7 @@ Result<RepairResult> RepairWithDcsHolistic(const Relation& relation,
 /// per DC, the dominant cost per round) fans out on the pool with the
 /// per-DC lists concatenated in DC order; the conflict-hypergraph ranking
 /// and the greedy cell repairs stay serial (each pick depends on the
-/// last). Identical to the oracle at any thread count.
+/// last). Identical to the plain overload at any thread count.
 Result<RepairResult> RepairWithDcsHolistic(const Relation& relation,
                                            const std::vector<Dc>& dcs,
                                            int max_changes,

@@ -84,10 +84,6 @@ Result<ImputeResult> ImputeWithNed(const Relation& relation,
 
 Result<ImputeResult> ImputeWithNed(const Relation& relation, const Ned& rule,
                                    const QualityOptions& options) {
-  if (!options.use_encoding && options.pool == nullptr &&
-      options.context == nullptr) {
-    return ImputeWithNed(relation, rule);
-  }
   if (rule.rhs().size() != 1) {
     return Status::Invalid("imputation takes a single-target NED");
   }
@@ -98,14 +94,11 @@ Result<ImputeResult> ImputeWithNed(const Relation& relation, const Ned& rule,
   std::unique_ptr<EncodedRelation> local_encoding;
   FAMTREE_ASSIGN_OR_RETURN(
       const EncodedRelation* encoded,
-      ResolveEncoding(relation, options.use_encoding, options.cache,
-                      &local_encoding));
+      ResolveEncoding(relation, options.cache, &local_encoding));
   std::vector<std::unique_ptr<CodeDistanceTable>> tables;
-  if (encoded != nullptr) {
-    for (const auto& p : rule.lhs()) {
-      tables.push_back(std::make_unique<CodeDistanceTable>(
-          *encoded, p.attr, p.metric, options.pool));
-    }
+  for (const auto& p : rule.lhs()) {
+    tables.push_back(std::make_unique<CodeDistanceTable>(
+        *encoded, p.attr, p.metric, options.pool));
   }
   std::vector<char> target_null(n);
   for (int i = 0; i < n; ++i) {
@@ -127,22 +120,11 @@ Result<ImputeResult> ImputeWithNed(const Relation& relation, const Ned& rule,
     for (int j = 0; j < n; ++j) {
       if (j == i || target_null[j]) continue;
       bool close = true;
-      if (encoded != nullptr) {
-        for (size_t k = 0; k < rule.lhs().size(); ++k) {
-          if (tables[k]->RowDistance(static_cast<int>(i), j) >
-              rule.lhs()[k].threshold) {
-            close = false;
-            break;
-          }
-        }
-      } else {
-        for (const auto& p : rule.lhs()) {
-          double d = p.metric->Distance(relation.Get(static_cast<int>(i), p.attr),
-                                        relation.Get(j, p.attr));
-          if (d > p.threshold) {
-            close = false;
-            break;
-          }
+      for (size_t k = 0; k < rule.lhs().size(); ++k) {
+        if (tables[k]->RowDistance(static_cast<int>(i), j) >
+            rule.lhs()[k].threshold) {
+          close = false;
+          break;
         }
       }
       if (close) neighbors.push_back(j);

@@ -8,25 +8,22 @@ class PliCache;
 class RunContext;
 class ThreadPool;
 
-/// Fast-path knobs shared by the quality applications, following the same
-/// convention as the discovery miners: `use_encoding == false` with a null
-/// `pool` is the Value-based oracle; the default runs on the
-/// dictionary-encoded columnar backend, fanning the read-only scans onto
-/// the engine thread pool with all order-sensitive merges replayed
-/// serially — results are identical at any thread count. `cache` lends its
-/// encoding when the application reads the relation it serves (appliers
-/// that mutate a working copy re-encode that copy instead).
+/// Engine hooks shared by the quality applications' QualityOptions
+/// overloads, following the same convention as the discovery miners: they
+/// run on the dictionary-encoded columnar backend, fanning the read-only
+/// scans onto the engine thread pool with all order-sensitive merges
+/// replayed serially — results are identical at any thread count and to
+/// the plain overloads without options, which stay the Value-based
+/// reference. `cache` lends its encoding when the application reads the
+/// relation it serves (appliers that mutate a working copy re-encode that
+/// copy instead). Pairwise matching goes through the shared comparison
+/// kernel (engine/evidence.h): similarity predicates compile to per-pair
+/// threshold-bucket bits decoded by bitmask per rule; rule sets whose word
+/// exceeds 64 bits keep per-predicate distance-table scans with identical
+/// output.
 struct QualityOptions {
-  bool use_encoding = true;
   ThreadPool* pool = nullptr;
   PliCache* cache = nullptr;
-  /// Route pairwise scans through the shared comparison kernel
-  /// (engine/evidence.h): similarity predicates compile to per-pair
-  /// threshold-bucket bits (byte-wide banded-edit bucket tables instead of
-  /// full distance tables), decoded by bitmask per rule. Applications fall
-  /// back to their per-predicate scans (identical output) for configs the
-  /// kernel cannot mirror exactly. Requires use_encoding.
-  bool use_evidence = true;
   /// Optional shared store for kernel-built evidence multisets.
   EvidenceCache* evidence = nullptr;
   /// Optional run limits (common/run_context.h): applications check-point

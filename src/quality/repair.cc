@@ -66,9 +66,10 @@ int FdRepairPass(Relation* relation, const Fd& fd,
 /// row (in group order) whose code reaches the strict maximum — exactly
 /// the serial algorithm's first-occurrence tie-break. Returns that row, so
 /// the caller reads both the target Value and its code from it (even the
-/// representation matches the oracle). LHS groups are typically tiny, so
-/// a flat first-occurrence-ordered count vector (the oracle's own shape,
-/// minus the Value comparisons) beats hash containers.
+/// representation matches the plain overload's). LHS groups are typically
+/// tiny, so a flat first-occurrence-ordered count vector (the plain
+/// overload's own shape, minus the Value comparisons) beats hash
+/// containers.
 int PluralityRowEncoded(const EncodedRelation& enc,
                         const std::vector<int>& rows, int col) {
   std::vector<std::pair<uint32_t, int>> counts;
@@ -102,39 +103,27 @@ int PluralityRowEncoded(const EncodedRelation& enc,
 /// One FD-repair pass with the plurality targets precomputed in parallel.
 /// All (group, column) targets depend only on the pass-start state (groups
 /// are disjoint row sets and a column's plurality is untouched by writes
-/// to other columns), so they can fan out; the writes replay the oracle's
-/// group/column/row order. On the encoded path the writes also rebind the
-/// changed cells' codes — targets are values that already occur in the
-/// column, so the encoding stays valid for the next pass with no
-/// re-encode.
+/// to other columns), so they can fan out; the writes replay the serial
+/// pass's group/column/row order. The writes also rebind the changed
+/// cells' codes — targets are values that already occur in the column, so
+/// the encoding stays valid for the next pass with no re-encode.
 Result<int> FdRepairPassFast(Relation* relation, const Fd& fd,
                              EncodedRelation* enc, ThreadPool* pool,
                              std::vector<CellChange>* changes) {
-  std::vector<std::vector<int>> groups =
-      enc != nullptr ? enc->GroupBy(fd.lhs()) : relation->GroupBy(fd.lhs());
+  std::vector<std::vector<int>> groups = enc->GroupBy(fd.lhs());
   std::vector<int> rhs_cols = fd.rhs().ToVector();
-  // On the encoded path a target is remembered as its plurality row (the
-  // Value is read back lazily at write time): groups are disjoint and a
-  // group's writes never touch its own plurality row for that column, so
-  // the row still holds the target when the replay reaches it. This keeps
-  // the fan-out free of per-group Value copies.
-  std::vector<std::vector<Value>> targets(enc == nullptr ? groups.size() : 0);
-  std::vector<std::vector<int>> target_rows(enc != nullptr ? groups.size()
-                                                           : 0);
+  // A target is remembered as its plurality row (the Value is read back
+  // lazily at write time): groups are disjoint and a group's writes never
+  // touch its own plurality row for that column, so the row still holds
+  // the target when the replay reaches it. This keeps the fan-out free of
+  // per-group Value copies.
+  std::vector<std::vector<int>> target_rows(groups.size());
   FAMTREE_RETURN_NOT_OK(ParallelFor(
       pool, static_cast<int64_t>(groups.size()), [&](int64_t g) {
         if (groups[g].size() < 2) return Status::OK();
-        if (enc != nullptr) {
-          target_rows[g].resize(rhs_cols.size());
-          for (size_t k = 0; k < rhs_cols.size(); ++k) {
-            target_rows[g][k] =
-                PluralityRowEncoded(*enc, groups[g], rhs_cols[k]);
-          }
-        } else {
-          targets[g].resize(rhs_cols.size());
-          for (size_t k = 0; k < rhs_cols.size(); ++k) {
-            targets[g][k] = PluralityValue(*relation, groups[g], rhs_cols[k]);
-          }
+        target_rows[g].resize(rhs_cols.size());
+        for (size_t k = 0; k < rhs_cols.size(); ++k) {
+          target_rows[g][k] = PluralityRowEncoded(*enc, groups[g], rhs_cols[k]);
         }
         return Status::OK();
       }));
@@ -143,27 +132,15 @@ Result<int> FdRepairPassFast(Relation* relation, const Fd& fd,
     if (groups[g].size() < 2) continue;
     for (size_t k = 0; k < rhs_cols.size(); ++k) {
       int col = rhs_cols[k];
-      if (enc != nullptr) {
-        uint32_t target_code = enc->code(target_rows[g][k], col);
-        Value target = relation->Get(target_rows[g][k], col);
-        for (int r : groups[g]) {
-          // Code inequality ⇔ Value inequality on the encoded path.
-          if (enc->code(r, col) == target_code) continue;
-          changes->push_back(
-              CellChange{r, col, relation->Get(r, col), target});
-          relation->Set(r, col, target);
-          enc->SetCode(r, col, target_code);
-          ++made;
-        }
-      } else {
-        const Value& target = targets[g][k];
-        for (int r : groups[g]) {
-          if (relation->Get(r, col) == target) continue;
-          changes->push_back(
-              CellChange{r, col, relation->Get(r, col), target});
-          relation->Set(r, col, target);
-          ++made;
-        }
+      uint32_t target_code = enc->code(target_rows[g][k], col);
+      Value target = relation->Get(target_rows[g][k], col);
+      for (int r : groups[g]) {
+        // Code inequality ⇔ Value inequality.
+        if (enc->code(r, col) == target_code) continue;
+        changes->push_back(CellChange{r, col, relation->Get(r, col), target});
+        relation->Set(r, col, target);
+        enc->SetCode(r, col, target_code);
+        ++made;
       }
     }
   }
@@ -193,10 +170,6 @@ Result<RepairResult> RepairWithFds(const Relation& relation,
 Result<RepairResult> RepairWithFds(const Relation& relation,
                                    const std::vector<Fd>& fds, int max_passes,
                                    const QualityOptions& options) {
-  if (!options.use_encoding && options.pool == nullptr &&
-      options.context == nullptr) {
-    return RepairWithFds(relation, fds, max_passes);
-  }
   RunContext* ctx = options.context;
   RunContext::BeginRun(ctx, "repair_fds");
   RepairResult result;
@@ -208,21 +181,17 @@ Result<RepairResult> RepairWithFds(const Relation& relation,
   // is copied (flat integer arrays), never mutated. A locally built
   // encoding covers only the columns some FD reads or writes — the passes
   // never touch the others.
-  std::unique_ptr<EncodedRelation> local;
-  EncodedRelation* enc = nullptr;
-  if (options.use_encoding) {
-    if (options.cache != nullptr &&
-        options.cache->relation_or_null() == &relation) {
-      local = std::make_unique<EncodedRelation>(options.cache->encoded());
-    } else {
-      AttrSet needed;
-      for (const Fd& fd : fds) {
-        for (int a : fd.lhs().ToVector()) needed = needed.With(a);
-        for (int a : fd.rhs().ToVector()) needed = needed.With(a);
-      }
-      local = std::make_unique<EncodedRelation>(result.repaired, needed);
+  std::unique_ptr<EncodedRelation> enc;
+  if (options.cache != nullptr &&
+      options.cache->relation_or_null() == &relation) {
+    enc = std::make_unique<EncodedRelation>(options.cache->encoded());
+  } else {
+    AttrSet needed;
+    for (const Fd& fd : fds) {
+      for (int a : fd.lhs().ToVector()) needed = needed.With(a);
+      for (int a : fd.rhs().ToVector()) needed = needed.With(a);
     }
-    enc = local.get();
+    enc = std::make_unique<EncodedRelation>(result.repaired, needed);
   }
   // Each (pass, fd) step is a deterministic serial-replay unit; a limit
   // firing between steps leaves the working copy exactly as the full run
@@ -241,8 +210,8 @@ Result<RepairResult> RepairWithFds(const Relation& relation,
         return result;
       }
       FAMTREE_ASSIGN_OR_RETURN(
-          int m, FdRepairPassFast(&result.repaired, fd, enc, options.pool,
-                                  &result.changes));
+          int m, FdRepairPassFast(&result.repaired, fd, enc.get(),
+                                  options.pool, &result.changes));
       made += m;
       ++steps_done;
     }

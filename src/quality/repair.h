@@ -37,13 +37,12 @@ Result<RepairResult> RepairWithFds(const Relation& relation,
                                    const std::vector<Fd>& fds,
                                    int max_passes = 4);
 
-/// Fast-path overload: per pass the LHS groups come from the encoded
-/// GroupBy and the per-(group, column) plurality targets are counted over
-/// integer codes in parallel; the cell changes are applied serially in the
-/// oracle's group/column/row order, so the repair (changes and repaired
-/// relation) is identical at any thread count. The working copy is
-/// re-encoded only after a pass that changed cells; `options.cache` lends
-/// the initial encoding.
+/// Fast-path overload: per pass the LHS groups come from the encoded GroupBy
+/// and the per-(group, column) plurality targets are counted over integer codes
+/// in parallel; the cell changes are applied serially in the plain overload's
+/// group/column/row order, so the repair (changes and repaired relation) is
+/// identical to it at any thread count. The working copy is re-encoded only
+/// after a pass that changed cells; `options.cache` lends the initial encoding.
 Result<RepairResult> RepairWithFds(const Relation& relation,
                                    const std::vector<Fd>& fds, int max_passes,
                                    const QualityOptions& options);
@@ -57,7 +56,7 @@ Result<RepairResult> RepairWithCfds(const Relation& relation,
 /// Fast-path overload: the per-rule LHS-pattern matching scan (the
 /// dominant cost, O(rows x rules) per pass) fans out on the pool; the
 /// constant forcing and plurality reassignment replay serially in the
-/// oracle's order. Patterns may compare with any operator, so matching
+/// plain overload's order. Patterns may compare with any operator, so matching
 /// stays on Values.
 Result<RepairResult> RepairWithCfds(const Relation& relation,
                                     const std::vector<Cfd>& cfds,

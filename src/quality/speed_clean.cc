@@ -114,16 +114,12 @@ Result<RepairResult> RepairWithSpeedConstraint(
 Result<std::vector<Violation>> DetectSpeedViolations(
     const Relation& relation, int time_attr, int value_attr,
     const SpeedConstraint& constraint, const QualityOptions& options) {
-  if (!options.use_encoding) {
-    return DetectSpeedViolations(relation, time_attr, value_attr, constraint);
-  }
   FAMTREE_RETURN_NOT_OK(
       CheckArgs(relation, time_attr, value_attr, constraint));
   std::unique_ptr<EncodedRelation> local_encoding;
   FAMTREE_ASSIGN_OR_RETURN(
       const EncodedRelation* encoded,
-      ResolveEncoding(relation, /*use_encoding=*/true, options.cache,
-                      &local_encoding));
+      ResolveEncoding(relation, options.cache, &local_encoding));
   std::vector<int> order =
       SortedRowOrder(*encoded, time_attr, CodeRanks(*encoded, time_attr));
   std::vector<double> time_num = CodeNumerics(*encoded, time_attr);
@@ -169,17 +165,12 @@ Result<std::vector<Violation>> DetectSpeedViolations(
 Result<RepairResult> RepairWithSpeedConstraint(
     const Relation& relation, int time_attr, int value_attr,
     const SpeedConstraint& constraint, const QualityOptions& options) {
-  if (!options.use_encoding) {
-    return RepairWithSpeedConstraint(relation, time_attr, value_attr,
-                                     constraint);
-  }
   FAMTREE_RETURN_NOT_OK(
       CheckArgs(relation, time_attr, value_attr, constraint));
   std::unique_ptr<EncodedRelation> local_encoding;
   FAMTREE_ASSIGN_OR_RETURN(
       const EncodedRelation* encoded,
-      ResolveEncoding(relation, /*use_encoding=*/true, options.cache,
-                      &local_encoding));
+      ResolveEncoding(relation, options.cache, &local_encoding));
   std::vector<int> order =
       SortedRowOrder(*encoded, time_attr, CodeRanks(*encoded, time_attr));
   // The scan visits each row exactly once and only ever writes the row it

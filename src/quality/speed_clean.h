@@ -31,7 +31,7 @@ Result<std::vector<Violation>> DetectSpeedViolations(
 /// Fast-path overload: the time sort becomes a stable counting sort over
 /// code ranks and the numerics decode once per dictionary code (in
 /// parallel on the pool); the scan itself is a linear pass. Identical to
-/// the oracle.
+/// the plain overload.
 Result<std::vector<Violation>> DetectSpeedViolations(
     const Relation& relation, int time_attr, int value_attr,
     const SpeedConstraint& constraint, const QualityOptions& options);
@@ -47,7 +47,7 @@ Result<RepairResult> RepairWithSpeedConstraint(
 
 /// Fast-path overload: same clamping scan (inherently sequential — each
 /// window depends on the previous repaired value) on top of the encoded
-/// sort and per-code numerics. Identical to the oracle.
+/// sort and per-code numerics. Identical to the plain overload.
 Result<RepairResult> RepairWithSpeedConstraint(
     const Relation& relation, int time_attr, int value_attr,
     const SpeedConstraint& constraint, const QualityOptions& options);

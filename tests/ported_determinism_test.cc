@@ -1,8 +1,9 @@
-// Differential tests for the algorithms ported onto the unified fast path
-// (encoded substrate + shared PLI cache + engine thread pool): for thread
-// counts {1, 2, 8}, every ported miner and quality application must produce
-// output bit-identical to its Value-based serial oracle
-// (use_encoding = false, no pool), with and without a PliCache.
+// Differential tests for the quality applications on the unified fast
+// path (encoded substrate + shared PLI cache + engine thread pool): for
+// thread counts {1, 2, 8}, every QualityOptions overload must produce
+// output bit-identical to its plain overload — the Value-based reference
+// kept for exactly this comparison — with and without a PliCache. The
+// miners are checked against brute-force oracles in miner_oracle_test.cc.
 //
 // Seeding convention: every generator seed in this file derives from
 // CaseSeed("<TestCaseName>") — a stable FNV-1a hash of the case name —
@@ -14,6 +15,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <string>
 #include <vector>
 
@@ -41,54 +43,18 @@ constexpr uint64_t CaseSeed(const char* name) {
   return h;
 }
 
-/// Configurations every ported algorithm is checked under, against the
-/// oracle: encoded without a pool, pool without encoding, and the full
-/// fast path (encoded + pool + cache).
-template <typename Options>
-std::vector<std::pair<std::string, Options>> FastConfigs(Options base,
-                                                         ThreadPool* pool,
-                                                         PliCache* cache) {
-  std::vector<std::pair<std::string, Options>> configs;
-  Options encoded = base;
-  encoded.use_encoding = true;
-  configs.push_back({"encoded", encoded});
-  Options pooled = base;
-  pooled.use_encoding = false;
+/// Configurations every application is checked under against its plain
+/// overload: serial, on the pool, and the full fast path (pool + cache).
+std::vector<std::pair<std::string, QualityOptions>> FastConfigs(
+    ThreadPool* pool, PliCache* cache) {
+  std::vector<std::pair<std::string, QualityOptions>> configs;
+  configs.push_back({"serial", QualityOptions{}});
+  QualityOptions pooled;
   pooled.pool = pool;
   configs.push_back({"pool", pooled});
-  Options full = base;
-  full.use_encoding = true;
-  full.pool = pool;
+  QualityOptions full = pooled;
   full.cache = cache;
-  configs.push_back({"encoded+pool+cache", full});
-  return configs;
-}
-
-/// Extra configurations for the miners rewired through the shared pairwise
-/// evidence kernel (FastConfigs' encoded entries already run the kernel —
-/// use_evidence defaults on): the pre-kernel encoded walks with the kernel
-/// switched off, and the full fast path with a shared EvidenceCache
-/// attached, run twice so the second pass is served from the cache.
-template <typename Options>
-std::vector<std::pair<std::string, Options>> EvidenceConfigs(
-    Options base, ThreadPool* pool, PliCache* cache,
-    EvidenceCache* evidence) {
-  std::vector<std::pair<std::string, Options>> configs;
-  Options no_kernel = base;
-  no_kernel.use_encoding = true;
-  no_kernel.use_evidence = false;
-  configs.push_back({"encoded-no-kernel", no_kernel});
-  no_kernel.pool = pool;
-  no_kernel.cache = cache;
-  configs.push_back({"encoded+pool-no-kernel", no_kernel});
-  Options cached = base;
-  cached.use_encoding = true;
-  cached.use_evidence = true;  // explicit: constant CFDs default it off
-  cached.pool = pool;
-  cached.cache = cache;
-  cached.evidence = evidence;
-  configs.push_back({"evidence-cache-build", cached});
-  configs.push_back({"evidence-cache-hit", cached});
+  configs.push_back({"pool+cache", full});
   return configs;
 }
 
@@ -135,431 +101,6 @@ void ExpectSameRepair(const RepairResult& oracle, const RepairResult& fast,
 
 class PortedDeterminismTest : public testing::TestWithParam<int> {};
 
-// ------------------------------------------------------------- miners
-
-TEST_P(PortedDeterminismTest, ConstantCfdsMatchOracle) {
-  ThreadPool pool(GetParam());
-  HotelConfig config;
-  config.num_hotels = 40;
-  config.error_rate = 0.05;
-  GeneratedData data = GenerateHotels(config);
-  PliCache cache(data.relation);
-  CfdDiscoveryOptions base;
-  base.min_support = 2;
-  base.max_lhs_size = 2;
-  CfdDiscoveryOptions oracle_options = base;
-  oracle_options.use_encoding = false;
-  auto oracle = DiscoverConstantCfds(data.relation, oracle_options);
-  ASSERT_TRUE(oracle.ok());
-  EvidenceCache evidence;
-  auto configs = FastConfigs(base, &pool, &cache);
-  for (auto& c : EvidenceConfigs(base, &pool, &cache, &evidence)) {
-    configs.push_back(std::move(c));
-  }
-  for (const auto& [name, options] : configs) {
-    auto fast = DiscoverConstantCfds(data.relation, options);
-    ASSERT_TRUE(fast.ok()) << name;
-    ASSERT_EQ(oracle->size(), fast->size()) << name;
-    for (size_t i = 0; i < oracle->size(); ++i) {
-      EXPECT_EQ((*oracle)[i].cfd.ToString(), (*fast)[i].cfd.ToString())
-          << name;
-      EXPECT_EQ((*oracle)[i].support, (*fast)[i].support) << name;
-    }
-  }
-}
-
-TEST_P(PortedDeterminismTest, GeneralCfdsMatchOracle) {
-  ThreadPool pool(GetParam());
-  HotelConfig config;
-  config.num_hotels = 40;
-  config.error_rate = 0.08;
-  GeneratedData data = GenerateHotels(config);
-  PliCache cache(data.relation);
-  CfdDiscoveryOptions base;
-  base.min_support = 2;
-  base.max_lhs_size = 2;
-  CfdDiscoveryOptions oracle_options = base;
-  oracle_options.use_encoding = false;
-  auto oracle = DiscoverGeneralCfds(data.relation, oracle_options);
-  ASSERT_TRUE(oracle.ok());
-  for (const auto& [name, options] : FastConfigs(base, &pool, &cache)) {
-    auto fast = DiscoverGeneralCfds(data.relation, options);
-    ASSERT_TRUE(fast.ok()) << name;
-    ASSERT_EQ(oracle->size(), fast->size()) << name;
-    for (size_t i = 0; i < oracle->size(); ++i) {
-      EXPECT_EQ((*oracle)[i].cfd.ToString(), (*fast)[i].cfd.ToString())
-          << name;
-      EXPECT_EQ((*oracle)[i].support, (*fast)[i].support) << name;
-    }
-  }
-}
-
-TEST_P(PortedDeterminismTest, GreedyTableauMatchesOracle) {
-  ThreadPool pool(GetParam());
-  Rng rng(CaseSeed("GreedyTableauMatchesOracle"));
-  RelationBuilder b({"country", "zipcode", "street"});
-  for (int r = 0; r < 150; ++r) {
-    bool uk = rng.Bernoulli(0.5);
-    int zip = static_cast<int>(rng.Uniform(0, 30));
-    std::string street = uk ? "s" + std::to_string(zip)
-                            : "s" + std::to_string(rng.Uniform(0, 40));
-    b.AddRow({Value(uk ? "UK" : "US"), Value(zip), Value(street)});
-  }
-  Relation r = std::move(b.Build()).value();
-  PliCache cache(r);
-  TableauOptions base;
-  TableauOptions oracle_options = base;
-  oracle_options.use_encoding = false;
-  auto oracle = BuildGreedyTableau(r, AttrSet::Of({0, 1}), 2, 0,
-                                   oracle_options);
-  ASSERT_TRUE(oracle.ok());
-  for (const auto& [name, options] : FastConfigs(base, &pool, &cache)) {
-    auto fast = BuildGreedyTableau(r, AttrSet::Of({0, 1}), 2, 0, options);
-    ASSERT_TRUE(fast.ok()) << name;
-    ASSERT_EQ(oracle->size(), fast->size()) << name;
-    for (size_t i = 0; i < oracle->size(); ++i) {
-      EXPECT_EQ((*oracle)[i].cfd.ToString(), (*fast)[i].cfd.ToString())
-          << name;
-      EXPECT_EQ((*oracle)[i].support, (*fast)[i].support) << name;
-    }
-  }
-}
-
-TEST_P(PortedDeterminismTest, UnaryOdsMatchOracle) {
-  ThreadPool pool(GetParam());
-  HotelConfig config;
-  config.num_hotels = 60;
-  GeneratedData data = GenerateHotels(config);
-  PliCache cache(data.relation);
-  OdDiscoveryOptions base;
-  OdDiscoveryOptions oracle_options = base;
-  oracle_options.use_encoding = false;
-  auto oracle = DiscoverUnaryOds(data.relation, oracle_options);
-  ASSERT_TRUE(oracle.ok());
-  for (const auto& [name, options] : FastConfigs(base, &pool, &cache)) {
-    auto fast = DiscoverUnaryOds(data.relation, options);
-    ASSERT_TRUE(fast.ok()) << name;
-    ASSERT_EQ(oracle->size(), fast->size()) << name;
-    for (size_t i = 0; i < oracle->size(); ++i) {
-      EXPECT_EQ((*oracle)[i].od.ToString(), (*fast)[i].od.ToString()) << name;
-    }
-  }
-}
-
-TEST_P(PortedDeterminismTest, MvdsAndFhdsMatchOracle) {
-  ThreadPool pool(GetParam());
-  HotelConfig config;
-  config.num_hotels = 25;
-  config.rows_per_hotel = 3;
-  GeneratedData data = GenerateHotels(config);
-  PliCache cache(data.relation);
-  MvdDiscoveryOptions base;
-  base.max_spurious_ratio = 0.1;
-  MvdDiscoveryOptions oracle_options = base;
-  oracle_options.use_encoding = false;
-  auto oracle = DiscoverMvds(data.relation, oracle_options);
-  ASSERT_TRUE(oracle.ok());
-  auto oracle_fhds = DiscoverFhds(data.relation, oracle_options);
-  ASSERT_TRUE(oracle_fhds.ok());
-  for (const auto& [name, options] : FastConfigs(base, &pool, &cache)) {
-    auto fast = DiscoverMvds(data.relation, options);
-    ASSERT_TRUE(fast.ok()) << name;
-    ASSERT_EQ(oracle->size(), fast->size()) << name;
-    for (size_t i = 0; i < oracle->size(); ++i) {
-      EXPECT_EQ((*oracle)[i].lhs.mask(), (*fast)[i].lhs.mask()) << name;
-      EXPECT_EQ((*oracle)[i].rhs.mask(), (*fast)[i].rhs.mask()) << name;
-      EXPECT_EQ((*oracle)[i].spurious_ratio, (*fast)[i].spurious_ratio)
-          << name;
-    }
-    auto fast_fhds = DiscoverFhds(data.relation, options);
-    ASSERT_TRUE(fast_fhds.ok()) << name;
-    ASSERT_EQ(oracle_fhds->size(), fast_fhds->size()) << name;
-    for (size_t i = 0; i < oracle_fhds->size(); ++i) {
-      EXPECT_EQ((*oracle_fhds)[i].lhs.mask(), (*fast_fhds)[i].lhs.mask())
-          << name;
-      ASSERT_EQ((*oracle_fhds)[i].blocks.size(),
-                (*fast_fhds)[i].blocks.size())
-          << name;
-      for (size_t k = 0; k < (*oracle_fhds)[i].blocks.size(); ++k) {
-        EXPECT_EQ((*oracle_fhds)[i].blocks[k].mask(),
-                  (*fast_fhds)[i].blocks[k].mask())
-            << name;
-      }
-    }
-  }
-}
-
-TEST_P(PortedDeterminismTest, PfdsMatchOracle) {
-  ThreadPool pool(GetParam());
-  HotelConfig config;
-  config.num_hotels = 50;
-  config.error_rate = 0.05;
-  GeneratedData data = GenerateHotels(config);
-  PliCache cache(data.relation);
-  PfdDiscoveryOptions base;
-  base.min_probability = 0.8;
-  base.max_lhs_size = 2;
-  PfdDiscoveryOptions oracle_options = base;
-  oracle_options.use_encoding = false;
-  auto oracle = DiscoverPfds(data.relation, oracle_options);
-  ASSERT_TRUE(oracle.ok());
-  for (const auto& [name, options] : FastConfigs(base, &pool, &cache)) {
-    auto fast = DiscoverPfds(data.relation, options);
-    ASSERT_TRUE(fast.ok()) << name;
-    ASSERT_EQ(oracle->size(), fast->size()) << name;
-    for (size_t i = 0; i < oracle->size(); ++i) {
-      EXPECT_EQ((*oracle)[i].lhs.mask(), (*fast)[i].lhs.mask()) << name;
-      EXPECT_EQ((*oracle)[i].rhs, (*fast)[i].rhs) << name;
-      EXPECT_EQ((*oracle)[i].probability, (*fast)[i].probability) << name;
-    }
-  }
-}
-
-TEST_P(PortedDeterminismTest, DdsMatchOracle) {
-  ThreadPool pool(GetParam());
-  HeterogeneousConfig config;
-  config.num_entities = 25;
-  config.max_duplicates = 3;
-  config.seed = CaseSeed("DdsMatchOracle");
-  GeneratedData data = GenerateHeterogeneous(config);
-  PliCache cache(data.relation);
-  DdDiscoveryOptions base;
-  base.min_support = 2;
-  base.max_lhs_attrs = 1;
-  DdDiscoveryOptions oracle_options = base;
-  oracle_options.use_encoding = false;
-  auto oracle = DiscoverDds(data.relation, oracle_options);
-  ASSERT_TRUE(oracle.ok());
-  EvidenceCache evidence;
-  auto configs = FastConfigs(base, &pool, &cache);
-  for (auto& c : EvidenceConfigs(base, &pool, &cache, &evidence)) {
-    configs.push_back(std::move(c));
-  }
-  for (const auto& [name, options] : configs) {
-    auto fast = DiscoverDds(data.relation, options);
-    ASSERT_TRUE(fast.ok()) << name;
-    ASSERT_EQ(oracle->size(), fast->size()) << name;
-    for (size_t i = 0; i < oracle->size(); ++i) {
-      EXPECT_EQ((*oracle)[i].dd.ToString(), (*fast)[i].dd.ToString()) << name;
-      EXPECT_EQ((*oracle)[i].support, (*fast)[i].support) << name;
-    }
-  }
-}
-
-TEST_P(PortedDeterminismTest, SampledDdsMatchOracle) {
-  // Sampling re-materializes the input, so the fast path must build a
-  // local encoding rather than borrow the cache's.
-  ThreadPool pool(GetParam());
-  HeterogeneousConfig config;
-  config.num_entities = 60;
-  config.seed = CaseSeed("SampledDdsMatchOracle");
-  GeneratedData data = GenerateHeterogeneous(config);
-  PliCache cache(data.relation);
-  DdDiscoveryOptions base;
-  base.min_support = 2;
-  base.max_lhs_attrs = 1;
-  base.sample_rows = 40;
-  DdDiscoveryOptions oracle_options = base;
-  oracle_options.use_encoding = false;
-  auto oracle = DiscoverDds(data.relation, oracle_options);
-  ASSERT_TRUE(oracle.ok());
-  EvidenceCache evidence;
-  auto configs = FastConfigs(base, &pool, &cache);
-  for (auto& c : EvidenceConfigs(base, &pool, &cache, &evidence)) {
-    configs.push_back(std::move(c));
-  }
-  for (const auto& [name, options] : configs) {
-    auto fast = DiscoverDds(data.relation, options);
-    ASSERT_TRUE(fast.ok()) << name;
-    ASSERT_EQ(oracle->size(), fast->size()) << name;
-    for (size_t i = 0; i < oracle->size(); ++i) {
-      EXPECT_EQ((*oracle)[i].dd.ToString(), (*fast)[i].dd.ToString()) << name;
-      EXPECT_EQ((*oracle)[i].support, (*fast)[i].support) << name;
-    }
-  }
-}
-
-TEST_P(PortedDeterminismTest, NedsMatchOracle) {
-  ThreadPool pool(GetParam());
-  HeterogeneousConfig config;
-  config.num_entities = 25;
-  config.seed = CaseSeed("NedsMatchOracle");
-  GeneratedData data = GenerateHeterogeneous(config);
-  PliCache cache(data.relation);
-  Ned::Predicate target{4, GetAbsDiffMetric(), 0.0};
-  NedDiscoveryOptions base;
-  base.thresholds = {0, 2};
-  base.min_support = 2;
-  base.min_confidence = 0.9;
-  NedDiscoveryOptions oracle_options = base;
-  oracle_options.use_encoding = false;
-  auto oracle = DiscoverNeds(data.relation, target, oracle_options);
-  ASSERT_TRUE(oracle.ok());
-  EvidenceCache evidence;
-  auto configs = FastConfigs(base, &pool, &cache);
-  for (auto& c : EvidenceConfigs(base, &pool, &cache, &evidence)) {
-    configs.push_back(std::move(c));
-  }
-  for (const auto& [name, options] : configs) {
-    auto fast = DiscoverNeds(data.relation, target, options);
-    ASSERT_TRUE(fast.ok()) << name;
-    ASSERT_EQ(oracle->size(), fast->size()) << name;
-    for (size_t i = 0; i < oracle->size(); ++i) {
-      EXPECT_EQ((*oracle)[i].ned.ToString(), (*fast)[i].ned.ToString())
-          << name;
-      EXPECT_EQ((*oracle)[i].support, (*fast)[i].support) << name;
-      EXPECT_EQ((*oracle)[i].confidence, (*fast)[i].confidence) << name;
-    }
-  }
-}
-
-TEST_P(PortedDeterminismTest, MdsMatchOracle) {
-  ThreadPool pool(GetParam());
-  HeterogeneousConfig config;
-  config.num_entities = 25;
-  config.max_duplicates = 3;
-  config.seed = CaseSeed("MdsMatchOracle");
-  GeneratedData data = GenerateHeterogeneous(config);
-  PliCache cache(data.relation);
-  MdDiscoveryOptions base;
-  base.min_support = 0.0005;
-  base.min_confidence = 0.9;
-  base.max_lhs_attrs = 2;
-  MdDiscoveryOptions oracle_options = base;
-  oracle_options.use_encoding = false;
-  auto oracle = DiscoverMds(data.relation, AttrSet::Single(4),
-                            oracle_options);
-  ASSERT_TRUE(oracle.ok());
-  EvidenceCache evidence;
-  auto configs = FastConfigs(base, &pool, &cache);
-  for (auto& c : EvidenceConfigs(base, &pool, &cache, &evidence)) {
-    configs.push_back(std::move(c));
-  }
-  for (const auto& [name, options] : configs) {
-    auto fast = DiscoverMds(data.relation, AttrSet::Single(4), options);
-    ASSERT_TRUE(fast.ok()) << name;
-    ASSERT_EQ(oracle->size(), fast->size()) << name;
-    for (size_t i = 0; i < oracle->size(); ++i) {
-      EXPECT_EQ((*oracle)[i].md.ToString(), (*fast)[i].md.ToString()) << name;
-      EXPECT_EQ((*oracle)[i].support, (*fast)[i].support) << name;
-      EXPECT_EQ((*oracle)[i].confidence, (*fast)[i].confidence) << name;
-    }
-  }
-}
-
-TEST_P(PortedDeterminismTest, MfdsMatchOracle) {
-  ThreadPool pool(GetParam());
-  HeterogeneousConfig config;
-  config.num_entities = 25;
-  config.seed = CaseSeed("MfdsMatchOracle");
-  GeneratedData data = GenerateHeterogeneous(config);
-  PliCache cache(data.relation);
-  MfdDiscoveryOptions base;
-  base.max_delta_ratio = 0.5;
-  MfdDiscoveryOptions oracle_options = base;
-  oracle_options.use_encoding = false;
-  auto oracle = DiscoverMfds(data.relation, oracle_options);
-  ASSERT_TRUE(oracle.ok());
-  EvidenceCache evidence;
-  auto configs = FastConfigs(base, &pool, &cache);
-  for (auto& c : EvidenceConfigs(base, &pool, &cache, &evidence)) {
-    configs.push_back(std::move(c));
-  }
-  for (const auto& [name, options] : configs) {
-    auto fast = DiscoverMfds(data.relation, options);
-    ASSERT_TRUE(fast.ok()) << name;
-    ASSERT_EQ(oracle->size(), fast->size()) << name;
-    for (size_t i = 0; i < oracle->size(); ++i) {
-      EXPECT_EQ((*oracle)[i].mfd.ToString(), (*fast)[i].mfd.ToString())
-          << name;
-      EXPECT_EQ((*oracle)[i].delta, (*fast)[i].delta) << name;
-    }
-  }
-}
-
-TEST_P(PortedDeterminismTest, FastDcEvidenceMatchesOracle) {
-  ThreadPool pool(GetParam());
-  HeterogeneousConfig config;
-  config.num_entities = 20;
-  config.seed = CaseSeed("FastDcEvidenceMatchesOracle");
-  GeneratedData data = GenerateHeterogeneous(config);
-  FastDcOptions base;
-  base.max_predicates = 3;
-  FastDcOptions oracle_options = base;
-  oracle_options.use_encoding = false;
-  auto oracle = DiscoverDcs(data.relation, oracle_options);
-  ASSERT_TRUE(oracle.ok());
-  EvidenceCache evidence;
-  std::vector<std::pair<std::string, FastDcOptions>> configs;
-  FastDcOptions no_kernel = base;
-  no_kernel.use_evidence = false;
-  configs.push_back({"encoded-no-kernel", no_kernel});
-  FastDcOptions kernel = base;
-  configs.push_back({"kernel", kernel});
-  kernel.pool = &pool;
-  configs.push_back({"kernel+pool", kernel});
-  kernel.evidence = &evidence;
-  configs.push_back({"kernel+cache-build", kernel});
-  configs.push_back({"kernel+cache-hit", kernel});
-  // Sampled builds replay the serial pair stream through the kernel; the
-  // explicit pair list bypasses the cache but must match the oracle too.
-  FastDcOptions sampled = base;
-  sampled.max_rows_exact = 30;
-  sampled.pool = &pool;
-  sampled.evidence = &evidence;
-  FastDcOptions sampled_oracle = sampled;
-  sampled_oracle.use_encoding = false;
-  sampled_oracle.pool = nullptr;
-  sampled_oracle.evidence = nullptr;
-  auto oracle_sampled = DiscoverDcs(data.relation, sampled_oracle);
-  ASSERT_TRUE(oracle_sampled.ok());
-  configs.push_back({"kernel+sampled", sampled});
-  for (const auto& [name, options] : configs) {
-    const auto& want =
-        options.max_rows_exact == 30 ? *oracle_sampled : *oracle;
-    auto fast = DiscoverDcs(data.relation, options);
-    ASSERT_TRUE(fast.ok()) << name;
-    ASSERT_EQ(want.size(), fast->size()) << name;
-    for (size_t i = 0; i < want.size(); ++i) {
-      EXPECT_EQ(want[i].dc.ToString(), (*fast)[i].dc.ToString()) << name;
-      EXPECT_EQ(want[i].violation_fraction, (*fast)[i].violation_fraction)
-          << name;
-    }
-  }
-}
-
-TEST_P(PortedDeterminismTest, SdAndCsdTableauMatchOracle) {
-  ThreadPool pool(GetParam());
-  Relation r = SensorSeries(CaseSeed("SdAndCsdTableauMatchOracle"), 120);
-  PliCache cache(r);
-  SdDiscoveryOptions base;
-  base.min_confidence = 0.0;  // always report, so both paths must agree
-  SdDiscoveryOptions oracle_options = base;
-  oracle_options.use_encoding = false;
-  auto oracle = DiscoverSd(r, 0, 1, oracle_options);
-  ASSERT_TRUE(oracle.ok());
-  for (const auto& [name, options] : FastConfigs(base, &pool, &cache)) {
-    auto fast = DiscoverSd(r, 0, 1, options);
-    ASSERT_TRUE(fast.ok()) << name;
-    EXPECT_EQ(oracle->sd.ToString(), fast->sd.ToString()) << name;
-    EXPECT_EQ(oracle->confidence, fast->confidence) << name;
-  }
-
-  CsdDiscoveryOptions csd_base;
-  csd_base.gap = Interval::Between(-10.0, 10.0);
-  csd_base.min_confidence = 0.8;
-  CsdDiscoveryOptions csd_oracle_options = csd_base;
-  csd_oracle_options.use_encoding = false;
-  auto csd_oracle = DiscoverCsdTableau(r, 0, 1, csd_oracle_options);
-  ASSERT_TRUE(csd_oracle.ok());
-  for (const auto& [name, options] : FastConfigs(csd_base, &pool, &cache)) {
-    auto fast = DiscoverCsdTableau(r, 0, 1, options);
-    ASSERT_TRUE(fast.ok()) << name;
-    EXPECT_EQ(csd_oracle->csd.ToString(), fast->csd.ToString()) << name;
-    EXPECT_EQ(csd_oracle->covered_rows, fast->covered_rows) << name;
-  }
-}
-
 // -------------------------------------------------- quality applications
 
 TEST_P(PortedDeterminismTest, FdRepairMatchesOracle) {
@@ -576,7 +117,7 @@ TEST_P(PortedDeterminismTest, FdRepairMatchesOracle) {
   auto oracle = RepairWithFds(data.relation, fds);
   ASSERT_TRUE(oracle.ok());
   for (const auto& [name, options] :
-       FastConfigs(QualityOptions{}, &pool, &cache)) {
+       FastConfigs(&pool, &cache)) {
     auto fast = RepairWithFds(data.relation, fds, 4, options);
     ASSERT_TRUE(fast.ok()) << name;
     ExpectSameRepair(*oracle, *fast, "fd repair " + name);
@@ -600,7 +141,7 @@ TEST_P(PortedDeterminismTest, CfdRepairMatchesOracle) {
   auto oracle = RepairWithCfds(data.relation, cfds);
   ASSERT_TRUE(oracle.ok());
   for (const auto& [name, options] :
-       FastConfigs(QualityOptions{}, &pool, &cache)) {
+       FastConfigs(&pool, &cache)) {
     auto fast = RepairWithCfds(data.relation, cfds, 4, options);
     ASSERT_TRUE(fast.ok()) << name;
     ExpectSameRepair(*oracle, *fast, "cfd repair " + name);
@@ -625,7 +166,7 @@ TEST_P(PortedDeterminismTest, HolisticRepairMatchesOracle) {
   auto oracle = RepairWithDcsHolistic(r, {dc});
   ASSERT_TRUE(oracle.ok());
   for (const auto& [name, options] :
-       FastConfigs(QualityOptions{}, &pool, &cache)) {
+       FastConfigs(&pool, &cache)) {
     auto fast = RepairWithDcsHolistic(r, {dc}, 1000, options);
     ASSERT_TRUE(fast.ok()) << name;
     ExpectSameRepair(*oracle, *fast, "holistic " + name);
@@ -633,34 +174,50 @@ TEST_P(PortedDeterminismTest, HolisticRepairMatchesOracle) {
 }
 
 TEST_P(PortedDeterminismTest, DedupMatchMatchesOracle) {
-  ThreadPool pool(GetParam());
-  HeterogeneousConfig config;
-  config.num_entities = 30;
-  config.max_duplicates = 3;
-  config.variation_rate = 0.4;
-  config.seed = CaseSeed("DedupMatchMatchesOracle");
-  GeneratedData data = GenerateHeterogeneous(config);
-  PliCache cache(data.relation);
-  MdMatcher matcher({Md({SimilarityPredicate{1, GetEditDistanceMetric(), 6},
-                         SimilarityPredicate{2, GetEditDistanceMetric(), 4}},
-                        AttrSet::Single(4)),
-                     Md({SimilarityPredicate{3, GetEditDistanceMetric(), 4},
-                         SimilarityPredicate{4, GetAbsDiffMetric(), 0}},
-                        AttrSet::Single(5))});
-  auto oracle = matcher.Match(data.relation);
-  ASSERT_TRUE(oracle.ok());
-  EvidenceCache evidence;
-  auto configs = FastConfigs(QualityOptions{}, &pool, &cache);
-  for (auto& c :
-       EvidenceConfigs(QualityOptions{}, &pool, &cache, &evidence)) {
-    configs.push_back(std::move(c));
-  }
-  for (const auto& [name, options] : configs) {
-    auto fast = matcher.Match(data.relation, options);
-    ASSERT_TRUE(fast.ok()) << name;
-    EXPECT_EQ(oracle->cluster_ids, fast->cluster_ids) << name;
-    EXPECT_EQ(oracle->num_clusters, fast->num_clusters) << name;
-    EXPECT_EQ(oracle->matched_pairs, fast->matched_pairs) << name;
+  // The matcher runs the evidence kernel unless its rules need more than
+  // 64 predicate bits, which sends it to per-predicate distance-table
+  // scans; both must read a NaN cell's distances as dissimilar, as the
+  // plain overload does.
+  for (const char* variant : {"kernel", "nan", "wide"}) {
+    ThreadPool pool(GetParam());
+    HeterogeneousConfig config;
+    config.num_entities = 30;
+    config.max_duplicates = 3;
+    config.variation_rate = 0.4;
+    config.seed = CaseSeed("DedupMatchMatchesOracle");
+    GeneratedData data = GenerateHeterogeneous(config);
+    if (std::string(variant) != "kernel") {
+      data.relation.Set(3, 4, Value(std::nan("")));
+    }
+    PliCache cache(data.relation);
+    std::vector<Md> rules = {
+        Md({SimilarityPredicate{1, GetEditDistanceMetric(), 6},
+            SimilarityPredicate{2, GetEditDistanceMetric(), 4}},
+           AttrSet::Single(4)),
+        Md({SimilarityPredicate{3, GetEditDistanceMetric(), 4},
+            SimilarityPredicate{4, GetAbsDiffMetric(), 0}},
+           AttrSet::Single(5))};
+    if (std::string(variant) == "wide") {
+      for (int k = 0; k < 61; ++k) {
+        rules.push_back(
+            Md({SimilarityPredicate{1 + k % 3, GetEditDistanceMetric(),
+                                    static_cast<double>(k % 5)}},
+               AttrSet::Single(5)));
+      }
+    }
+    MdMatcher matcher(rules);
+    auto oracle = matcher.Match(data.relation);
+    ASSERT_TRUE(oracle.ok());
+    for (const auto& [name, options] : FastConfigs(&pool, &cache)) {
+      auto fast = matcher.Match(data.relation, options);
+      ASSERT_TRUE(fast.ok()) << variant << " " << name;
+      EXPECT_EQ(oracle->cluster_ids, fast->cluster_ids)
+          << variant << " " << name;
+      EXPECT_EQ(oracle->num_clusters, fast->num_clusters)
+          << variant << " " << name;
+      EXPECT_EQ(oracle->matched_pairs, fast->matched_pairs)
+          << variant << " " << name;
+    }
   }
 }
 
@@ -682,7 +239,7 @@ TEST_P(PortedDeterminismTest, ImputeMatchesOracle) {
   auto oracle = ImputeWithNed(r, rule);
   ASSERT_TRUE(oracle.ok());
   for (const auto& [name, options] :
-       FastConfigs(QualityOptions{}, &pool, &cache)) {
+       FastConfigs(&pool, &cache)) {
     auto fast = ImputeWithNed(r, rule, options);
     ASSERT_TRUE(fast.ok()) << name;
     EXPECT_EQ(WriteCsvString(oracle->imputed), WriteCsvString(fast->imputed))
@@ -707,7 +264,7 @@ TEST_P(PortedDeterminismTest, CqaMatchesOracle) {
   auto possible_oracle = PossibleAnswers(r, fd, q);
   ASSERT_TRUE(possible_oracle.ok());
   for (const auto& [name, options] :
-       FastConfigs(QualityOptions{}, &pool, &cache)) {
+       FastConfigs(&pool, &cache)) {
     auto certain = CertainAnswers(r, fd, q, options);
     ASSERT_TRUE(certain.ok()) << name;
     EXPECT_EQ(WriteCsvString(*certain_oracle), WriteCsvString(*certain))
@@ -730,7 +287,7 @@ TEST_P(PortedDeterminismTest, SpeedCleanMatchesOracle) {
   auto repair_oracle = RepairWithSpeedConstraint(r, 0, 1, sc);
   ASSERT_TRUE(repair_oracle.ok());
   for (const auto& [name, options] :
-       FastConfigs(QualityOptions{}, &pool, &cache)) {
+       FastConfigs(&pool, &cache)) {
     auto detect = DetectSpeedViolations(r, 0, 1, sc, options);
     ASSERT_TRUE(detect.ok()) << name;
     EXPECT_EQ(*detect_oracle, *detect) << name;
@@ -743,9 +300,9 @@ TEST_P(PortedDeterminismTest, SpeedCleanMatchesOracle) {
 INSTANTIATE_TEST_SUITE_P(Threads, PortedDeterminismTest,
                          testing::ValuesIn(kThreadCounts));
 
-// The engine façade must route every ported algorithm through the pool +
-// cache fast path and stay identical to the oracles.
-TEST(PortedEngineFacadeTest, FacadeMatchesOracles) {
+// The engine façade must route the algorithms through the pool + cache
+// fast path and stay identical to their serial free functions.
+TEST(PortedEngineFacadeTest, FacadeMatchesSerialCalls) {
   EngineOptions engine_options;
   engine_options.num_threads = 4;
   DiscoveryEngine engine(engine_options);
@@ -756,17 +313,16 @@ TEST(PortedEngineFacadeTest, FacadeMatchesOracles) {
   GeneratedData data = GenerateHotels(config);
   const Relation& r = data.relation;
 
-  CfdDiscoveryOptions cfd_oracle;
-  cfd_oracle.use_encoding = false;
-  auto cfds_serial = DiscoverConstantCfds(r, cfd_oracle);
+  auto cfds_serial = DiscoverConstantCfds(r);
   auto cfds = engine.ConstantCfds(r);
   ASSERT_TRUE(cfds_serial.ok());
   ASSERT_TRUE(cfds.ok());
   ASSERT_EQ(cfds_serial->size(), cfds->size());
+  for (size_t i = 0; i < cfds_serial->size(); ++i) {
+    EXPECT_EQ((*cfds_serial)[i].cfd.ToString(), (*cfds)[i].cfd.ToString());
+  }
 
-  OdDiscoveryOptions od_oracle;
-  od_oracle.use_encoding = false;
-  auto ods_serial = DiscoverUnaryOds(r, od_oracle);
+  auto ods_serial = DiscoverUnaryOds(r);
   auto ods = engine.UnaryOds(r);
   ASSERT_TRUE(ods_serial.ok());
   ASSERT_TRUE(ods.ok());
@@ -784,13 +340,10 @@ TEST(PortedEngineFacadeTest, FacadeMatchesOracles) {
             WriteCsvString(repair->repaired));
   EXPECT_EQ(repair_serial->changes.size(), repair->changes.size());
 
-  DdDiscoveryOptions dd_oracle;
-  dd_oracle.use_encoding = false;
-  dd_oracle.max_lhs_attrs = 1;
-  auto dds_serial = DiscoverDds(r, dd_oracle);
-  DdDiscoveryOptions dd_base;
-  dd_base.max_lhs_attrs = 1;
-  auto dds = engine.Dds(r, dd_base);
+  DdDiscoveryOptions dd_options;
+  dd_options.max_lhs_attrs = 1;
+  auto dds_serial = DiscoverDds(r, dd_options);
+  auto dds = engine.Dds(r, dd_options);
   ASSERT_TRUE(dds_serial.ok());
   ASSERT_TRUE(dds.ok());
   ASSERT_EQ(dds_serial->size(), dds->size());
