@@ -909,17 +909,6 @@ int Run() {
           &evidence, &pairwise, &all_identical)) {
     return 2;
   }
-  if (!BenchPairwise(
-          "dedup 400-row slice", QualityOptions{},
-          [&](const QualityOptions& o) { return matcher.Match(slice, o); },
-          [](const MatchResult& a, const MatchResult& b) {
-            return a.cluster_ids == b.cluster_ids &&
-                   a.num_clusters == b.num_clusters &&
-                   a.matched_pairs == b.matched_pairs;
-          },
-          &evidence, &pairwise, &all_identical)) {
-    return 2;
-  }
   EvidenceCache::Stats evidence_stats = evidence.stats();
 
   std::printf(

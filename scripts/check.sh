@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Four-step test gate, run before merging:
+# Five-step test gate, run before merging:
 #
 #   1. Release     — the full tier-1 suite (the seed gate).
 #   2. ASan + UBSan — the relation substrate and the parallel engine
@@ -15,6 +15,11 @@
 #                     FAMTREE_FAULT_POINT probes are compiled in while
 #                     concurrent clients, appends, cancels, and injected
 #                     faults race.
+#   5. Benchmark self-test — `python3 perfbench/run.py --self-test`: every
+#                     benchmark workload at tiny size, traced and untraced,
+#                     must pass its correctness checks, report every
+#                     declared metric, and fail when its reference is
+#                     sabotaged.
 #
 # The out-of-core ingestion suite (`-L ingest`) runs in all three
 # configurations: the spill/pread layer does manual buffer arithmetic
@@ -43,7 +48,7 @@ run() {
   "$@"
 }
 
-echo "=== [0/4] lint: no raw single-word attribute masks ==="
+echo "=== [0/5] lint: no raw single-word attribute masks ==="
 # Attribute-index bit arithmetic lives in the multi-word AttrSet; a raw
 # `1ULL << n` over an attribute count reintroduces the pre-widening UB the
 # moment n reaches 64. The allowlist is the AttrSet implementation itself
@@ -61,7 +66,7 @@ if [ -n "$LINT_HITS" ]; then
   exit 1
 fi
 
-echo "=== [0/4] lint: no path-selecting flags in src/ ==="
+echo "=== [0/5] lint: no path-selecting flags in src/ ==="
 # Every miner and quality application has one production path (the
 # encoded one, with the evidence kernel where the input allows it);
 # reference implementations live in tests/ as brute-force oracles. A
@@ -75,12 +80,12 @@ if [ -n "$FLAG_HITS" ]; then
   exit 1
 fi
 
-echo "=== [1/4] Release: ctest -L tier1 ==="
+echo "=== [1/5] Release: ctest -L tier1 ==="
 run cmake -B "$PREFIX" >/dev/null
 run cmake --build "$PREFIX" -j "$JOBS"
 run ctest --test-dir "$PREFIX" -L tier1 -j "$JOBS" --output-on-failure
 
-echo "=== [2/4] ASan+UBSan: ctest -L relation, -L engine, -L ingest, -L serve ==="
+echo "=== [2/5] ASan+UBSan: ctest -L relation, -L engine, -L ingest, -L serve ==="
 run cmake -B "$PREFIX-asan" -DFAMTREE_ASAN=ON >/dev/null
 run cmake --build "$PREFIX-asan" -j "$JOBS"
 run ctest --test-dir "$PREFIX-asan" -L relation -j "$JOBS" --output-on-failure
@@ -88,14 +93,14 @@ run ctest --test-dir "$PREFIX-asan" -L engine -j "$JOBS" --output-on-failure
 run ctest --test-dir "$PREFIX-asan" -L ingest -j "$JOBS" --output-on-failure
 run ctest --test-dir "$PREFIX-asan" -L serve -j "$JOBS" --output-on-failure
 
-echo "=== [3/4] TSan: ctest -L engine, -L ingest, -L serve ==="
+echo "=== [3/5] TSan: ctest -L engine, -L ingest, -L serve ==="
 run cmake -B "$PREFIX-tsan" -DFAMTREE_TSAN=ON >/dev/null
 run cmake --build "$PREFIX-tsan" -j "$JOBS"
 run ctest --test-dir "$PREFIX-tsan" -L engine -j "$JOBS" --output-on-failure
 run ctest --test-dir "$PREFIX-tsan" -L ingest -j "$JOBS" --output-on-failure
 run ctest --test-dir "$PREFIX-tsan" -L serve -j "$JOBS" --output-on-failure
 
-echo "=== [4/4] chaos smoke: serve stress under -DFAMTREE_FAULTS=ON ==="
+echo "=== [4/5] chaos smoke: serve stress under -DFAMTREE_FAULTS=ON ==="
 # A dedicated Release build with the fine-grained fault points compiled in
 # (they default OFF outside Debug), driven harder than the in-suite run:
 # more clients and more requests per client, so admission, retry, the
@@ -106,4 +111,10 @@ run cmake --build "$PREFIX-faults" -j "$JOBS" --target serve_chaos_test
 run env FAMTREE_CHAOS_CLIENTS=12 FAMTREE_CHAOS_REQUESTS=20 \
   "$PREFIX-faults/tests/serve_chaos_test"
 
-echo "=== all four steps passed ==="
+echo "=== [5/5] benchmark self-test: perfbench/run.py --self-test ==="
+# Builds perfbench/ from this checkout's sources into .bench_build/ and
+# runs every workload's correctness checks, so a change that breaks an
+# answer the benchmark checks fails here rather than at benchmark time.
+run python3 perfbench/run.py --self-test
+
+echo "=== all five steps passed ==="

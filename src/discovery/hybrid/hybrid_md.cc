@@ -49,11 +49,8 @@ Result<std::vector<DiscoveredMd>> DiscoverMdsHybrid(
     RunContext::MarkExhausted(ctx, stop, 0, total);
     return std::vector<DiscoveredMd>{};
   };
-  Status tables_status = md_internal::BuildTables(&setup, pool, ctx);
-  if (RunContext::IsStop(tables_status)) {
-    return exhausted_early(tables_status, 0);
-  }
-  FAMTREE_RETURN_NOT_OK(tables_status);
+  // No borrowed distance table: a cache hit fills nothing, a miss lets the
+  // kernel fill its own byte-wide bucket tables.
   EvidenceOptions eopts;
   eopts.pool = pool;
   eopts.context = ctx;

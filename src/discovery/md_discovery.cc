@@ -135,19 +135,6 @@ Status Prepare(const Relation& relation, AttrSet rhs,
   return Status::OK();
 }
 
-Status BuildTables(MdSetup* setup, ThreadPool* pool, RunContext* ctx) {
-  int nc = setup->sample->num_columns();
-  setup->tables.resize(nc);
-  for (int a = 0; a < nc; ++a) {
-    if (setup->rhs.Contains(a)) continue;
-    FAMTREE_RETURN_NOT_OK(RunContext::Poll(ctx));
-    setup->tables[a] = std::make_unique<CodeDistanceTable>(
-        *setup->encoded, a, setup->metrics[a], pool);
-    setup->config[setup->cfg_of[a]].table = setup->tables[a].get();
-  }
-  return Status::OK();
-}
-
 Result<std::vector<DiscoveredMd>> Mine(MdSetup* setup,
                                        const MdDiscoveryOptions& options) {
   ThreadPool* pool = options.pool;
@@ -160,12 +147,6 @@ Result<std::vector<DiscoveredMd>> Mine(MdSetup* setup,
     RunContext::MarkExhausted(ctx, stop, 0, total);
     return std::vector<DiscoveredMd>{};
   };
-  Status tables_status = BuildTables(setup, pool, ctx);
-  if (RunContext::IsStop(tables_status)) {
-    return exhausted_early(tables_status, 0);
-  }
-  FAMTREE_RETURN_NOT_OK(tables_status);
-
   // Per-candidate evaluations are independent; the support / confidence /
   // RCK-minimality filters replay the candidate order, so the output is
   // bit-identical at any thread count.
@@ -178,6 +159,7 @@ Result<std::vector<DiscoveredMd>> Mine(MdSetup* setup,
     // d <= threshold exactly when the bucket index is at or below the
     // threshold's index, and the RHS row keys agree exactly when every RHS
     // attribute's codes do, so the stats match the pair scans bit for bit.
+    // The config lends no distance table: a cache hit fills nothing.
     EvidenceOptions eopts;
     eopts.pool = pool;
     eopts.context = ctx;
@@ -221,14 +203,25 @@ Result<std::vector<DiscoveredMd>> Mine(MdSetup* setup,
           return Status::OK();
         }));
   } else {
+    // Code-pair distance tables of the non-RHS attributes, filled only
+    // here: the evidence path lends the kernel none.
+    int nc = setup->sample->num_columns();
+    std::vector<std::unique_ptr<CodeDistanceTable>> tables(nc);
+    for (int a = 0; a < nc; ++a) {
+      if (setup->rhs.Contains(a)) continue;
+      Status st = RunContext::Poll(ctx);
+      if (RunContext::IsStop(st)) return exhausted_early(st, 0);
+      FAMTREE_RETURN_NOT_OK(st);
+      tables[a] = std::make_unique<CodeDistanceTable>(
+          *setup->encoded, a, setup->metrics[a], pool);
+    }
     std::vector<uint32_t> rhs_keys;
     setup->encoded->RowKeys(setup->rhs, &rhs_keys);
     int n = setup->sample->num_rows();
     FAMTREE_ASSIGN_OR_RETURN(
         candidates_done,
         AnytimeParallelFor(ctx, pool, num_candidates, [&](int64_t c) {
-          stats[c] = PairScanStats(setup->lhs_sets[c], n, setup->tables,
-                                  rhs_keys);
+          stats[c] = PairScanStats(setup->lhs_sets[c], n, tables, rhs_keys);
           return Status::OK();
         }));
   }

@@ -14,14 +14,10 @@
 #include "deps/md.h"
 #include "discovery/md_discovery.h"
 #include "engine/evidence.h"
-#include "metric/code_distance.h"
 #include "relation/encoded_relation.h"
 #include "relation/relation.h"
 
 namespace famtree {
-
-class RunContext;
-class ThreadPool;
 
 namespace md_internal {
 
@@ -53,8 +49,6 @@ struct MdSetup {
   std::vector<EvidenceColumn> config;
   std::vector<int> cfg_of;
   std::vector<int> rhs_cols;
-  /// Code-pair distance tables of the non-RHS attributes (BuildTables).
-  std::vector<std::unique_ptr<CodeDistanceTable>> tables;
   /// False when the packed evidence word exceeds 64 bits; candidate stats
   /// then come from direct pair scans.
   bool evidence_ok = false;
@@ -65,13 +59,9 @@ struct MdSetup {
 Status Prepare(const Relation& relation, AttrSet rhs,
                const MdDiscoveryOptions& options, MdSetup* setup);
 
-/// Builds the distance tables and points the config at them. Returns the
-/// RunContext stop status when a limit fires first.
-Status BuildTables(MdSetup* setup, ThreadPool* pool, RunContext* ctx);
-
 /// DiscoverMds on a prepared setup: begins the "mds" run, then folds each
-/// candidate's stats over the evidence words (or scans the row pairs when
-/// !evidence_ok) and replays the filters.
+/// candidate's stats over the evidence words (or fills the tables and scans
+/// the row pairs when !evidence_ok) and replays the filters.
 Result<std::vector<DiscoveredMd>> Mine(MdSetup* setup,
                                        const MdDiscoveryOptions& options);
 

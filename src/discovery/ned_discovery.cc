@@ -69,8 +69,6 @@ Result<std::vector<DiscoveredNed>> DiscoverNeds(
   }
   // The target attribute uses the caller's metric, not the column default.
   metrics[target.attr] = target.metric;
-  // Code-pair distance tables, one per attribute, built before the outer
-  // ParallelFor (each fill parallelizes internally on the same pool).
   RunContext* ctx = options.context;
   RunContext::BeginRun(ctx, "neds");
   // A stop during the shared precomputation cuts before any candidate was
@@ -79,13 +77,6 @@ Result<std::vector<DiscoveredNed>> DiscoverNeds(
     RunContext::MarkExhausted(ctx, stop, 0, total);
     return std::vector<DiscoveredNed>{};
   };
-  std::vector<std::unique_ptr<CodeDistanceTable>> tables(nc);
-  for (int a = 0; a < nc; ++a) {
-    Status st = RunContext::Poll(ctx);
-    if (RunContext::IsStop(st)) return exhausted_early(st, 0);
-    tables[a] =
-        std::make_unique<CodeDistanceTable>(*encoded, a, metrics[a], pool);
-  }
   std::vector<std::vector<Ned::Predicate>> lhs_sets;
   for (const auto& p : candidates) lhs_sets.push_back({p});
   if (options.max_lhs_attrs >= 2) {
@@ -130,7 +121,6 @@ Result<std::vector<DiscoveredNed>> DiscoverNeds(
     col.metric = metrics[a];
     col.thresholds =
         a == target.attr ? std::vector<double>{target.threshold} : lhs_th;
-    col.table = tables[a].get();
     cfg_of[a] = static_cast<int>(config.size());
     config.push_back(std::move(col));
   }
@@ -190,6 +180,16 @@ Result<std::vector<DiscoveredNed>> DiscoverNeds(
           return Status::OK();
             }));
   } else {
+    // Code-pair distance tables, one per attribute, built before the outer
+    // ParallelFor (each fill parallelizes internally on the same pool); the
+    // evidence path lends none, so a cache hit there fills nothing.
+    std::vector<std::unique_ptr<CodeDistanceTable>> tables(nc);
+    for (int a = 0; a < nc; ++a) {
+      Status st = RunContext::Poll(ctx);
+      if (RunContext::IsStop(st)) return exhausted_early(st, 0);
+      tables[a] =
+          std::make_unique<CodeDistanceTable>(*encoded, a, metrics[a], pool);
+    }
     FAMTREE_ASSIGN_OR_RETURN(
         candidates_done,
         AnytimeParallelFor(

@@ -377,11 +377,10 @@ Result<DiscoveredCsd> DiscoveryEngine::CsdTableau(const Relation& relation,
 namespace {
 
 QualityOptions WireQuality(ThreadPool* pool, PliCache* cache,
-                           EvidenceCache* evidence, RunContext* context) {
+                           RunContext* context) {
   QualityOptions options;
   options.pool = pool;
   options.cache = cache;
-  options.evidence = evidence;
   options.context = context;
   return options;
 }
@@ -392,68 +391,61 @@ Result<RepairResult> DiscoveryEngine::RepairFds(const Relation& relation,
                                                 const std::vector<Fd>& fds,
                                                 int max_passes) {
   FAMTREE_ASSIGN_OR_RETURN(PliCache * cache, CacheFor(relation));
-  return RepairWithFds(
-      relation, fds, max_passes,
-      WireQuality(&pool_, cache, &evidence_, default_context()));
+  return RepairWithFds(relation, fds, max_passes,
+                       WireQuality(&pool_, cache, default_context()));
 }
 
 Result<RepairResult> DiscoveryEngine::RepairCfds(const Relation& relation,
                                                  const std::vector<Cfd>& cfds,
                                                  int max_passes) {
   FAMTREE_ASSIGN_OR_RETURN(PliCache * cache, CacheFor(relation));
-  return RepairWithCfds(
-      relation, cfds, max_passes,
-      WireQuality(&pool_, cache, &evidence_, default_context()));
+  return RepairWithCfds(relation, cfds, max_passes,
+                        WireQuality(&pool_, cache, default_context()));
 }
 
 Result<RepairResult> DiscoveryEngine::RepairHolistic(
     const Relation& relation, const std::vector<Dc>& dcs, int max_changes) {
   FAMTREE_ASSIGN_OR_RETURN(PliCache * cache, CacheFor(relation));
-  return RepairWithDcsHolistic(
-      relation, dcs, max_changes,
-      WireQuality(&pool_, cache, &evidence_, default_context()));
+  return RepairWithDcsHolistic(relation, dcs, max_changes,
+                               WireQuality(&pool_, cache, default_context()));
 }
 
 Result<MatchResult> DiscoveryEngine::Match(const Relation& relation,
                                            std::vector<Md> rules) {
   FAMTREE_ASSIGN_OR_RETURN(PliCache * cache, CacheFor(relation));
   MdMatcher matcher(std::move(rules));
-  return matcher.Match(
-      relation, WireQuality(&pool_, cache, &evidence_, default_context()));
+  return matcher.Match(relation,
+                       WireQuality(&pool_, cache, default_context()));
 }
 
 Result<ImputeResult> DiscoveryEngine::Impute(const Relation& relation,
                                              const Ned& rule) {
   FAMTREE_ASSIGN_OR_RETURN(PliCache * cache, CacheFor(relation));
-  return ImputeWithNed(
-      relation, rule,
-      WireQuality(&pool_, cache, &evidence_, default_context()));
+  return ImputeWithNed(relation, rule,
+                       WireQuality(&pool_, cache, default_context()));
 }
 
 Result<Relation> DiscoveryEngine::CertainAnswers(const Relation& relation,
                                                  const Fd& fd,
                                                  const SelectionQuery& query) {
   FAMTREE_ASSIGN_OR_RETURN(PliCache * cache, CacheFor(relation));
-  return famtree::CertainAnswers(
-      relation, fd, query,
-      WireQuality(&pool_, cache, &evidence_, default_context()));
+  return famtree::CertainAnswers(relation, fd, query,
+                                 WireQuality(&pool_, cache, default_context()));
 }
 
 Result<Relation> DiscoveryEngine::PossibleAnswers(
     const Relation& relation, const Fd& fd, const SelectionQuery& query) {
   FAMTREE_ASSIGN_OR_RETURN(PliCache * cache, CacheFor(relation));
   return famtree::PossibleAnswers(
-      relation, fd, query,
-      WireQuality(&pool_, cache, &evidence_, default_context()));
+      relation, fd, query, WireQuality(&pool_, cache, default_context()));
 }
 
 Result<std::vector<Violation>> DiscoveryEngine::DetectSpeed(
     const Relation& relation, int time_attr, int value_attr,
     const SpeedConstraint& constraint) {
   FAMTREE_ASSIGN_OR_RETURN(PliCache * cache, CacheFor(relation));
-  return DetectSpeedViolations(
-      relation, time_attr, value_attr, constraint,
-      WireQuality(&pool_, cache, &evidence_, default_context()));
+  return DetectSpeedViolations(relation, time_attr, value_attr, constraint,
+                               WireQuality(&pool_, cache, default_context()));
 }
 
 Result<RepairResult> DiscoveryEngine::RepairSpeed(
@@ -462,7 +454,7 @@ Result<RepairResult> DiscoveryEngine::RepairSpeed(
   FAMTREE_ASSIGN_OR_RETURN(PliCache * cache, CacheFor(relation));
   return RepairWithSpeedConstraint(
       relation, time_attr, value_attr, constraint,
-      WireQuality(&pool_, cache, &evidence_, default_context()));
+      WireQuality(&pool_, cache, default_context()));
 }
 
 Result<DetectionSummary> DiscoveryEngine::Detect(

@@ -152,7 +152,7 @@ int EvidenceWordBits(const std::vector<EvidenceColumn>& columns) {
 
 Result<std::unique_ptr<PairComparator>> PairComparator::Make(
     const EncodedRelation& encoded, std::vector<EvidenceColumn> columns,
-    ThreadPool* pool) {
+    ThreadPool* pool, int64_t max_table_entries) {
   int bits = EvidenceWordBits(columns);
   if (bits > 64) {
     return Status::Invalid("evidence word exceeds 64 bits");
@@ -192,7 +192,7 @@ Result<std::unique_ptr<PairComparator>> PairComparator::Make(
       col.dist = spec.table;
       if (col.dist == nullptr) {
         col.owned_dist = std::make_unique<CodeDistanceTable>(
-            encoded, spec.attr, spec.metric, pool);
+            encoded, spec.attr, spec.metric, pool, max_table_entries);
         col.dist = col.owned_dist.get();
       }
       if (bucketed) col.thresholds = spec.thresholds;
@@ -204,7 +204,8 @@ Result<std::unique_ptr<PairComparator>> PairComparator::Make(
         col.thresholds = spec.thresholds;
       } else {
         col.owned_bucket = std::make_unique<CodeBucketTable>(
-            encoded, spec.attr, spec.metric, spec.thresholds, pool);
+            encoded, spec.attr, spec.metric, spec.thresholds, pool,
+            max_table_entries);
         col.bucket = col.owned_bucket.get();
       }
     }
@@ -337,10 +338,22 @@ class EvidenceBuilder {
       const std::vector<EvidenceColumn>& columns,
       const std::vector<std::pair<int, int>>* pairs, int delta_from_row,
       const EvidenceOptions& options) {
+    // Delta and pair-list walks memoize a column's distances only when its
+    // code-pair triangle has no more entries than the pairs they compare.
+    int n = encoded.num_rows();
+    int64_t all_pairs = static_cast<int64_t>(n) * (n - 1) / 2;
+    int64_t old_pairs = static_cast<int64_t>(delta_from_row) *
+                        (delta_from_row - 1) / 2;
+    int64_t walk_pairs = pairs != nullptr
+                             ? static_cast<int64_t>(pairs->size())
+                             : all_pairs - old_pairs;
+    int64_t max_entries = CodeDistanceTable::kDefaultMaxEntries;
+    if (pairs != nullptr || delta_from_row > 0) {
+      max_entries = std::min(max_entries, walk_pairs);
+    }
     FAMTREE_ASSIGN_OR_RETURN(
         std::unique_ptr<PairComparator> pc,
-        PairComparator::Make(encoded, columns, options.pool));
-    int n = encoded.num_rows();
+        PairComparator::Make(encoded, columns, options.pool, max_entries));
     int chunks = NumChunks(options.pool);
     int tracked = pc->num_tracked();
     std::vector<Accumulator> accs;
@@ -369,14 +382,7 @@ class EvidenceBuilder {
     auto set = std::make_shared<EvidenceSet>();
     set->layout_ = pc->layout();
     set->num_tracked_ = tracked;
-    // Delta mode counts only the pairs the append created: all pairs of
-    // the grown relation minus all pairs among the pre-append rows.
-    int64_t all_pairs = static_cast<int64_t>(n) * (n - 1) / 2;
-    int64_t old_pairs = static_cast<int64_t>(delta_from_row) *
-                        (delta_from_row - 1) / 2;
-    set->total_pairs_ = pairs != nullptr
-                            ? static_cast<int64_t>(pairs->size())
-                            : all_pairs - old_pairs;
+    set->total_pairs_ = walk_pairs;
     if (pruned) {
       // Pairs disagreeing everywhere were never enumerated: their count is
       // the remainder, their word all-unequal, their aggregates zero.

@@ -44,8 +44,9 @@ struct EvidenceColumn {
 
   /// Optional borrowed exact-distance table for this (attr, metric); when
   /// null the kernel builds what it needs itself (an exact table when
-  /// track_max is set, a byte-wide CodeBucketTable otherwise). Must outlive
-  /// the build call (the EvidenceSet itself never references it).
+  /// track_max is set, a byte-wide CodeBucketTable otherwise). Lend one only
+  /// if the caller reads it anyway (DD, MFD): it costs a fill even on an
+  /// evidence-cache hit. Must outlive the build call.
   const CodeDistanceTable* table = nullptr;
 };
 
@@ -182,7 +183,10 @@ class PairComparator {
  public:
   static Result<std::unique_ptr<PairComparator>> Make(
       const EncodedRelation& encoded, std::vector<EvidenceColumn> columns,
-      ThreadPool* pool);
+      ThreadPool* pool) {
+    return Make(encoded, std::move(columns), pool,
+                CodeDistanceTable::kDefaultMaxEntries);
+  }
 
   /// The comparison word of the ordered pair (i, j); `tracked_dists`, when
   /// non-null, receives num_tracked() distances indexed by track slot.
@@ -214,6 +218,12 @@ class PairComparator {
 
   PairComparator() = default;
 
+  /// Make, with the tables it builds itself capped at `max_table_entries`
+  /// (larger columns compute each pair's distance on the decoded values).
+  static Result<std::unique_ptr<PairComparator>> Make(
+      const EncodedRelation& encoded, std::vector<EvidenceColumn> columns,
+      ThreadPool* pool, int64_t max_table_entries);
+
   std::vector<Col> cols_;
   std::vector<EvidenceSet::ColumnLayout> layout_;
   uint64_t base_word_ = 0;  // constant facet bits
@@ -229,7 +239,8 @@ Result<std::shared_ptr<const EvidenceSet>> BuildEvidence(
 
 /// Builds the evidence multiset over an explicit list of ordered pairs
 /// (FASTDC's sampling path). Order facets use the given orientation; no
-/// mirror words are added.
+/// mirror words are added. As for deltas, tables larger than the list are
+/// not filled.
 Result<std::shared_ptr<const EvidenceSet>> BuildEvidenceForPairs(
     const EncodedRelation& encoded, const std::vector<EvidenceColumn>& columns,
     const std::vector<std::pair<int, int>>& pairs,
@@ -241,7 +252,8 @@ Result<std::shared_ptr<const EvidenceSet>> BuildEvidenceForPairs(
 /// appends never change prefix codes or the relative Value order of
 /// existing codes, so MergeEvidenceSets(base, delta) is bit-identical to a
 /// cold BuildEvidence over the appended relation (the old and new pairs
-/// partition all pairs, and every per-word fold is commutative).
+/// partition all pairs, and every per-word fold is commutative). Columns
+/// whose code-pair triangle outnumbers the new pairs fill no table.
 Result<std::shared_ptr<const EvidenceSet>> BuildEvidenceDelta(
     const EncodedRelation& encoded, const std::vector<EvidenceColumn>& columns,
     int old_rows, const EvidenceOptions& options);

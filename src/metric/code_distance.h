@@ -27,6 +27,11 @@ namespace famtree {
 /// so the fill order cannot affect the result). When the triangular size
 /// k*(k+1)/2 exceeds `max_entries` the table is skipped and Distance()
 /// falls back to calling the metric directly on the decoded values.
+///
+/// A fill costs k*(k+1)/2 metric calls, so only paths that read the table
+/// build one: the DD and MFD miners, the MD and NED pair-scan fallbacks, and
+/// the evidence kernel for track_max columns, which caps `max_entries` at a
+/// delta or pair-list walk's pair count.
 class CodeDistanceTable {
  public:
   static constexpr int64_t kDefaultMaxEntries = int64_t{1} << 23;
@@ -85,7 +90,10 @@ class CodeDistanceTable {
 /// or thresholds.size() when the distance (finite or not) exceeds every
 /// threshold. The comparisons use the exact doubles the metric would
 /// return, so buckets are bit-identical to "d <= threshold" tests on the
-/// Values.
+/// Values, memoized or not.
+///
+/// The evidence kernel builds these for bucketed columns that borrow no
+/// exact table (MD, NED), under the same cap as its CodeDistanceTables.
 class CodeBucketTable {
  public:
   /// `thresholds` must be sorted ascending; at most 254 thresholds.

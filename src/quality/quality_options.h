@@ -3,7 +3,6 @@
 
 namespace famtree {
 
-class EvidenceCache;
 class PliCache;
 class RunContext;
 class ThreadPool;
@@ -24,8 +23,6 @@ class ThreadPool;
 struct QualityOptions {
   ThreadPool* pool = nullptr;
   PliCache* cache = nullptr;
-  /// Optional shared store for kernel-built evidence multisets.
-  EvidenceCache* evidence = nullptr;
   /// Optional run limits (common/run_context.h): applications check-point
   /// at pass/rule boundaries and degrade to a partial result (with
   /// RunReport.exhausted set) when a limit fires.

@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <string>
 #include <tuple>
@@ -19,6 +20,7 @@
 
 #include "common/rng.h"
 #include "common/run_context.h"
+#include "common/thread_pool.h"
 #include "engine/engine.h"
 #include "engine/evidence.h"
 #include "engine/evidence_cache.h"
@@ -273,51 +275,105 @@ TEST(IncrementalPliTest, MaintainedPlisBitIdenticalToColdRecompute) {
   }
 }
 
-TEST(IncrementalEvidenceTest, DeltaPlusMergeMatchesColdBuild) {
-  for (uint64_t seed = 0; seed < 15; ++seed) {
-    Rng rng(seed + 77);
-    int cols = 3;
-    auto base_rows = RandomRows(&rng, 30, cols, 3);
-    auto delta = MakeBatch(seed % 2 == 0 ? BatchKind::kFreshCodes
-                                         : BatchKind::kFdBreaking,
-                           &rng, 7, cols, 3, base_rows);
-    auto all_rows = base_rows;
-    all_rows.insert(all_rows.end(), delta.begin(), delta.end());
-    Relation base = BuildRelation(base_rows, cols);
-    Relation full = BuildRelation(all_rows, cols);
-    EncodedRelation base_enc(base);
-    EncodedRelation full_enc(full);
-
-    std::vector<EvidenceColumn> config;
-    for (int c = 0; c < cols; ++c) {
-      EvidenceColumn col;
-      col.attr = c;
-      col.cmp = c == 2 ? EvidenceColumn::Cmp::kOrder
-                       : EvidenceColumn::Cmp::kEquality;
-      if (c == 1) {
-        col.metric = GetDiscreteMetric();
-        col.thresholds = {0.0};
-        col.track_max = true;
-      }
-      config.push_back(std::move(col));
+/// Appends near-distinct columns to `rows`: an edit-distance string (a
+/// shared stem plus a wide-domain suffix, so distances spread over the
+/// thresholds) and an abs-diff number, each with the occasional null and
+/// the numeric one with NaN / ±inf. Their dictionaries grow almost one
+/// code per row, so a delta's new pairs are far fewer than their
+/// code-pair triangles.
+void AddNearDistinctColumns(Rng* rng, std::vector<std::vector<Value>>* rows) {
+  for (auto& row : *rows) {
+    int64_t v = rng->Uniform(0, 4000);
+    row.push_back(rng->Uniform(0, 19) == 0
+                      ? Value()
+                      : Value("hotel-" + std::to_string(v)));
+    switch (rng->Uniform(0, 24)) {
+      case 0: row.push_back(Value()); break;
+      case 1: row.push_back(Value(std::numeric_limits<double>::quiet_NaN()));
+        break;
+      case 2: row.push_back(Value(std::numeric_limits<double>::infinity()));
+        break;
+      case 3: row.push_back(Value(-std::numeric_limits<double>::infinity()));
+        break;
+      default: row.push_back(Value(static_cast<double>(v) / 4)); break;
     }
+  }
+}
 
-    EvidenceOptions options;
-    auto base_set = BuildEvidence(base_enc, config, options);
-    ASSERT_TRUE(base_set.ok()) << base_set.status().ToString();
-    auto delta_set =
-        BuildEvidenceDelta(full_enc, config, base.num_rows(), options);
-    ASSERT_TRUE(delta_set.ok()) << delta_set.status().ToString();
-    auto merged = MergeEvidenceSets(**base_set, **delta_set, options);
-    ASSERT_TRUE(merged.ok()) << merged.status().ToString();
-    auto cold = BuildEvidence(full_enc, config, options);
-    ASSERT_TRUE(cold.ok()) << cold.status().ToString();
-    ExpectSameEvidence(**merged, **cold, "seed " + std::to_string(seed));
+TEST(IncrementalEvidenceTest, DeltaPlusMergeMatchesColdBuild) {
+  for (int threads : {1, 2, 8}) {
+    ThreadPool pool(threads);
+    for (uint64_t seed = 0; seed < 15; ++seed) {
+      Rng rng(seed + 77);
+      int cols = 3;
+      auto base_rows = RandomRows(&rng, 30, cols, 3);
+      auto delta = MakeBatch(seed % 2 == 0 ? BatchKind::kFreshCodes
+                                           : BatchKind::kFdBreaking,
+                             &rng, 7, cols, 3, base_rows);
+      // Columns 3 and 4: bucketed edit / abs-diff distances over
+      // near-distinct dictionaries (the delta's per-pair path); column 1
+      // keeps a small dictionary (the delta's memoized path).
+      AddNearDistinctColumns(&rng, &base_rows);
+      AddNearDistinctColumns(&rng, &delta);
+      int all_cols = cols + 2;
+      auto all_rows = base_rows;
+      all_rows.insert(all_rows.end(), delta.begin(), delta.end());
+      Relation base = BuildRelation(base_rows, all_cols);
+      Relation full = BuildRelation(all_rows, all_cols);
+      EncodedRelation base_enc(base);
+      EncodedRelation full_enc(full);
 
-    // Old pairs and new pairs partition all pairs.
-    int64_t n = full.num_rows(), n0 = base.num_rows();
-    EXPECT_EQ((*delta_set)->total_pairs(),
-              n * (n - 1) / 2 - n0 * (n0 - 1) / 2);
+      std::vector<EvidenceColumn> config;
+      for (int c = 0; c < all_cols; ++c) {
+        EvidenceColumn col;
+        col.attr = c;
+        col.cmp = c == 2   ? EvidenceColumn::Cmp::kOrder
+                  : c >= 3 ? EvidenceColumn::Cmp::kNone
+                           : EvidenceColumn::Cmp::kEquality;
+        if (c == 1) {
+          col.metric = GetDiscreteMetric();
+          col.thresholds = {0.0};
+          col.track_max = true;
+        } else if (c == 3) {
+          col.metric = GetEditDistanceMetric();
+          col.thresholds = {1.0, 2.0, 3.0};
+          // Exact distances too: the track_max table's per-pair path.
+          col.track_max = seed % 3 == 0;
+        } else if (c == 4) {
+          col.metric = GetAbsDiffMetric();
+          col.thresholds = {0.5, 2.0, 10.0,
+                            std::numeric_limits<double>::infinity()};
+        }
+        config.push_back(std::move(col));
+      }
+
+      int64_t n = full.num_rows(), n0 = base.num_rows();
+      int64_t new_pairs = n * (n - 1) / 2 - n0 * (n0 - 1) / 2;
+      auto triangle = [&](int attr) {
+        int64_t k = full_enc.dict_size(attr);
+        return k * (k + 1) / 2;
+      };
+      ASSERT_LE(triangle(1), new_pairs) << "seed " << seed;
+      ASSERT_GT(triangle(3), new_pairs) << "seed " << seed;
+      ASSERT_GT(triangle(4), new_pairs) << "seed " << seed;
+
+      EvidenceOptions options;
+      options.pool = &pool;
+      auto base_set = BuildEvidence(base_enc, config, options);
+      ASSERT_TRUE(base_set.ok()) << base_set.status().ToString();
+      auto delta_set = BuildEvidenceDelta(full_enc, config, n0, options);
+      ASSERT_TRUE(delta_set.ok()) << delta_set.status().ToString();
+      auto merged = MergeEvidenceSets(**base_set, **delta_set, options);
+      ASSERT_TRUE(merged.ok()) << merged.status().ToString();
+      auto cold = BuildEvidence(full_enc, config, {});
+      ASSERT_TRUE(cold.ok()) << cold.status().ToString();
+      ExpectSameEvidence(**merged, **cold,
+                         "threads " + std::to_string(threads) + " seed " +
+                             std::to_string(seed));
+
+      // Old pairs and new pairs partition all pairs.
+      EXPECT_EQ((*delta_set)->total_pairs(), new_pairs);
+    }
   }
 }
 
@@ -416,35 +472,55 @@ TEST(IncrementalCoverTest, RepairedFdCoverMatchesColdDiscovery) {
 }
 
 TEST(IncrementalCoverTest, MdDiscoveryAfterAppendMatchesColdEngine) {
-  Rng rng(91);
-  int cols = 3;
-  auto base_rows = RandomRows(&rng, 25, cols, 3);
-  auto delta = MakeBatch(BatchKind::kFdBreaking, &rng, 5, cols, 3, base_rows);
-  auto all_rows = base_rows;
-  all_rows.insert(all_rows.end(), delta.begin(), delta.end());
-  Relation r = BuildRelation(base_rows, cols);
-  Relation full = BuildRelation(all_rows, cols);
+  // Small dictionaries (the delta memoizes its distance tables) and
+  // near-distinct ones (it computes each new pair's distance directly).
+  for (bool near_distinct : {false, true}) {
+    Rng rng(91);
+    int cols = 3;
+    auto base_rows = RandomRows(&rng, 25, cols, 3);
+    auto delta =
+        MakeBatch(BatchKind::kFdBreaking, &rng, 5, cols, 3, base_rows);
+    if (near_distinct) {
+      AddNearDistinctColumns(&rng, &base_rows);
+      AddNearDistinctColumns(&rng, &delta);
+      cols += 2;
+    }
+    auto all_rows = base_rows;
+    all_rows.insert(all_rows.end(), delta.begin(), delta.end());
+    Relation r = BuildRelation(base_rows, cols);
+    Relation full = BuildRelation(all_rows, cols);
+    std::string what = near_distinct ? "near-distinct" : "small dictionaries";
 
-  DiscoveryEngine engine;
-  MdDiscoveryOptions md_opts;
-  md_opts.min_confidence = 1.0;
-  md_opts.min_support = 0.0;
-  AttrSet rhs = AttrSet::Single(0);
-  auto before = engine.HybridMds(r, rhs, md_opts);
-  ASSERT_TRUE(before.ok()) << before.status().ToString();
+    DiscoveryEngine engine;
+    MdDiscoveryOptions md_opts;
+    md_opts.min_confidence = 1.0;
+    md_opts.min_support = 0.0;
+    AttrSet rhs = AttrSet::Single(0);
+    auto before = engine.HybridMds(r, rhs, md_opts);
+    ASSERT_TRUE(before.ok()) << before.status().ToString();
 
-  ASSERT_TRUE(engine.AppendRows(r, delta).ok());
-  auto after = engine.HybridMds(r, rhs, md_opts);
-  ASSERT_TRUE(after.ok()) << after.status().ToString();
+    ASSERT_TRUE(engine.AppendRows(r, delta).ok());
+    // The append maintained the cached evidence set, so the rerun is a hit
+    // that builds nothing.
+    EvidenceCache::Stats pre = engine.EvidenceStats();
+    auto after = engine.HybridMds(r, rhs, md_opts);
+    ASSERT_TRUE(after.ok()) << after.status().ToString();
+    EvidenceCache::Stats post = engine.EvidenceStats();
+    EXPECT_EQ(post.hits, pre.hits + 1) << what;
+    EXPECT_EQ(post.builds, pre.builds) << what;
 
-  DiscoveryEngine cold_engine;
-  auto cold = cold_engine.HybridMds(full, rhs, md_opts);
-  ASSERT_TRUE(cold.ok()) << cold.status().ToString();
-  ASSERT_EQ(after->size(), cold->size());
-  for (size_t i = 0; i < after->size(); ++i) {
-    EXPECT_EQ((*after)[i].md.ToString(), (*cold)[i].md.ToString());
-    EXPECT_EQ((*after)[i].support, (*cold)[i].support);
-    EXPECT_EQ((*after)[i].confidence, (*cold)[i].confidence);
+    DiscoveryEngine cold_engine;
+    auto cold = cold_engine.HybridMds(full, rhs, md_opts);
+    ASSERT_TRUE(cold.ok()) << cold.status().ToString();
+    // Random small-dictionary rows hold no exact MD on c0; the
+    // near-distinct columns give the comparison something to compare.
+    if (near_distinct) EXPECT_FALSE(after->empty());
+    ASSERT_EQ(after->size(), cold->size()) << what;
+    for (size_t i = 0; i < after->size(); ++i) {
+      EXPECT_EQ((*after)[i].md.ToString(), (*cold)[i].md.ToString()) << what;
+      EXPECT_EQ((*after)[i].support, (*cold)[i].support) << what;
+      EXPECT_EQ((*after)[i].confidence, (*cold)[i].confidence) << what;
+    }
   }
 }
 
