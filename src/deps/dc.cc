@@ -70,7 +70,7 @@ Result<ValidationReport> Dc::Validate(const Relation& relation,
       if (all_hold(i, i)) {
         internal::RecordViolation(
             &report, max_violations,
-            Violation{{i}, "tuple satisfies all denied predicates"});
+            Violation{{i}, kTupleViolationDescription});
       }
     }
   } else {
@@ -81,7 +81,7 @@ Result<ValidationReport> Dc::Validate(const Relation& relation,
         if (all_hold(i, j)) {
           internal::RecordViolation(
               &report, max_violations,
-              Violation{{i, j}, "pair satisfies all denied predicates"});
+              Violation{{i, j}, kPairViolationDescription});
         }
       }
     }

@@ -62,6 +62,13 @@ class Dc : public Dependency {
   /// True when no predicate mentions tuple beta.
   bool IsSingleTuple() const;
 
+  /// Descriptions of the violations Validate reports: a single tuple, or an
+  /// ordered pair of distinct tuples.
+  static constexpr const char* kTupleViolationDescription =
+      "tuple satisfies all denied predicates";
+  static constexpr const char* kPairViolationDescription =
+      "pair satisfies all denied predicates";
+
   DependencyClass cls() const override { return DependencyClass::kDc; }
   std::string ToString(const Schema* schema = nullptr) const override;
   Result<ValidationReport> Validate(const Relation& relation,

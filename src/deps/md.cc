@@ -64,7 +64,7 @@ Result<ValidationReport> Md::Validate(const Relation& relation,
       } else {
         internal::RecordViolation(
             &report, max_violations,
-            Violation{{i, j}, "similar on LHS but not identified on RHS"});
+            Violation{{i, j}, kViolationDescription});
       }
     }
   }

@@ -58,6 +58,10 @@ class Md : public Dependency {
   };
   Stats ComputeStats(const Relation& relation) const;
 
+  /// Description of every violating pair Validate reports.
+  static constexpr const char* kViolationDescription =
+      "similar on LHS but not identified on RHS";
+
   DependencyClass cls() const override { return DependencyClass::kMd; }
   std::string ToString(const Schema* schema = nullptr) const override;
   Result<ValidationReport> Validate(const Relation& relation,

@@ -22,7 +22,8 @@ std::vector<int> Sd::SortedOrder(const Relation& relation, int order_attr) {
   std::vector<int> order(relation.num_rows());
   for (int i = 0; i < relation.num_rows(); ++i) order[i] = i;
   std::stable_sort(order.begin(), order.end(), [&](int a, int b) {
-    return relation.Get(a, order_attr) < relation.Get(b, order_attr);
+    return SortsBefore(relation.Get(a, order_attr),
+                       relation.Get(b, order_attr));
   });
   return order;
 }

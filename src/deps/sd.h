@@ -45,8 +45,9 @@ class Sd : public Dependency {
   static double Confidence(const Relation& relation, int order_attr,
                            int target_attr, const Interval& gap);
 
-  /// Rows sorted by the order attribute (ties by row index) — the sequence
-  /// the SD speaks about. Exposed for the discovery module.
+  /// Rows sorted by the order attribute under SortsBefore (NaN cells last;
+  /// ties by row index) — the sequence the SD speaks about. Exposed for the
+  /// discovery module.
   static std::vector<int> SortedOrder(const Relation& relation,
                                       int order_attr);
 

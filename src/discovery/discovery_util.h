@@ -31,23 +31,6 @@ inline Result<const EncodedRelation*> ResolveEncoding(
   return static_cast<const EncodedRelation*>(local->get());
 }
 
-/// Rank of each dictionary code under Value's total order. `<` is total
-/// and consistent with `==`, and distinct codes hold distinct values, so
-/// distinct codes get distinct ranks and rank comparisons reproduce Value
-/// comparisons exactly (the order-sensitive miners — OD, SD — rely on
-/// this).
-inline std::vector<uint32_t> CodeRanks(const EncodedRelation& enc, int col) {
-  int k = enc.dict_size(col);
-  std::vector<uint32_t> by_value(k);
-  for (int i = 0; i < k; ++i) by_value[i] = static_cast<uint32_t>(i);
-  std::sort(by_value.begin(), by_value.end(), [&](uint32_t x, uint32_t y) {
-    return enc.Decode(col, x) < enc.Decode(col, y);
-  });
-  std::vector<uint32_t> rank(k);
-  for (int i = 0; i < k; ++i) rank[by_value[i]] = static_cast<uint32_t>(i);
-  return rank;
-}
-
 /// True when any dictionary entry of `attr` is a non-finite double. NED
 /// discovery's `d > threshold` tests (Ned's pair semantics) treat a NaN
 /// distance as agreeing while a threshold-bucket index treats it as beyond
@@ -64,8 +47,23 @@ inline bool DictHasNonFiniteDouble(const EncodedRelation& enc, int attr) {
   return false;
 }
 
-/// Counting sort of the rows by a column's rank — stable, so it matches a
-/// std::stable_sort of the rows by Value.
+/// True when any dictionary entry of `attr` is a NaN. Under Value's
+/// comparison a NaN is neither less than, greater than nor equal to any
+/// numeric, which an order facet's rank trit cannot represent (distinct
+/// codes always read < or >), so the kernel paths that read order facets
+/// (FASTDC, the violation detector) step aside for such columns.
+inline bool DictHasNan(const EncodedRelation& enc, int attr) {
+  for (int code = 0; code < enc.dict_size(attr); ++code) {
+    const Value& v = enc.Decode(attr, code);
+    if (v.type() == ValueType::kDouble && std::isnan(v.as_double())) {
+      return true;
+    }
+  }
+  return false;
+}
+
+/// Counting sort of the rows by a column's rank (CodeRanks) — stable, so it
+/// matches Sd::SortedOrder's std::stable_sort of the rows by SortsBefore.
 inline std::vector<int> SortedRowOrder(const EncodedRelation& enc, int col,
                                        const std::vector<uint32_t>& rank) {
   const std::vector<uint32_t>& codes = enc.codes(col);

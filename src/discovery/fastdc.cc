@@ -9,6 +9,7 @@
 #include "common/rng.h"
 #include "common/run_context.h"
 #include "common/thread_pool.h"
+#include "discovery/discovery_util.h"
 #include "engine/evidence.h"
 #include "engine/evidence_cache.h"
 #include "relation/encoded_relation.h"
@@ -240,20 +241,6 @@ std::vector<DiscoveredDc> MineCover(const std::vector<DcPredicate>& preds,
 bool IsNumericColumn(const Relation& relation, int a) {
   ValueType t = relation.schema().column(a).type;
   return t == ValueType::kInt || t == ValueType::kDouble;
-}
-
-/// Under Value's comparison a NaN is neither less than, greater than nor
-/// equal to any numeric, which the kernel's rank trit cannot represent
-/// (distinct codes always read < or >), so a NaN anywhere in an order
-/// column's dictionary disables the kernel path.
-bool DictHasNan(const EncodedRelation& encoded, int a) {
-  for (int code = 0; code < encoded.dict_size(a); ++code) {
-    const Value& v = encoded.Decode(a, code);
-    if (v.type() == ValueType::kDouble && std::isnan(v.as_double())) {
-      return true;
-    }
-  }
-  return false;
 }
 
 /// Decodes one packed comparison word into the satisfied-predicate bitset.

@@ -21,23 +21,6 @@ constexpr int kDenseBits = 16;
 /// parallelism, never changes the result.
 int NumChunks(ThreadPool* pool) { return pool != nullptr ? 8 : 1; }
 
-/// Rank of each dictionary code under Value's total order (the same recipe
-/// as discovery_util.h's CodeRanks, kept local to the engine layer):
-/// distinct codes hold distinct values, so rank comparisons reproduce Value
-/// comparisons exactly — the order facet needs nothing else.
-std::vector<uint32_t> RanksUnderValueOrder(const EncodedRelation& enc,
-                                           int col) {
-  int k = enc.dict_size(col);
-  std::vector<uint32_t> by_value(k);
-  for (int i = 0; i < k; ++i) by_value[i] = static_cast<uint32_t>(i);
-  std::sort(by_value.begin(), by_value.end(), [&](uint32_t x, uint32_t y) {
-    return enc.Decode(col, x) < enc.Decode(col, y);
-  });
-  std::vector<uint32_t> rank(k);
-  for (int i = 0; i < k; ++i) rank[by_value[i]] = static_cast<uint32_t>(i);
-  return rank;
-}
-
 uint8_t BucketFromDistance(double d, const std::vector<double>& thresholds) {
   uint8_t j = 0;
   for (double t : thresholds) {
@@ -184,7 +167,7 @@ Result<std::unique_ptr<PairComparator>> PairComparator::Make(
     } else if (spec.cmp == EvidenceColumn::Cmp::kOrder) {
       col.cmp_shift = lay.cmp_shift = shift;
       shift += 2;
-      col.ranks = RanksUnderValueOrder(encoded, spec.attr);
+      col.ranks = CodeRanks(encoded, spec.attr);
     }
     bool bucketed = spec.metric != nullptr && !spec.thresholds.empty();
     if (spec.track_max) {

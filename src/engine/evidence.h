@@ -120,6 +120,18 @@ class EvidenceSet {
     int bucket_bits = 0;
     int num_thresholds = 0;
     int track_slot = -1;
+
+    /// Word bits of the comparison facet (0 without one).
+    uint64_t cmp_mask() const {
+      uint64_t field = cmp == EvidenceColumn::Cmp::kEquality ? 1u
+                       : cmp == EvidenceColumn::Cmp::kOrder  ? 3u
+                                                             : 0u;
+      return field << cmp_shift;
+    }
+    /// Word bits of the distance-bucket facet (0 without one).
+    uint64_t bucket_mask() const {
+      return ((uint64_t{1} << bucket_bits) - 1) << bucket_shift;
+    }
   };
 
   const std::vector<Word>& words() const { return words_; }
@@ -206,7 +218,7 @@ class PairComparator {
     EvidenceColumn::Cmp cmp = EvidenceColumn::Cmp::kNone;
     int cmp_shift = 0;
     bool const_unequal = false;  // all-distinct column: facet is constant
-    std::vector<uint32_t> ranks;  // order facet (Value's total order)
+    std::vector<uint32_t> ranks;  // order facet (CodeRanks)
     const CodeDistanceTable* dist = nullptr;
     std::unique_ptr<CodeDistanceTable> owned_dist;
     std::unique_ptr<CodeBucketTable> owned_bucket;

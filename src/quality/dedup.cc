@@ -1,5 +1,6 @@
 #include "quality/dedup.h"
 
+#include <cmath>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -12,6 +13,7 @@
 #include "discovery/discovery_util.h"
 #include "engine/evidence.h"
 #include "metric/code_distance.h"
+#include "quality/similarity_facets.h"
 
 namespace famtree {
 
@@ -75,51 +77,39 @@ Result<MatchResult> MdMatcher::Match(const Relation& relation,
   FAMTREE_ASSIGN_OR_RETURN(
       const EncodedRelation* encoded,
       ResolveEncoding(relation, options.cache, &local_encoding));
-  // Kernel path: every (rule, predicate) compiles to one single-threshold
-  // bucket facet of a PairComparator word — for edit distance that is a
-  // byte-wide banded-Levenshtein bucket table instead of a full distance
-  // table — and a rule matches a pair exactly when its predicates' bits
-  // are all zero (bucket 0 = within threshold), one bitmask test per rule.
-  // A bucket is "d <= threshold", the plain overload's similarity test, so
-  // NaN distances are dissimilar on both paths. Words wider than 64 bits
-  // scan per-predicate distance tables instead.
-  std::unique_ptr<PairComparator> comparator;
-  std::vector<uint64_t> rule_masks(rules_.size(), 0);
-  {
-    std::vector<EvidenceColumn> config;
-    for (const Md& rule : rules_) {
-      for (const auto& p : rule.lhs()) {
-        EvidenceColumn col;
-        col.attr = p.attr;
-        col.cmp = EvidenceColumn::Cmp::kNone;
-        col.metric = p.metric;
-        col.thresholds = {p.threshold};
-        config.push_back(std::move(col));
-      }
+  // Kernel path: the rules' predicates compile onto one threshold-bucket
+  // facet per distinct (attr, metric) of a PairComparator word — for edit
+  // distance a byte-wide banded-Levenshtein bucket table instead of a full
+  // distance table — and a rule matches a pair exactly when every predicate
+  // reads "bucket <= its threshold's index". Buckets are "d <= threshold",
+  // the plain overload's similarity test, so NaN distances are dissimilar
+  // on both paths. A rule with a NaN threshold matches no pair (`d <= NaN`
+  // never holds) and is dropped up front. Facet sets wider than 64 bits
+  // scan one exact distance table per facet instead.
+  std::vector<const Md*> live;
+  for (const Md& rule : rules_) {
+    bool nan = false;
+    for (const SimilarityPredicate& p : rule.lhs()) {
+      nan = nan || std::isnan(p.threshold);
     }
-    if (!config.empty() && EvidenceWordBits(config) <= 64) {
-      FAMTREE_ASSIGN_OR_RETURN(
-          comparator,
-          PairComparator::Make(*encoded, std::move(config), options.pool));
-      size_t col = 0;
-      for (size_t r = 0; r < rules_.size(); ++r) {
-        for (size_t k = 0; k < rules_[r].lhs().size(); ++k, ++col) {
-          rule_masks[r] |= uint64_t{1}
-                           << comparator->layout()[col].bucket_shift;
-        }
-      }
-    }
+    if (!nan) live.push_back(&rule);
   }
-  // One distance table per (rule, predicate) — predicates carry their own
-  // metrics, so tables cannot be shared across rules by attribute alone.
-  std::vector<std::vector<std::unique_ptr<CodeDistanceTable>>> tables(
-      rules_.size());
-  if (comparator == nullptr) {
-    for (size_t r = 0; r < rules_.size(); ++r) {
-      for (const auto& p : rules_[r].lhs()) {
-        tables[r].push_back(std::make_unique<CodeDistanceTable>(
-            *encoded, p.attr, p.metric, options.pool));
-      }
+  SimilarityFacets facets;
+  for (const Md* rule : live) facets.Add(rule->lhs());
+  std::unique_ptr<PairComparator> comparator;
+  std::vector<SimilarityTest> tests;
+  std::vector<std::unique_ptr<CodeDistanceTable>> tables;
+  if (facets.packable() && facets.bits() <= 64) {
+    FAMTREE_ASSIGN_OR_RETURN(
+        comparator,
+        PairComparator::Make(*encoded, facets.columns(), options.pool));
+    for (const Md* rule : live) {
+      tests.push_back(facets.Compile(rule->lhs(), comparator->layout()));
+    }
+  } else {
+    for (const EvidenceColumn& facet : facets.columns()) {
+      tables.push_back(std::make_unique<CodeDistanceTable>(
+          *encoded, facet.attr, facet.metric, options.pool));
     }
   }
   // Per-anchor-row scans are independent: row i collects its per-rule
@@ -136,19 +126,19 @@ Result<MatchResult> MdMatcher::Match(const Relation& relation,
       bool any = false;
       if (comparator != nullptr) {
         uint64_t w = comparator->Word(static_cast<int>(i), j);
-        for (size_t r = 0; r < rules_.size(); ++r) {
-          if ((w & rule_masks[r]) == 0) {
+        for (const SimilarityTest& test : tests) {
+          if (test.Holds(w)) {
             ++counts[i];
             any = true;
           }
         }
       } else {
-        for (size_t r = 0; r < rules_.size(); ++r) {
+        for (const Md* rule : live) {
           bool similar = true;
-          const auto& lhs = rules_[r].lhs();
-          for (size_t k = 0; k < lhs.size(); ++k) {
-            if (!(tables[r][k]->RowDistance(static_cast<int>(i), j) <=
-                  lhs[k].threshold)) {
+          for (const SimilarityPredicate& p : rule->lhs()) {
+            int f = facets.FacetOf(p);
+            if (!(tables[f]->RowDistance(static_cast<int>(i), j) <=
+                  p.threshold)) {
               similar = false;
               break;
             }

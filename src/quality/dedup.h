@@ -28,8 +28,10 @@ class MdMatcher {
 
   Result<MatchResult> Match(const Relation& relation) const;
 
-  /// Fast-path overload: the O(rows^2 x rules) similarity scan runs over
-  /// per-predicate code-pair distance tables and fans out per anchor row;
+  /// Fast-path overload: the O(rows^2 x rules) similarity scan reads one
+  /// comparison word per pair, with one code-pair bucket table per distinct
+  /// (attr, metric) shared by every rule (SimilarityFacets), and fans out
+  /// per anchor row;
   /// the union-find merges replay serially. The cluster partition is
   /// order-independent and ids are densified in row order, so the result
   /// is identical to the plain overload at any thread count.

@@ -37,18 +37,39 @@ class ViolationDetector {
 
   const std::vector<DependencyPtr>& rules() const { return rules_; }
 
-  /// Validates every rule against `relation`. With a `pool`, rules are
-  /// validated concurrently (each rule's report lands in its own slot, so
-  /// the summary is identical for any thread count). With a `cache`, FD
-  /// rules are first checked against the shared PLI store — a holding FD
-  /// is confirmed from two cached partitions without re-grouping the
-  /// relation; violated FDs fall back to the full witness-collecting
-  /// validation, keeping reports bit-identical to the serial path.
+  /// Validates every rule against `relation`; each report is bit-identical
+  /// to the rule's own Validate (witnesses and their order, the cap,
+  /// violation_count, holds, measure, descriptions) at any thread count.
   ///
-  /// With a `context`, the run check-points between rule batches: when a
-  /// deadline, cancellation, or budget fires, the summary covers the
-  /// deterministic prefix of rules completed so far and the context's
-  /// RunReport records the cutoff (exhausted flag, rules done / total).
+  /// MDs and two-tuple DCs compile into one PairComparator comparison word
+  /// over the relation's encoding (the `cache`'s when it serves this
+  /// relation, a local one otherwise): one threshold-bucket facet per
+  /// distinct (attr, metric) of the MD predicates, one equality bit per
+  /// attribute an MD identifies, one equality or order facet per attribute
+  /// a DC compares. One pair walk over anchor rows then checks every
+  /// compiled rule — MDs over pairs i < j, DCs over ordered pairs i != j —
+  /// fanned out on the `pool`. The walk runs in ordered blocks of anchor
+  /// rows and buffers only the witnesses a report still lacks, so it holds
+  /// at most one block's worth of `max_violations_per_rule` witnesses per
+  /// rule (charged to the `context`'s budget until merged). A rule stays on
+  /// its Validate when the word cannot express it: single-tuple DCs, DCs
+  /// with constants, cross-column or tb-vs-ta predicates; order predicates
+  /// on a column whose dictionary holds a NaN; NaN or negative thresholds
+  /// and invalid rules (so their Status is unchanged); columns whose cells
+  /// differ from their dictionary representative (1 beside 1.0, 0.0 beside
+  /// -0.0); rules that would push the word past 64 bits. Those rules, and
+  /// every other class, are validated concurrently on the `pool`, one slot
+  /// per rule. With a `cache`, FD rules are first checked against the
+  /// shared PLI store — a holding FD is confirmed from two cached
+  /// partitions without re-grouping the relation; violated FDs fall back
+  /// to the full witness-collecting validation.
+  ///
+  /// With a `context`, the walk check-points between anchor-row batches and
+  /// the fallback rules between rule batches: when a deadline,
+  /// cancellation, or budget fires, the summary covers the prefix of rules
+  /// finished so far — a compiled rule only when the walk finished — which
+  /// is the same at any thread count, and the context's RunReport records
+  /// the cutoff (exhausted flag, rules done / total).
   Result<DetectionSummary> Detect(const Relation& relation,
                                   int max_violations_per_rule = 1000,
                                   ThreadPool* pool = nullptr,

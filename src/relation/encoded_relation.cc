@@ -1,5 +1,6 @@
 #include "relation/encoded_relation.h"
 
+#include <algorithm>
 #include <unordered_map>
 
 namespace famtree {
@@ -177,6 +178,22 @@ int EncodedRelation::CountDistinct(AttrSet attrs) const {
   }
   std::vector<uint32_t> keys;
   return RowKeys(attrs, &keys);
+}
+
+std::vector<uint32_t> CodeRanks(const EncodedRelation& enc, int col) {
+  int k = enc.dict_size(col);
+  std::vector<uint32_t> by_value(k);
+  for (int i = 0; i < k; ++i) by_value[i] = static_cast<uint32_t>(i);
+  std::sort(by_value.begin(), by_value.end(), [&](uint32_t x, uint32_t y) {
+    const Value& a = enc.Decode(col, x);
+    const Value& b = enc.Decode(col, y);
+    if (SortsBefore(a, b)) return true;
+    if (SortsBefore(b, a)) return false;
+    return x < y;
+  });
+  std::vector<uint32_t> rank(k);
+  for (int i = 0; i < k; ++i) rank[by_value[i]] = static_cast<uint32_t>(i);
+  return rank;
 }
 
 }  // namespace famtree

@@ -116,6 +116,16 @@ class EncodedRelation {
   AttrSet mutated_;  // one bit per rebound column
 };
 
+/// Rank of each dictionary code of `col` under SortsBefore, ties broken by
+/// code. Distinct codes hold distinct values, so distinct codes get distinct
+/// ranks, and for NaN-free columns rank comparisons reproduce Value's
+/// operator< exactly (the order-sensitive consumers — the evidence kernel's
+/// order facet, OD, SD, speed cleaning — rely on this). NaN codes rank
+/// last, in code order; since no two NaN cells share a code, that is their
+/// row order, so a counting sort by rank orders rows as a std::stable_sort
+/// by SortsBefore does (Sd::SortedOrder).
+std::vector<uint32_t> CodeRanks(const EncodedRelation& enc, int col);
+
 }  // namespace famtree
 
 #endif  // FAMTREE_RELATION_ENCODED_RELATION_H_

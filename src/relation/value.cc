@@ -94,4 +94,13 @@ bool operator<(const Value& a, const Value& b) {
   }
 }
 
+bool SortsBefore(const Value& a, const Value& b) {
+  auto is_nan = [](const Value& v) {
+    return v.type() == ValueType::kDouble && std::isnan(v.as_double());
+  };
+  bool nan_a = is_nan(a), nan_b = is_nan(b);
+  if (nan_a || nan_b) return !nan_a;
+  return a < b;
+}
+
 }  // namespace famtree

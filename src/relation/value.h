@@ -74,6 +74,13 @@ class Value {
   std::variant<std::monostate, int64_t, double, std::string> v_;
 };
 
+/// Value's operator< made safe to sort with: a NaN cell is neither below,
+/// above nor equal to any number under operator<, which breaks the strict
+/// weak order std::sort requires. SortsBefore places every NaN after all
+/// other values and keeps operator< everywhere else; NaNs are mutually
+/// equivalent, so callers break their ties by row or code.
+bool SortsBefore(const Value& a, const Value& b);
+
 struct ValueHasher {
   size_t operator()(const Value& v) const { return v.Hash(); }
 };

@@ -1,9 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <memory>
+
 #include "gen/generators.h"
 #include "gen/paper_tables.h"
 #include "metric/metric.h"
 #include "quality/dedup.h"
+#include "quality/similarity_facets.h"
 
 namespace famtree {
 namespace {
@@ -109,6 +113,49 @@ TEST(MdMatcherTest, TransitiveClosure) {
   auto match = MdMatcher({md}).Match(r);
   ASSERT_TRUE(match.ok());
   EXPECT_EQ(match->num_clusters, 1);
+}
+
+TEST(MdMatcherTest, NanThresholdRulesMatchNothing) {
+  // `d <= NaN` never holds, so a matcher whose every rule has a NaN
+  // threshold leaves each row in its own cluster on both overloads.
+  RelationBuilder b({"s", "id"});
+  b.AddRow({Value("aaaa"), Value(1)});
+  b.AddRow({Value("aaaa"), Value(2)});
+  b.AddRow({Value("aaab"), Value(3)});
+  Relation r = std::move(b.Build()).value();
+  MdMatcher matcher({Md({SimilarityPredicate{0, GetEditDistanceMetric(),
+                                             std::nan("")}},
+                        AttrSet::Single(1))});
+  auto plain = matcher.Match(r);
+  auto kernel = matcher.Match(r, QualityOptions{});
+  ASSERT_TRUE(plain.ok());
+  ASSERT_TRUE(kernel.ok());
+  EXPECT_EQ(plain->num_clusters, 3);
+  EXPECT_EQ(kernel->cluster_ids, plain->cluster_ids);
+  EXPECT_EQ(kernel->matched_pairs, 0);
+}
+
+TEST(SimilarityFacetsTest, OneFacetPerAttrAndMetricWithSortedThresholds) {
+  MetricPtr edit = GetEditDistanceMetric();
+  MetricPtr own = std::make_shared<EditDistanceMetric>();
+  SimilarityFacets facets;
+  facets.Add({{0, edit, 3}, {1, edit, 0}});
+  facets.Add({{0, edit, 1}, {0, own, 2}});
+  facets.Add({{0, edit, 3}, {1, edit, -0.0}});
+  ASSERT_EQ(facets.columns().size(), 3u);
+  EXPECT_EQ(facets.columns()[0].thresholds, (std::vector<double>{1, 3}));
+  EXPECT_EQ(facets.columns()[1].thresholds, (std::vector<double>{0}));
+  EXPECT_EQ(facets.columns()[2].thresholds, (std::vector<double>{2}));
+  EXPECT_EQ(facets.FacetOf({0, own, 9}), 2);
+  EXPECT_EQ(facets.FacetOf({2, edit, 0}), -1);
+  EXPECT_EQ(facets.bits(), 2 + 1 + 1);
+  EXPECT_TRUE(facets.packable());
+  for (int t = 0; t <= SimilarityFacets::kMaxThresholds; ++t) {
+    facets.Add({{1, edit, static_cast<double>(t)}});
+  }
+  EXPECT_EQ(facets.columns()[1].thresholds.size(),
+            static_cast<size_t>(SimilarityFacets::kMaxThresholds) + 1);
+  EXPECT_FALSE(facets.packable());
 }
 
 }  // namespace

@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <numeric>
+
+#include "deps/sd.h"
+#include "discovery/discovery_util.h"
 #include "relation/relation.h"
 
 namespace famtree {
@@ -100,6 +106,76 @@ TEST(EncodedRelationTest, GiantIntSharesCodeWithItsDoubleImage) {
   EXPECT_EQ(enc.CountDistinct(AttrSet::Of({0})), 1);
   // And grouping through the Value-based path agrees.
   EXPECT_EQ(enc.GroupBy(AttrSet::Of({0})), r.GroupBy(AttrSet::Of({0})));
+}
+
+/// Rows sorted the way Sd::SortedOrder did before NaN-safe sorting, which
+/// is well defined on a NaN-free column: std::stable_sort by operator<.
+std::vector<int> StableSortByValue(const Relation& r, int col) {
+  std::vector<int> order(r.num_rows());
+  std::iota(order.begin(), order.end(), 0);
+  std::stable_sort(order.begin(), order.end(), [&](int a, int b) {
+    return r.Get(a, col) < r.Get(b, col);
+  });
+  return order;
+}
+
+bool IsNan(const Value& v) {
+  return v.type() == ValueType::kDouble && std::isnan(v.as_double());
+}
+
+TEST(CodeRanksTest, NanFreeColumnsRankAndSortAsOperatorLess) {
+  RelationBuilder b({"v"});
+  const Value cells[] = {Value(3),   Value(1.5),  Value(),     Value("b"),
+                         Value(1),   Value(3.0),  Value("a"),  Value(-2.5),
+                         Value(),    Value(1),    Value(7),    Value("b")};
+  for (const Value& v : cells) b.AddRow({v});
+  Relation r = std::move(b.Build()).value();
+  EncodedRelation enc(r);
+  std::vector<uint32_t> rank = CodeRanks(enc, 0);
+  for (int x = 0; x < enc.dict_size(0); ++x) {
+    for (int y = 0; y < enc.dict_size(0); ++y) {
+      EXPECT_EQ(rank[x] < rank[y], enc.Decode(0, x) < enc.Decode(0, y))
+          << x << " " << y;
+      if (x != y) EXPECT_NE(rank[x], rank[y]);
+    }
+  }
+  std::vector<int> expected = StableSortByValue(r, 0);
+  EXPECT_EQ(Sd::SortedOrder(r, 0), expected);
+  EXPECT_EQ(SortedRowOrder(enc, 0, rank), expected);
+}
+
+TEST(CodeRanksTest, NanHeavyColumnsSortTheSameWayEveryTime) {
+  const double nan = std::nan("");
+  RelationBuilder b({"v"});
+  const Value cells[] = {Value(nan), Value(2.0), Value(nan), Value(),
+                         Value(nan), Value(-1),  Value(nan), Value(2),
+                         Value("s"), Value(nan), Value(0.5), Value(nan)};
+  for (const Value& v : cells) b.AddRow({v});
+  Relation r = std::move(b.Build()).value();
+  // Expected: the non-NaN rows in operator< order (stable), then the NaN
+  // rows in row order.
+  std::vector<int> expected, nans;
+  for (int row = 0; row < r.num_rows(); ++row) {
+    (IsNan(r.Get(row, 0)) ? nans : expected).push_back(row);
+  }
+  std::stable_sort(expected.begin(), expected.end(), [&](int a, int b) {
+    return r.Get(a, 0) < r.Get(b, 0);
+  });
+  expected.insert(expected.end(), nans.begin(), nans.end());
+  for (int round = 0; round < 3; ++round) {
+    EncodedRelation enc(r);
+    std::vector<uint32_t> rank = CodeRanks(enc, 0);
+    std::vector<uint32_t> sorted_ranks = rank;
+    std::sort(sorted_ranks.begin(), sorted_ranks.end());
+    for (size_t k = 0; k < sorted_ranks.size(); ++k) {
+      EXPECT_EQ(sorted_ranks[k], k);  // a permutation
+    }
+    EXPECT_EQ(Sd::SortedOrder(r, 0), expected) << round;
+    EXPECT_EQ(SortedRowOrder(enc, 0, rank), expected) << round;
+  }
+  EXPECT_FALSE(SortsBefore(Value(nan), Value(nan)));
+  EXPECT_TRUE(SortsBefore(Value("z"), Value(nan)));
+  EXPECT_FALSE(SortsBefore(Value(nan), Value()));
 }
 
 }  // namespace

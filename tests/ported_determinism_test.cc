@@ -174,11 +174,15 @@ TEST_P(PortedDeterminismTest, HolisticRepairMatchesOracle) {
 }
 
 TEST_P(PortedDeterminismTest, DedupMatchMatchesOracle) {
-  // The matcher runs the evidence kernel unless its rules need more than
-  // 64 predicate bits, which sends it to per-predicate distance-table
-  // scans; both must read a NaN cell's distances as dissimilar, as the
-  // plain overload does.
-  for (const char* variant : {"kernel", "nan", "wide"}) {
+  // The matcher runs the evidence kernel unless its facets — one per
+  // distinct (attr, metric), so "wide"'s 61 extra rules still fit in 10
+  // bits — need more than 64 bits, which sends it to per-facet
+  // distance-table scans ("wide_metrics": every extra rule on its own
+  // metric object); both must read a NaN cell's distances as dissimilar, as
+  // the plain overload does. "nan_threshold" adds a rule whose NaN
+  // threshold matches no pair.
+  for (const char* variant :
+       {"kernel", "nan", "nan_threshold", "wide", "wide_metrics"}) {
     ThreadPool pool(GetParam());
     HeterogeneousConfig config;
     config.num_entities = 30;
@@ -197,10 +201,19 @@ TEST_P(PortedDeterminismTest, DedupMatchMatchesOracle) {
         Md({SimilarityPredicate{3, GetEditDistanceMetric(), 4},
             SimilarityPredicate{4, GetAbsDiffMetric(), 0}},
            AttrSet::Single(5))};
-    if (std::string(variant) == "wide") {
+    if (std::string(variant) == "nan_threshold") {
+      rules.push_back(Md({SimilarityPredicate{1, GetEditDistanceMetric(), 6},
+                          SimilarityPredicate{2, GetEditDistanceMetric(),
+                                              std::nan("")}},
+                         AttrSet::Single(5)));
+    }
+    if (std::string(variant).starts_with("wide")) {
+      bool own_metric = std::string(variant) == "wide_metrics";
       for (int k = 0; k < 61; ++k) {
+        MetricPtr metric = own_metric ? std::make_shared<EditDistanceMetric>()
+                                      : GetEditDistanceMetric();
         rules.push_back(
-            Md({SimilarityPredicate{1 + k % 3, GetEditDistanceMetric(),
+            Md({SimilarityPredicate{1 + k % 3, metric,
                                     static_cast<double>(k % 5)}},
                AttrSet::Single(5)));
       }
