@@ -1,7 +1,10 @@
 #!/usr/bin/env bash
 # Five-step test gate, run before merging:
 #
-#   1. Release     — the full tier-1 suite (the seed gate).
+#   1. Release     — the full tier-1 suite (the seed gate), then
+#                     bench_incremental at 50k rows: append-maintained
+#                     FD cover, MDs, PLI CSR arrays and fingerprint must be
+#                     bit-identical to a cold recompute.
 #   2. ASan + UBSan — the relation substrate and the parallel engine
 #                     (`-L relation`, `-L engine`), catching index
 #                     arithmetic and lifetime bugs in the encoded
@@ -84,6 +87,9 @@ echo "=== [1/5] Release: ctest -L tier1 ==="
 run cmake -B "$PREFIX" >/dev/null
 run cmake --build "$PREFIX" -j "$JOBS"
 run ctest --test-dir "$PREFIX" -L tier1 -j "$JOBS" --output-on-failure
+# Exits nonzero on any maintained-vs-cold difference; its speedup gate
+# applies only at >= 1M rows, so this small run checks identity alone.
+run env FAMTREE_INCREMENTAL_ROWS=50000 "$PREFIX/bench/bench_incremental"
 
 echo "=== [2/5] ASan+UBSan: ctest -L relation, -L engine, -L ingest, -L serve ==="
 run cmake -B "$PREFIX-asan" -DFAMTREE_ASAN=ON >/dev/null

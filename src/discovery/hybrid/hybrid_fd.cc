@@ -1,5 +1,6 @@
 #include "discovery/hybrid/hybrid_fd.h"
 
+#include <algorithm>
 #include <memory>
 #include <utility>
 
@@ -33,6 +34,18 @@ void InductAgreeSet(AttrSet agree, int nc, int max_lhs_size,
   }
 }
 
+/// The (lhs, rhs) pairs of `fds`, sorted and deduplicated: the form the
+/// PliCache's recorded cover is compared in.
+std::vector<std::pair<AttrSet, int>> SortedFdSet(
+    const std::vector<DiscoveredFd>& fds) {
+  std::vector<std::pair<AttrSet, int>> out;
+  out.reserve(fds.size());
+  for (const DiscoveredFd& fd : fds) out.emplace_back(fd.lhs, fd.rhs);
+  std::sort(out.begin(), out.end());
+  out.erase(std::unique(out.begin(), out.end()), out.end());
+  return out;
+}
+
 /// The shared run behind both public entries. `relation` is nullptr for
 /// the cache-only (out-of-core) entry, in which case `options.cache` is
 /// guaranteed non-null and the encoding comes out of the cache.
@@ -46,7 +59,10 @@ void InductAgreeSet(AttrSet agree, int nc, int max_lhs_size,
 /// seed FD — so re-validating the seed frontier and feeding violations
 /// through the standard inductor repairs the cover to bit-parity with a
 /// cold run. (Exact FDs only: approximate g3 validity is not monotone
-/// under appends.)
+/// under appends.) When the seed equals the cover the cache recorded from
+/// a completed run on its first m rows, at the same max_lhs_size, every
+/// seed and every specialization of one holds on those rows, so the
+/// validator checks only pairs that hold a row of [m, n).
 Result<std::vector<DiscoveredFd>> DiscoverFdsHybridImpl(
     const Relation* relation, const HybridFdOptions& options,
     const std::vector<DiscoveredFd>* seed_cover = nullptr) {
@@ -135,6 +151,18 @@ Result<std::vector<DiscoveredFd>> DiscoverFdsHybridImpl(
   // --- Stage 3: validate the frontier level by level, feeding violations
   // back until the last level's frontier is clean. -----------------------
   FrontierValidator validator(*encoded, options.cache, options.pool, ctx);
+  // Only a run on the cache's own encoding reads and records its cover.
+  const bool on_cache = options.cache != nullptr &&
+                        encoded == options.cache->encoded_or_null();
+  if (seed_cover != nullptr && on_cache) {
+    std::shared_ptr<const PliCache::FdCoverMemo> memo =
+        options.cache->fd_cover_memo();
+    if (memo != nullptr && memo->max_lhs_size == max_lhs_size &&
+        memo->num_rows <= encoded->num_rows() &&
+        memo->fds == SortedFdSet(*seed_cover)) {
+      validator.RestrictToSuspectRows(memo->num_rows);
+    }
+  }
   std::vector<FdTree::Entry> entries;
   std::vector<FrontierValidator::EntryResult> results;
   FrontierValidator::LevelStats level_stats;
@@ -176,6 +204,13 @@ Result<std::vector<DiscoveredFd>> DiscoverFdsHybridImpl(
   if (options.stats != nullptr) {
     options.stats->frontier_checks = level_stats.checks;
     options.stats->frontier_violations = level_stats.violations;
+  }
+  if (on_cache) {
+    auto memo = std::make_shared<PliCache::FdCoverMemo>();
+    memo->fds = SortedFdSet(out);
+    memo->max_lhs_size = max_lhs_size;
+    memo->num_rows = encoded->num_rows();
+    options.cache->RecordFdCover(std::move(memo));
   }
   RunContext::MarkComplete(ctx, total_units);
   return out;

@@ -74,14 +74,25 @@ Result<std::vector<DiscoveredFd>> DiscoverFdsHybrid(
     PliCache* cache, const HybridFdOptions& options = {});
 
 /// Incremental cover repair after a batch append: re-validates a
-/// previously discovered cover against the (delta-maintained or rebuilt)
-/// PLIs and specializes only the FDs the appended rows broke, skipping the
-/// sampling stage entirely. `cover` must be the complete minimal *exact*
-/// cover of a prefix of `relation` at the same max_lhs_size — appends only
-/// break exact FDs, so every minimal FD of the grown relation specializes
-/// a seed FD and the repair output is bit-identical, as a sorted set, to a
-/// cold DiscoverFdsHybrid of the grown relation. (Approximate covers are
-/// not repairable this way: g3 validity is not monotone under appends.)
+/// previously discovered cover and specializes only the FDs the appended
+/// rows broke, skipping the sampling stage entirely. `cover` must be the
+/// complete minimal *exact* cover of a prefix of `relation` at the same
+/// max_lhs_size — appends only break exact FDs, so every minimal FD of the
+/// grown relation specializes a seed FD and the repair output is
+/// bit-identical, as a sorted set, to a cold DiscoverFdsHybrid of the grown
+/// relation. (Approximate covers are not repairable this way: g3 validity
+/// is not monotone under appends.)
+///
+/// With `options.cache`, every completed hybrid run (either entry, either
+/// backend) records its emitted cover, LHS cap and row count m in the
+/// cache (PliCache::fd_cover_memo). A seed equal to that record as a
+/// sorted (lhs, rhs) set, at the same max_lhs_size, held on rows [0, m),
+/// and so does every specialization of it; the frontier is then checked
+/// only on pairs holding a row of [m, n), against the suspect rows' leaf
+/// classes (FrontierValidator), with no multi-attribute PLI rebuilt —
+/// O(batch × class size) rather than O(rows) per frontier FD. Any other
+/// seed is checked against PLIs. The choice depends on the input alone,
+/// and so does the output.
 Result<std::vector<DiscoveredFd>> RepairFdCover(
     const Relation& relation, const std::vector<DiscoveredFd>& cover,
     const HybridFdOptions& options = {});

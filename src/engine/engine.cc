@@ -12,8 +12,10 @@ DiscoveryEngine::DiscoveryEngine(EngineOptions options)
       evidence_(EvidenceCache::Options{options.evidence_max_bytes}) {}
 
 Result<PliCache*> DiscoveryEngine::CacheFor(const Relation& relation) {
-  // Fingerprint outside the lock: hashing every cell is O(data), which the
-  // driver about to run dwarfs, and it must not serialize other lookups.
+  // Fingerprint outside the lock: it folds only the rows past the
+  // relation's fingerprint chain — O(schema) for a relation grown through
+  // AppendRows, one pass over every cell for one that never was — and it
+  // must not serialize other lookups.
   uint64_t fp = RelationFingerprint(relation);
   std::lock_guard<std::mutex> lock(mu_);
   std::unique_ptr<PliCache>& slot = caches_[&relation];
@@ -91,6 +93,11 @@ Status DiscoveryEngine::AppendRows(Relation& relation,
     if (it != caches_.end()) slot = it->second.get();
   }
   if (slot == nullptr) return relation.AppendRows(std::move(rows));
+  // Folds the rows not yet in the relation's fingerprint chain (all of
+  // them on the first append, none afterwards): the check below, the
+  // AppendRows that advances the chain over the batch, and every later
+  // RelationFingerprint then cost O(schema).
+  relation.AdvanceFingerprintChain();
   if (slot->fingerprint() != RelationFingerprint(relation)) {
     return Status::Invalid(
         "relation at a remembered address has different content; refusing "

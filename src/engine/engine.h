@@ -134,10 +134,13 @@ class DiscoveryEngine {
                    IngestOptions options = {});
 
   /// Incremental FD cover repair after AppendRows: re-validates `cover`
-  /// (the pre-append minimal exact cover at the same max_lhs_size) against
-  /// the maintained PLIs, specializing only what the appended rows broke.
-  /// Output bit-identical, as a sorted set, to a cold HybridFds / Tane of
-  /// the grown relation.
+  /// (the pre-append minimal exact cover at the same max_lhs_size),
+  /// specializing only what the appended rows broke. When `cover` is the
+  /// one the last completed hybrid run on this relation emitted, only
+  /// pairs holding a row appended since are checked, against the
+  /// maintained leaf PLIs (famtree::RepairFdCover); otherwise against the
+  /// frontier's PLIs. Output bit-identical, as a sorted set, to a cold
+  /// HybridFds / Tane of the grown relation.
   Result<std::vector<DiscoveredFd>> RepairFdCover(
       const Relation& relation, const std::vector<DiscoveredFd>& cover,
       HybridFdOptions options = {});

@@ -39,13 +39,9 @@ PliCache::PliCache(const Relation& relation, Options options)
     : relation_(&relation),
       num_rows_(relation.num_rows()),
       num_columns_(relation.num_columns()),
-      fingerprint_(0),
+      fingerprint_(RelationFingerprint(relation)),
       options_(options),
-      encoded_(std::make_shared<const EncodedRelation>(relation)) {
-  chain_ = RelationRowChain(relation, 0, num_rows_, kRelationChainSeed);
-  fingerprint_ =
-      FinalizeRelationFingerprint(chain_, relation.schema(), num_rows_);
-}
+      encoded_(std::make_shared<const EncodedRelation>(relation)) {}
 
 PliCache::PliCache(const ShardedEncodedRelation& sharded, Options options)
     : sharded_(&sharded),
@@ -187,13 +183,31 @@ std::shared_ptr<const StrippedPartition> PliCache::Insert(
   return result;
 }
 
+void PliCache::RecordFdCover(std::shared_ptr<const FdCoverMemo> memo) {
+  std::lock_guard<std::mutex> lock(mu_);
+  fd_cover_memo_ = std::move(memo);
+}
+
+std::shared_ptr<const PliCache::FdCoverMemo> PliCache::fd_cover_memo() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return fd_cover_memo_;
+}
+
 Status PliCache::MaintainAppend(RunContext* ctx, MaintainStats* stats) {
+  // Held aside while the leaves change and put back only on success, so a
+  // failed (partial) maintenance leaves no recorded cover behind.
+  std::shared_ptr<const FdCoverMemo> memo;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    memo = std::move(fd_cover_memo_);
+  }
   MaintainStats local;
   int new_rows =
       sharded_ != nullptr ? sharded_->num_rows() : relation_->num_rows();
   int old_rows = num_rows_;
   int delta_rows = new_rows - old_rows;
   if (delta_rows == 0) {
+    RecordFdCover(std::move(memo));
     if (stats != nullptr) *stats = local;
     return Status::OK();
   }
@@ -322,18 +336,15 @@ Status PliCache::MaintainAppend(RunContext* ctx, MaintainStats* stats) {
   // while a discovery run may have left dozens cached. A maintained cache
   // therefore stays bit-identical to a cold one serving the same request
   // stream.
+  const uint64_t new_fingerprint = sharded_ != nullptr
+                                       ? sharded_->fingerprint()
+                                       : RelationFingerprint(*relation_);
   std::vector<AttrSet> products;
   {
     std::lock_guard<std::mutex> lock(mu_);
     if (new_encoded != nullptr) encoded_ = new_encoded;
     num_rows_ = new_rows;
-    if (sharded_ != nullptr) {
-      fingerprint_ = sharded_->fingerprint();
-    } else {
-      chain_ = RelationRowChain(*relation_, old_rows, new_rows, chain_);
-      fingerprint_ = FinalizeRelationFingerprint(chain_, relation_->schema(),
-                                                 new_rows);
-    }
+    fingerprint_ = new_fingerprint;
     for (const auto& [attrs, entry] : entries_) {
       if (attrs.size() > 1) products.push_back(attrs);
     }
@@ -344,6 +355,7 @@ Status PliCache::MaintainAppend(RunContext* ctx, MaintainStats* stats) {
       entries_.erase(it);
       ++local.products_invalidated;
     }
+    fd_cover_memo_ = std::move(memo);
   }
   if (stats != nullptr) *stats = local;
   return Status::OK();

@@ -6,6 +6,8 @@
 #include <memory>
 #include <mutex>
 #include <unordered_map>
+#include <utility>
+#include <vector>
 
 #include "common/attr_set.h"
 #include "common/run_context.h"
@@ -126,8 +128,25 @@ class PliCache {
   /// Content fingerprint of the relation as of construction or the last
   /// MaintainAppend (RelationFingerprint); DiscoveryEngine::CacheFor
   /// re-verifies it to catch a relation freed and reallocated at the same
-  /// address.
+  /// address, or mutated in place.
   uint64_t fingerprint() const { return fingerprint_; }
+
+  /// The exact FD cover the last completed hybrid run on this cache
+  /// (DiscoverFdsHybrid or RepairFdCover, either backend) emitted, with its
+  /// LHS cap and the row count it ran on. RepairFdCover compares its seed
+  /// with it: an equal seed at the same cap held on those rows, so only
+  /// the rows appended since can break an FD of the repair
+  /// (discovery/hybrid/hybrid_fd.h). A run cut by a limit or truncated by
+  /// max_results records nothing.
+  struct FdCoverMemo {
+    std::vector<std::pair<AttrSet, int>> fds;  // sorted (lhs, rhs), unique
+    int max_lhs_size = 0;
+    int num_rows = 0;
+  };
+  void RecordFdCover(std::shared_ptr<const FdCoverMemo> memo);
+  /// The recorded cover, or nullptr when none is (or it was dropped by a
+  /// failed MaintainAppend).
+  std::shared_ptr<const FdCoverMemo> fd_cover_memo() const;
 
   /// What one MaintainAppend did.
   struct MaintainStats {
@@ -146,16 +165,22 @@ class PliCache {
   /// in O(classes + batch); multi-attribute entries are invalidated and
   /// recomputed lazily on the next Get through the deterministic product
   /// recipe from the merged leaves, so only the products a consumer
-  /// actually revisits pay a rebuild. The encoding view and the chained
-  /// fingerprint advance to the appended relation, so a subsequent
-  /// DiscoveryEngine::CacheFor recognizes the grown relation as the same
-  /// cache. Every maintained or lazily rebuilt partition is bit-identical
-  /// (raw CSR arrays) to a cold rebuild of the appended relation.
+  /// actually revisits pay a rebuild (cover repair after a recorded run
+  /// revisits none: it validates against the merged leaves). The encoding
+  /// view and the fingerprint advance to the appended relation — the
+  /// fingerprint from the relation's own chain (RelationFingerprint), so
+  /// O(batch) when the append went through DiscoveryEngine::AppendRows —
+  /// and a subsequent DiscoveryEngine::CacheFor recognizes the grown
+  /// relation as the same cache. The recorded FD cover (fd_cover_memo)
+  /// stays: it still describes the old row prefix. Every maintained or
+  /// lazily rebuilt partition is bit-identical (raw CSR arrays) to a cold
+  /// rebuild of the appended relation.
   ///
   /// Single-writer: callers must quiesce discovery on this cache for the
   /// duration (the same contract as mutating the relation itself). On a
   /// failed charge or injected fault the cache may be partially
-  /// maintained; discard it via DiscoveryEngine::ForgetRelation.
+  /// maintained and drops its recorded FD cover; discard it via
+  /// DiscoveryEngine::ForgetRelation.
   Status MaintainAppend(RunContext* ctx = nullptr,
                         MaintainStats* stats = nullptr);
 
@@ -188,10 +213,6 @@ class PliCache {
   int num_rows_;
   const int num_columns_;
   uint64_t fingerprint_;
-  /// In-memory backend: the row-major cell chain behind fingerprint_
-  /// (RelationRowChain), extended by each append. Unused out-of-core,
-  /// where the sharded relation owns the chain.
-  uint64_t chain_ = 0;
   const Options options_;
   /// Per-column side indexes that make the pinned leaves delta-mergeable;
   /// built lazily on first maintenance (relation/pli_delta.h).
@@ -208,6 +229,7 @@ class PliCache {
   /// Unpinned keys, most recently used first.
   std::list<AttrSet> lru_;
   Stats stats_;
+  std::shared_ptr<const FdCoverMemo> fd_cover_memo_;
 };
 
 }  // namespace famtree

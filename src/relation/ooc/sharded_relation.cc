@@ -426,12 +426,35 @@ Result<size_t> ShardedEncodedRelation::TrySpillResident(
 Status ShardedEncodedRelation::ChargeWithSpill(RunContext* ctx, size_t bytes,
                                                const char* site) const {
   MemoryBudget* budget = ctx != nullptr ? ctx->memory_budget() : nullptr;
-  if (budget != nullptr && bytes > 0 && budget->remaining() < bytes) {
-    size_t need = bytes - budget->remaining();
-    FAMTREE_ASSIGN_OR_RETURN(size_t freed, TrySpillResident(ctx, need));
-    (void)freed;  // ChargeAlloc below gives the authoritative answer
+  // A spill credits the budget the shards were charged to; under any
+  // other budget it cannot make room.
+  if (budget == nullptr || bytes == 0 || budget != ingest_budget_) {
+    return RunContext::ChargeAlloc(ctx, bytes, site);
   }
-  return RunContext::ChargeAlloc(ctx, bytes, site);
+  // The site's one fault-injector count and the latched-stop check; the
+  // bytes go through the budget directly below.
+  FAMTREE_RETURN_NOT_OK(RunContext::FaultPoint(ctx, site));
+  // Spilling and charging are separate steps, so a concurrent charger can
+  // take the headroom a spill just freed. Retry until the charge lands or
+  // no resident shard is left to spill; only then is the budget truly
+  // exhausted.
+  size_t freed = 1;
+  while (freed > 0) {
+    if (budget->TryCharge(bytes)) return Status::OK();
+    FAMTREE_RETURN_NOT_OK(RunContext::StopStatus(ctx));
+    size_t remaining = budget->remaining();
+    size_t need = bytes > remaining ? bytes - remaining : 1;
+    FAMTREE_ASSIGN_OR_RETURN(freed, TrySpillResident(ctx, need));
+  }
+  // Nothing resident is left (another thread's spill may still have freed
+  // headroom since the last try).
+  if (budget->TryCharge(bytes)) return Status::OK();
+  return RunContext::Fail(
+      ctx, Status::ResourceExhausted(
+               std::string("memory budget exhausted at site '") + site +
+               "' (" + std::to_string(budget->used()) + " of " +
+               std::to_string(budget->limit()) +
+               " bytes accrued, no resident shard left to spill)"));
 }
 
 Status ShardedEncodedRelation::CopyShardColumn(int shard, int col,

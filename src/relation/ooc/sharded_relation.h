@@ -132,10 +132,12 @@ class ShardedEncodedRelation {
   /// resident. Logically const: residency moves, content does not.
   Result<size_t> TrySpillResident(RunContext* ctx, size_t bytes_needed) const;
 
-  /// Charges `bytes` at `site`, first spilling resident shards when the
-  /// context's budget lacks headroom. Falls through to the ordinary
-  /// latching ChargeAlloc, so injected faults and genuine exhaustion
-  /// behave exactly as everywhere else.
+  /// Charges `bytes` at `site`, spilling resident shards while the
+  /// context's budget lacks headroom. Concurrent chargers may take the
+  /// headroom a spill frees, so spill and charge repeat until the charge
+  /// lands; kResourceExhausted is latched only once no resident shard is
+  /// left. The site passes the fault injector once per call, so injected
+  /// faults behave exactly as at a plain ChargeAlloc.
   Status ChargeWithSpill(RunContext* ctx, size_t bytes,
                          const char* site) const;
 

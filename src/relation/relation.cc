@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <unordered_map>
+#include <utility>
 
 #include "common/hash.h"
 #include "common/strings.h"
@@ -21,6 +22,37 @@ size_t ProjectionHash(const Relation& r, int row, const std::vector<int>& attrs)
 
 Relation::Relation(Schema schema) : schema_(std::move(schema)) {
   columns_.resize(schema_.num_columns());
+}
+
+Relation::Relation(Relation&& other) noexcept
+    : schema_(std::exchange(other.schema_, Schema())),
+      columns_(std::exchange(other.columns_, {})),
+      num_rows_(std::exchange(other.num_rows_, 0)),
+      chain_(std::exchange(other.chain_, kRelationChainSeed)),
+      chain_rows_(std::exchange(other.chain_rows_, 0)) {}
+
+Relation& Relation::operator=(Relation&& other) noexcept {
+  if (this != &other) {
+    schema_ = std::exchange(other.schema_, Schema());
+    columns_ = std::exchange(other.columns_, {});
+    num_rows_ = std::exchange(other.num_rows_, 0);
+    chain_ = std::exchange(other.chain_, kRelationChainSeed);
+    chain_rows_ = std::exchange(other.chain_rows_, 0);
+  }
+  return *this;
+}
+
+void Relation::Set(int row, int col, Value v) {
+  columns_[col][row] = std::move(v);
+  if (row < chain_rows_) {
+    chain_ = kRelationChainSeed;
+    chain_rows_ = 0;
+  }
+}
+
+void Relation::AdvanceFingerprintChain() {
+  chain_ = RelationRowChain(*this, chain_rows_, num_rows_, chain_);
+  chain_rows_ = num_rows_;
 }
 
 Status Relation::AppendRow(std::vector<Value> row) {
@@ -45,12 +77,14 @@ Status Relation::AppendRows(std::vector<std::vector<Value>> rows) {
                              std::to_string(num_columns()));
     }
   }
+  const bool chain_current = chain_rows_ == num_rows_;
   for (auto& row : rows) {
     for (int c = 0; c < num_columns(); ++c) {
       columns_[c].push_back(std::move(row[c]));
     }
     ++num_rows_;
   }
+  if (chain_current) AdvanceFingerprintChain();
   return Status::OK();
 }
 
@@ -231,8 +265,8 @@ uint64_t FinalizeRelationFingerprint(uint64_t chain, const Schema& schema,
 }
 
 uint64_t RelationFingerprint(const Relation& relation) {
-  uint64_t chain = RelationRowChain(relation, 0, relation.num_rows(),
-                                    kRelationChainSeed);
+  uint64_t chain = RelationRowChain(relation, relation.chain_rows_,
+                                    relation.num_rows(), relation.chain_);
   return FinalizeRelationFingerprint(chain, relation.schema(),
                                      relation.num_rows());
 }

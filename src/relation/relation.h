@@ -1,6 +1,7 @@
 #ifndef FAMTREE_RELATION_RELATION_H_
 #define FAMTREE_RELATION_RELATION_H_
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -11,6 +12,9 @@
 
 namespace famtree {
 
+/// Seed for the row-major cell chain of RelationFingerprint.
+inline constexpr uint64_t kRelationChainSeed = 0x72656c66;
+
 /// A relation instance: a schema plus column-major cell storage. Columns are
 /// stored as vectors of Value so the library can mix categorical,
 /// heterogeneous (string) and numerical data in one table — exactly the
@@ -20,16 +24,27 @@ class Relation {
   Relation() = default;
   explicit Relation(Schema schema);
 
+  /// A copy carries the fingerprint chain along; a moved-from relation is
+  /// left empty with a reset chain.
+  Relation(const Relation&) = default;
+  Relation& operator=(const Relation&) = default;
+  Relation(Relation&& other) noexcept;
+  Relation& operator=(Relation&& other) noexcept;
+
   const Schema& schema() const { return schema_; }
   int num_columns() const { return schema_.num_columns(); }
   int num_rows() const { return num_rows_; }
 
   const Value& Get(int row, int col) const { return columns_[col][row]; }
-  void Set(int row, int col, Value v) { columns_[col][row] = std::move(v); }
+  /// Overwrites one cell. A cell inside the fingerprint chain's prefix
+  /// resets the chain, so the next RelationFingerprint rehashes every row.
+  void Set(int row, int col, Value v);
 
   const std::vector<Value>& column(int col) const { return columns_[col]; }
 
-  /// Appends a row; the row must have exactly num_columns() values.
+  /// Appends a row; the row must have exactly num_columns() values. The
+  /// fingerprint chain is left where it is (builders append row by row and
+  /// may never ask for a fingerprint).
   Status AppendRow(std::vector<Value> row);
 
   /// Batch append: validates every row's arity up front, then appends all
@@ -38,8 +53,15 @@ class Relation {
   /// the existing schema, as in a monitoring stream. Use
   /// DiscoveryEngine::AppendRows instead when the relation is registered
   /// with an engine, so cached PLIs/evidence are maintained rather than
-  /// silently staled.
+  /// silently staled. When the fingerprint chain covered every row before
+  /// the append, it is advanced over the appended rows, so it stays current
+  /// at O(batch) per append.
   Status AppendRows(std::vector<std::vector<Value>> rows);
+
+  /// Folds every row past the fingerprint chain into it, after which
+  /// RelationFingerprint costs O(schema) until the next mutation. One pass
+  /// over the rows not yet folded; a no-op when the chain is current.
+  void AdvanceFingerprintChain();
 
   /// Materializes one row (used by pretty-printing and tests).
   std::vector<Value> Row(int row) const;
@@ -72,26 +94,32 @@ class Relation {
   std::string ToPrettyString(int max_rows = 50) const;
 
  private:
+  friend uint64_t RelationFingerprint(const Relation& relation);
+
   Schema schema_;
   std::vector<std::vector<Value>> columns_;
   int num_rows_ = 0;
+  /// RelationRowChain over rows [0, chain_rows_), chain_rows_ <= num_rows_.
+  /// Only Set can change a folded cell, and it resets the chain.
+  uint64_t chain_ = kRelationChainSeed;
+  int chain_rows_ = 0;
 };
 
 /// Content fingerprint over the schema (names and types) and every cell.
 /// Two relations with the same fingerprint are, for caching purposes, the
 /// same data; DiscoveryEngine uses it to detect a relation freed and
-/// reallocated at the address of one it still serves.
+/// reallocated at the address of one it still serves, or mutated in place.
 ///
 /// The fingerprint is *append-chainable*: cell hashes fold row-major into a
 /// running chain (RelationRowChain), and the schema + shape fold in last
-/// (FinalizeRelationFingerprint). A holder of the chain over rows [0, n)
-/// can extend it with only the appended rows' cells and refinalize —
-/// producing the exact fingerprint a cold full pass over the grown
-/// relation would, which is how PliCache recognizes "same base + delta".
+/// (FinalizeRelationFingerprint). Each Relation keeps that chain over a
+/// row prefix (advanced by AppendRows and AdvanceFingerprintChain, reset
+/// by Set), and this function folds only the rows past it — so on a
+/// relation grown through DiscoveryEngine::AppendRows it costs O(schema),
+/// not O(cells). It never writes the relation, and its value always equals
+/// a full pass over every cell: a freshly built or reallocated relation
+/// starts with an empty chain, and a mutated cell resets it.
 uint64_t RelationFingerprint(const Relation& relation);
-
-/// Seed for the row-major cell chain of RelationFingerprint.
-inline constexpr uint64_t kRelationChainSeed = 0x72656c66;
 
 /// Folds the cell hashes of rows [from_row, to_row), row-major, into
 /// `chain`. RelationRowChain(r, 0, n, kRelationChainSeed) is the full

@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <limits>
 #include <memory>
@@ -25,6 +26,7 @@
 #include "engine/evidence.h"
 #include "engine/evidence_cache.h"
 #include "engine/pli_cache.h"
+#include "discovery/hybrid/hybrid_fd.h"
 #include "relation/encoded_relation.h"
 #include "relation/ooc/sharded_relation.h"
 #include "relation/partition.h"
@@ -627,6 +629,423 @@ TEST(IncrementalOocTest, AppendCsvRejectsMismatchedHeader) {
   // mismatch is detected before any row lands, so the fingerprint of this
   // particular failure mode is unchanged.
   EXPECT_EQ((*grown)->fingerprint(), fp);
+}
+
+// --- Delta repair: after a completed hybrid run the PliCache records the
+// emitted cover; a repair whose seed equals it validates only pairs that
+// hold a row appended since (the suspect-row check). Every variant must
+// equal a cold DiscoverFdsHybrid of the grown relation at 1/2/8 threads.
+
+/// Rows of r mod 97 / 89 / 83 plus c2 = c0 mod 5: every pair of the three
+/// moduli is a key, c0 -> c2 holds, and every leaf class is small (about
+/// rows/83), so each frontier entry passes the suspect-row cost rule.
+/// `breaking` rows mint c2 values the base never used, breaking c0 -> c2.
+std::vector<std::vector<Value>> ModRows(int first, int count, bool breaking) {
+  std::vector<std::vector<Value>> out;
+  for (int64_t r = first; r < first + count; ++r) {
+    int64_t c0 = r % 97;
+    int64_t c2 = breaking ? 5 + r % 3 : c0 % 5;
+    out.push_back({Value(c0), Value(r % 89), Value(c2), Value(r % 83)});
+  }
+  return out;
+}
+
+std::vector<std::vector<Value>> Concat(
+    std::vector<std::vector<Value>> a,
+    const std::vector<std::vector<Value>>& b) {
+  a.insert(a.end(), b.begin(), b.end());
+  return a;
+}
+
+std::vector<std::pair<AttrSet, int>> SortedPairs(
+    const std::vector<DiscoveredFd>& fds) {
+  std::vector<std::pair<AttrSet, int>> out;
+  for (const DiscoveredFd& fd : fds) out.emplace_back(fd.lhs, fd.rhs);
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+HybridFdOptions HybridAt(int max_lhs_size) {
+  HybridFdOptions opts;
+  opts.max_lhs_size = max_lhs_size;
+  return opts;
+}
+
+/// Cold reference: the hybrid miner on a fresh copy of `rows`.
+std::vector<FdTuple> ColdCover(const std::vector<std::vector<Value>>& rows,
+                               int cols, int max_lhs_size) {
+  auto cold = DiscoverFdsHybrid(BuildRelation(rows, cols),
+                                HybridAt(max_lhs_size));
+  EXPECT_TRUE(cold.ok()) << cold.status().ToString();
+  return cold.ok() ? Canon(*cold) : std::vector<FdTuple>{};
+}
+
+TEST(IncrementalDeltaRepairTest, RecordedSeedValidatesOnlyAppendedRows) {
+  for (int threads : {1, 2, 8}) {
+    for (bool reorder : {false, true}) {
+      auto rows = ModRows(0, 3000, false);
+      Relation r = BuildRelation(rows, 4);
+      EngineOptions eopts;
+      eopts.num_threads = threads;
+      DiscoveryEngine engine(eopts);
+      auto cover = engine.HybridFds(r, HybridAt(3));
+      ASSERT_TRUE(cover.ok()) << cover.status().ToString();
+      PliCache* cache = *engine.CacheFor(r);
+      auto memo = cache->fd_cover_memo();
+      ASSERT_NE(memo, nullptr);
+      EXPECT_EQ(memo->num_rows, 3000);
+      EXPECT_EQ(memo->max_lhs_size, 3);
+      EXPECT_EQ(memo->fds, SortedPairs(*cover));
+
+      for (int batch = 0; batch < 4; ++batch) {
+        // Batch 1 breaks c0 -> c2 on its first row only.
+        auto delta = ModRows(3000 + 10 * batch, 10, false);
+        if (batch == 1) delta[0] = ModRows(3010, 1, true)[0];
+        rows = Concat(std::move(rows), delta);
+        ASSERT_TRUE(engine.AppendRows(r, delta).ok());
+        std::vector<DiscoveredFd> seed = *cover;
+        if (reorder) std::reverse(seed.begin(), seed.end());
+        int64_t builds = engine.CacheStats().builds;
+        HybridFdStats stats;
+        HybridFdOptions opts = HybridAt(3);
+        opts.stats = &stats;
+        cover = engine.RepairFdCover(r, seed, opts);
+        ASSERT_TRUE(cover.ok()) << cover.status().ToString();
+        std::string what = "threads " + std::to_string(threads) + " batch " +
+                           std::to_string(batch) +
+                           (reorder ? " reordered" : "");
+        EXPECT_EQ(Canon(*cover), ColdCover(rows, 4, 3)) << what;
+        // The suspect-row check reads only the pinned leaves: no product
+        // is rebuilt after the append invalidated them.
+        EXPECT_EQ(engine.CacheStats().builds, builds) << what;
+        EXPECT_GT(stats.frontier_checks, 0) << what;
+        if (batch == 1) {
+          EXPECT_GT(stats.frontier_violations, 0) << what;
+        }
+        memo = cache->fd_cover_memo();
+        ASSERT_NE(memo, nullptr) << what;
+        EXPECT_EQ(memo->num_rows, r.num_rows()) << what;
+        EXPECT_EQ(memo->fds, SortedPairs(*cover)) << what;
+      }
+    }
+  }
+}
+
+TEST(IncrementalDeltaRepairTest, SeveralAppendsBetweenRepairs) {
+  for (int threads : {1, 2, 8}) {
+    for (uint64_t seed = 0; seed < 4; ++seed) {
+      Rng rng(seed * 7 + threads);
+      auto rows = RandomRows(&rng, 120, 5, 12);
+      Relation r = BuildRelation(rows, 5);
+      EngineOptions eopts;
+      eopts.num_threads = threads;
+      DiscoveryEngine engine(eopts);
+      auto cover = engine.HybridFds(r, HybridAt(3));
+      ASSERT_TRUE(cover.ok()) << cover.status().ToString();
+      // Three appends of different shapes land before one repair: every
+      // row since the recorded cover is a suspect.
+      for (BatchKind kind : {BatchKind::kFreshCodes, BatchKind::kSingleRow,
+                             BatchKind::kFdBreaking}) {
+        auto delta = MakeBatch(kind, &rng, 6, 5, 12, rows);
+        rows = Concat(std::move(rows), delta);
+        ASSERT_TRUE(engine.AppendRows(r, delta).ok());
+      }
+      auto repaired = engine.RepairFdCover(r, *cover, HybridAt(3));
+      ASSERT_TRUE(repaired.ok()) << repaired.status().ToString();
+      EXPECT_EQ(Canon(*repaired), ColdCover(rows, 5, 3))
+          << "threads " << threads << " seed " << seed;
+    }
+  }
+}
+
+TEST(IncrementalDeltaRepairTest, ForeignSeedsAndCapMismatchTakeThePliCheck) {
+  for (int threads : {1, 2, 8}) {
+    std::string what = "threads " + std::to_string(threads);
+    auto rows = ModRows(0, 2000, false);
+    Relation r = BuildRelation(rows, 4);
+    EngineOptions eopts;
+    eopts.num_threads = threads;
+    DiscoveryEngine engine(eopts);
+    auto cover0 = engine.HybridFds(r, HybridAt(3));
+    ASSERT_TRUE(cover0.ok());
+    // Every FD here has at most two LHS attributes, so the recorded set is
+    // the cap-2 cover too; under cap 2 it still is not taken as recorded.
+    ASSERT_TRUE(std::all_of(cover0->begin(), cover0->end(),
+                            [](const DiscoveredFd& fd) {
+                              return fd.lhs.size() <= 2;
+                            }));
+    auto delta1 = ModRows(2000, 12, true);
+    rows = Concat(std::move(rows), delta1);
+    ASSERT_TRUE(engine.AppendRows(r, delta1).ok());
+    int64_t builds = engine.CacheStats().builds;
+    auto other_cap = engine.RepairFdCover(r, *cover0, HybridAt(2));
+    ASSERT_TRUE(other_cap.ok()) << other_cap.status().ToString();
+    EXPECT_EQ(Canon(*other_cap), ColdCover(rows, 4, 2)) << what;
+    EXPECT_GT(engine.CacheStats().builds, builds) << what;
+
+    // A valid seed the cache did not record last (the cover of an older
+    // prefix): the whole frontier is checked against PLIs.
+    auto delta2 = ModRows(2012, 12, false);
+    rows = Concat(std::move(rows), delta2);
+    ASSERT_TRUE(engine.AppendRows(r, delta2).ok());
+    builds = engine.CacheStats().builds;
+    auto from_old = engine.RepairFdCover(r, *cover0, HybridAt(3));
+    ASSERT_TRUE(from_old.ok()) << from_old.status().ToString();
+    EXPECT_EQ(Canon(*from_old), ColdCover(rows, 4, 3)) << what;
+    EXPECT_GT(engine.CacheStats().builds, builds) << what;
+    // That completed run recorded its own output; a repair seeded with it
+    // on the unchanged relation has no suspects and keeps the cover.
+    auto again = engine.RepairFdCover(r, *from_old, HybridAt(3));
+    ASSERT_TRUE(again.ok());
+    EXPECT_EQ(Canon(*again), Canon(*from_old)) << what;
+
+    // A cover found at another LHS cap never matches the recorded one.
+    Relation prefix = BuildRelation(ModRows(0, 2000, false), 4);
+    auto capped = DiscoverFdsHybrid(prefix, HybridAt(1));
+    ASSERT_TRUE(capped.ok());
+    auto repaired = engine.RepairFdCover(r, *capped, HybridAt(1));
+    ASSERT_TRUE(repaired.ok()) << repaired.status().ToString();
+    EXPECT_EQ(Canon(*repaired), ColdCover(rows, 4, 1)) << what;
+    auto memo = (*engine.CacheFor(r))->fd_cover_memo();
+    ASSERT_NE(memo, nullptr);
+    EXPECT_EQ(memo->max_lhs_size, 1) << what;
+  }
+}
+
+TEST(IncrementalDeltaRepairTest, AppendBreaksLevelZeroFds) {
+  for (int threads : {1, 2, 8}) {
+   for (bool first : {true, false}) {
+    // c0 and c1 are constant on the base ({} -> c0, {} -> c1); the batch
+    // changes c1 on its first or its last row only.
+    std::vector<std::vector<Value>> rows;
+    for (int64_t i = 0; i < 50; ++i) {
+      rows.push_back({Value(int64_t{7}), Value("k"), Value(i % 11)});
+    }
+    Relation r = BuildRelation(rows, 3);
+    EngineOptions eopts;
+    eopts.num_threads = threads;
+    DiscoveryEngine engine(eopts);
+    auto cover = engine.HybridFds(r, HybridAt(2));
+    ASSERT_TRUE(cover.ok());
+    std::vector<std::vector<Value>> delta = {
+        {Value(int64_t{7}), Value("k"), Value(int64_t{3})},
+        {Value(int64_t{7}), Value("k"), Value(int64_t{4})}};
+    delta[first ? 0 : 1][1] = Value("other");
+    rows = Concat(std::move(rows), delta);
+    ASSERT_TRUE(engine.AppendRows(r, delta).ok());
+    HybridFdStats stats;
+    HybridFdOptions opts = HybridAt(2);
+    opts.stats = &stats;
+    auto repaired = engine.RepairFdCover(r, *cover, opts);
+    ASSERT_TRUE(repaired.ok()) << repaired.status().ToString();
+    EXPECT_EQ(Canon(*repaired), ColdCover(rows, 3, 2))
+        << "threads " << threads << (first ? " first" : " last");
+    EXPECT_GT(stats.frontier_violations, 0);
+   }
+  }
+}
+
+TEST(IncrementalDeltaRepairTest, LowCardinalityLhsTakesThePliRule) {
+  for (int threads : {1, 2, 8}) {
+    for (uint64_t seed = 0; seed < 3; ++seed) {
+      // Two-valued columns: every leaf class holds about half the rows, so
+      // a batch of 40 suspects sums to far more than the row count and
+      // every entry with a non-empty LHS is checked against its PLI.
+      Rng rng(seed + 100 * threads);
+      auto rows = IntRows(&rng, 200, 6, 2);
+      Relation r = BuildRelation(rows, 6);
+      EngineOptions eopts;
+      eopts.num_threads = threads;
+      DiscoveryEngine engine(eopts);
+      auto cover = engine.HybridFds(r, HybridAt(3));
+      ASSERT_TRUE(cover.ok());
+      auto delta = IntRows(&rng, 40, 6, 2);
+      rows = Concat(std::move(rows), delta);
+      ASSERT_TRUE(engine.AppendRows(r, delta).ok());
+      int64_t builds = engine.CacheStats().builds;
+      auto repaired = engine.RepairFdCover(r, *cover, HybridAt(3));
+      ASSERT_TRUE(repaired.ok()) << repaired.status().ToString();
+      std::string what = "threads " + std::to_string(threads) + " seed " +
+                         std::to_string(seed);
+      EXPECT_EQ(Canon(*repaired), ColdCover(rows, 6, 3)) << what;
+      bool multi_attr_lhs = false;
+      for (const DiscoveredFd& fd : *cover) {
+        multi_attr_lhs |= fd.lhs.size() > 1;
+      }
+      if (multi_attr_lhs) {
+        EXPECT_GT(engine.CacheStats().builds, builds) << what;
+      }
+    }
+  }
+}
+
+TEST(IncrementalDeltaRepairTest, OutOfCoreRepairMatchesCold) {
+  for (int threads : {1, 2, 8}) {
+    auto base_rows = ModRows(0, 1500, false);
+    auto delta_rows = ModRows(1500, 15, true);
+    auto all_rows = Concat(base_rows, delta_rows);
+    IngestOptions opts;
+    opts.shard_rows = 256;
+    auto sharded = ShardedEncodedRelation::IngestCsvString(
+        CsvOf(base_rows, 4, true), opts);
+    ASSERT_TRUE(sharded.ok()) << sharded.status().ToString();
+    EngineOptions eopts;
+    eopts.num_threads = threads;
+    DiscoveryEngine engine(eopts);
+    auto cover = engine.HybridFdsOutOfCore(**sharded, HybridAt(3));
+    ASSERT_TRUE(cover.ok()) << cover.status().ToString();
+    PliCache* cache = *engine.OocCacheFor(**sharded);
+    ASSERT_NE(cache->fd_cover_memo(), nullptr);
+    ASSERT_TRUE(
+        engine.AppendCsv(**sharded, CsvOf(delta_rows, 4, true), opts).ok());
+    int64_t builds = cache->stats().builds;
+    auto repaired = engine.RepairFdCoverOutOfCore(**sharded, *cover,
+                                                  HybridAt(3));
+    ASSERT_TRUE(repaired.ok()) << repaired.status().ToString();
+    EXPECT_EQ(Canon(*repaired), ColdCover(all_rows, 4, 3))
+        << "threads " << threads;
+    EXPECT_EQ(cache->stats().builds, builds) << "threads " << threads;
+    EXPECT_EQ(cache->fd_cover_memo()->num_rows, 1515);
+  }
+}
+
+TEST(IncrementalDeltaRepairTest, CutOrTruncatedRunsRecordNoCover) {
+  for (int threads : {1, 2, 8}) {
+    std::string what = "threads " + std::to_string(threads);
+    auto rows = ModRows(0, 1000, false);
+    EngineOptions eopts;
+    eopts.num_threads = threads;
+
+    // A cold run cut at the frontier's second level records nothing.
+    {
+      Relation r = BuildRelation(rows, 4);
+      DiscoveryEngine engine(eopts);
+      FaultInjector faults({.fail_at_alloc = 2,
+                            .alloc_site = "hybrid_validate"});
+      RunContext ctx;
+      ctx.set_fault_injector(&faults);
+      HybridFdOptions opts = HybridAt(3);
+      opts.context = &ctx;
+      auto cut = engine.HybridFds(r, opts);
+      ASSERT_TRUE(cut.ok()) << cut.status().ToString();
+      EXPECT_TRUE(ctx.report().exhausted) << what;
+      EXPECT_EQ((*engine.CacheFor(r))->fd_cover_memo(), nullptr) << what;
+      // Nor does one truncated by max_results.
+      HybridFdOptions few = HybridAt(3);
+      few.max_results = 1;
+      ASSERT_TRUE(engine.HybridFds(r, few).ok());
+      EXPECT_EQ((*engine.CacheFor(r))->fd_cover_memo(), nullptr) << what;
+    }
+
+    // A repair cut at "hybrid_validate" keeps the earlier record, so the
+    // next repair from the same seed still takes the suspect-row check.
+    Relation r = BuildRelation(rows, 4);
+    DiscoveryEngine engine(eopts);
+    auto cover = engine.HybridFds(r, HybridAt(3));
+    ASSERT_TRUE(cover.ok());
+    PliCache* cache = *engine.CacheFor(r);
+    auto recorded = cache->fd_cover_memo();
+    ASSERT_NE(recorded, nullptr);
+    auto delta = ModRows(1000, 10, true);
+    rows = Concat(std::move(rows), delta);
+    ASSERT_TRUE(engine.AppendRows(r, delta).ok());
+    EXPECT_EQ(cache->fd_cover_memo(), recorded) << "append dropped the record";
+    FaultInjector faults({.fail_at_alloc = 2,
+                          .alloc_site = "hybrid_validate"});
+    RunContext ctx;
+    ctx.set_fault_injector(&faults);
+    HybridFdOptions opts = HybridAt(3);
+    opts.context = &ctx;
+    auto cut = engine.RepairFdCover(r, *cover, opts);
+    ASSERT_TRUE(cut.ok()) << cut.status().ToString();
+    EXPECT_TRUE(ctx.report().exhausted) << what;
+    EXPECT_EQ(cache->fd_cover_memo(), recorded) << what;
+    int64_t builds = engine.CacheStats().builds;
+    auto repaired = engine.RepairFdCover(r, *cover, HybridAt(3));
+    ASSERT_TRUE(repaired.ok()) << repaired.status().ToString();
+    EXPECT_EQ(Canon(*repaired), ColdCover(rows, 4, 3)) << what;
+    EXPECT_EQ(engine.CacheStats().builds, builds) << what;
+    EXPECT_EQ(cache->fd_cover_memo()->num_rows, 1010) << what;
+  }
+}
+
+TEST(IncrementalDeltaRepairTest, TightBudgetStopsBeforeTheFill) {
+  // c0 = c1 in classes of 500 rows and c2 a key: the appended row lands in
+  // a 500-row class of c0 and of c1 but agrees with every partner on the
+  // same {c0, c1}, so each fill holds one agree set against a worst case
+  // of 499.
+  auto rows_of = [](int first, int count) {
+    std::vector<std::vector<Value>> out;
+    for (int64_t r = first; r < first + count; ++r) {
+      int64_t c = (r % 2000) / 500;
+      out.push_back({Value(c), Value(c), Value(r)});
+    }
+    return out;
+  };
+  auto base = rows_of(0, 2000);
+  auto delta = rows_of(2000, 1);
+  auto all = Concat(base, delta);
+  for (int threads : {1, 2, 8}) {
+    std::string what = "threads " + std::to_string(threads);
+    struct Outcome {
+      RunReport report;
+      size_t used = 0;
+      std::vector<FdTuple> cover;
+      int memo_rows = -1;
+    };
+    auto repair_within = [&](size_t limit) {
+      Outcome out;
+      Relation r = BuildRelation(base, 3);
+      EngineOptions eopts;
+      eopts.num_threads = threads;
+      DiscoveryEngine engine(eopts);
+      auto cover = engine.HybridFds(r, HybridAt(2));
+      EXPECT_TRUE(cover.ok()) << cover.status().ToString();
+      EXPECT_TRUE(engine.AppendRows(r, delta).ok());
+      MemoryBudget budget(limit);
+      RunContext ctx;
+      ctx.set_memory_budget(&budget);
+      HybridFdOptions opts = HybridAt(2);
+      opts.context = &ctx;
+      auto repaired = engine.RepairFdCover(r, *cover, opts);
+      EXPECT_TRUE(repaired.ok()) << repaired.status().ToString();
+      out.report = ctx.report();
+      out.used = budget.used();
+      if (repaired.ok()) out.cover = Canon(*repaired);
+      auto memo = (*engine.CacheFor(r))->fd_cover_memo();
+      if (memo != nullptr) out.memo_rows = memo->num_rows;
+      return out;
+    };
+    Outcome ample = repair_within(size_t{1} << 40);
+    EXPECT_FALSE(ample.report.exhausted) << what;
+    EXPECT_EQ(ample.cover, ColdCover(all, 3, 2)) << what;
+    EXPECT_EQ(ample.memo_rows, 2001) << what;
+    // The fill's worst case is charged before it allocates (and the unused
+    // part refunded after): a budget with room for everything the run
+    // keeps, but not for that worst case, stops at "hybrid_validate" and
+    // keeps the earlier record.
+    Outcome tight = repair_within(ample.used + 1024);
+    EXPECT_TRUE(tight.report.exhausted) << what;
+    EXPECT_EQ(tight.report.stop_code, StatusCode::kResourceExhausted) << what;
+    EXPECT_NE(tight.report.stop_detail.find("hybrid_validate"),
+              std::string::npos)
+        << what << ": " << tight.report.stop_detail;
+    EXPECT_EQ(tight.memo_rows, 2000) << what;
+  }
+}
+
+TEST(IncrementalDeltaRepairTest, FailedMaintenanceDropsTheRecordedCover) {
+  auto rows = ModRows(0, 500, false);
+  Relation r = BuildRelation(rows, 4);
+  PliCache cache(r);
+  ASSERT_TRUE(DiscoverFdsHybrid(&cache, HybridAt(2)).ok());
+  ASSERT_NE(cache.fd_cover_memo(), nullptr);
+  ASSERT_TRUE(r.AppendRows(ModRows(500, 5, false)).ok());
+  FaultInjector faults({.fail_at_alloc = 1, .alloc_site = "pli_build"});
+  RunContext ctx;
+  ctx.set_fault_injector(&faults);
+  EXPECT_FALSE(cache.MaintainAppend(&ctx).ok());
+  EXPECT_EQ(cache.fd_cover_memo(), nullptr);
 }
 
 TEST(IncrementalEngineTest, ForgetRelationDropsEvidenceEntries) {

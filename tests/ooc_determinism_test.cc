@@ -4,9 +4,11 @@
 // and every thread count, and a failed spill must back out without
 // publishing partial cache state.
 
+#include <atomic>
 #include <cstdint>
 #include <random>
 #include <string>
+#include <thread>
 #include <tuple>
 #include <vector>
 
@@ -182,6 +184,55 @@ TEST(OocDeterminismTest, DiscoveryPressureSpillsIngestResidentShards) {
   EXPECT_GT(sharded->stats().shards_spilled, 0)
       << "PLI accrual should have evicted resident shards";
   EXPECT_LE(budget.used(), budget.limit());
+}
+
+// Concurrent ChargeWithSpill calls under a budget that fits them only once
+// every resident shard is spilled: a spill frees headroom that another
+// thread may take before the spiller's own charge, so each call must keep
+// spilling and retrying instead of latching kResourceExhausted while
+// resident shards remain. Every charge succeeds, in every round.
+TEST(OocDeterminismTest, ConcurrentChargesSpillUntilTheyFit) {
+  constexpr int kThreads = 8;
+  constexpr int kChargesPerThread = 4;
+  for (int round = 0; round < 25; ++round) {
+    MemoryBudget budget(48 << 10);
+    RunContext ctx;
+    ctx.set_memory_budget(&budget);
+    IngestOptions options;
+    options.context = &ctx;
+    options.shard_rows = 256;
+    auto sharded = MustIngest(MakeCsv(2000), options);
+    ASSERT_EQ(sharded->stats().shards_spilled, 0) << "shards should fit";
+    // 2000 rows x 3 columns of 4-byte codes are resident; the rest of the
+    // accrual (dictionaries) stays. The charges take all the headroom a
+    // full spill leaves, so they fit only after every shard is spilled.
+    const size_t resident = 2000 * 3 * sizeof(uint32_t);
+    const size_t kept = budget.used() - resident;
+    const size_t chunk =
+        (budget.limit() - kept) / (kThreads * kChargesPerThread);
+    ASSERT_GT(chunk * kThreads * kChargesPerThread, budget.remaining());
+    std::vector<Status> results(kThreads * kChargesPerThread);
+    std::atomic<int> ready{0};
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&, t] {
+        ready.fetch_add(1);
+        while (ready.load() < kThreads) {
+        }
+        for (int k = 0; k < kChargesPerThread; ++k) {
+          results[t * kChargesPerThread + k] =
+              sharded->ChargeWithSpill(&ctx, chunk, "pli_build");
+        }
+      });
+    }
+    for (std::thread& thread : threads) thread.join();
+    for (const Status& st : results) {
+      EXPECT_TRUE(st.ok()) << "round " << round << ": " << st.message();
+    }
+    EXPECT_TRUE(RunContext::StopStatus(&ctx).ok()) << "round " << round;
+    EXPECT_EQ(sharded->stats().shards_spilled, sharded->num_shards());
+    EXPECT_LE(budget.used(), budget.limit());
+  }
 }
 
 // Fault injection at the spill write: ingest fails with the injected stop,

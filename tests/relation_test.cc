@@ -1,5 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "common/rng.h"
+#include "engine/engine.h"
 #include "gen/paper_tables.h"
 #include "relation/relation.h"
 
@@ -151,6 +157,118 @@ TEST(PaperTablesTest, TypesInferred) {
   Relation r1 = paper::R1();
   EXPECT_EQ(r1.schema().column(paper::R1Attrs::kName).type,
             ValueType::kString);
+}
+
+/// The fingerprint a full pass over every cell gives.
+uint64_t FullPassFingerprint(const Relation& r) {
+  return FinalizeRelationFingerprint(
+      RelationRowChain(r, 0, r.num_rows(), kRelationChainSeed), r.schema(),
+      r.num_rows());
+}
+
+std::vector<Value> RandomRow(Rng* rng, int cols) {
+  std::vector<Value> row;
+  for (int c = 0; c < cols; ++c) {
+    int64_t v = rng->Uniform(0, 5);
+    switch (rng->Uniform(0, 3)) {
+      case 0: row.push_back(Value()); break;
+      case 1: row.push_back(Value(static_cast<double>(v) + 0.5)); break;
+      case 2: row.push_back(Value("s" + std::to_string(v))); break;
+      default: row.push_back(Value(v)); break;
+    }
+  }
+  return row;
+}
+
+// The fingerprint chain a Relation keeps is an acceleration only: after
+// any sequence of mutations, copies and moves, RelationFingerprint equals
+// a full pass over every cell.
+TEST(RelationFingerprintTest, ChainedFingerprintEqualsFullPass) {
+  for (uint64_t seed = 0; seed < 40; ++seed) {
+    Rng rng(seed);
+    int cols = 1 + static_cast<int>(seed % 4);
+    std::vector<std::string> names;
+    for (int c = 0; c < cols; ++c) names.push_back("c" + std::to_string(c));
+    RelationBuilder b(names);
+    int base = static_cast<int>(rng.Uniform(0, 6));
+    for (int i = 0; i < base; ++i) b.AddRow(RandomRow(&rng, cols));
+    Relation r = std::move(b.Build()).value();
+    ASSERT_EQ(RelationFingerprint(r), FullPassFingerprint(r));
+    for (int step = 0; step < 60; ++step) {
+      int op = static_cast<int>(rng.Uniform(0, 8));
+      switch (op) {
+        case 0:
+          ASSERT_TRUE(r.AppendRow(RandomRow(&rng, cols)).ok());
+          break;
+        case 1: {
+          std::vector<std::vector<Value>> rows;
+          int n = static_cast<int>(rng.Uniform(0, 3));
+          for (int i = 0; i < n; ++i) rows.push_back(RandomRow(&rng, cols));
+          ASSERT_TRUE(r.AppendRows(std::move(rows)).ok());
+          break;
+        }
+        case 2:
+          if (r.num_rows() > 0) {
+            r.Set(static_cast<int>(rng.Uniform(0, r.num_rows() - 1)),
+                  static_cast<int>(rng.Uniform(0, cols - 1)),
+                  RandomRow(&rng, 1)[0]);
+          }
+          break;
+        case 3:
+          r.InferTypes();
+          break;
+        case 4: {
+          Relation copy = r;
+          EXPECT_EQ(RelationFingerprint(copy), RelationFingerprint(r));
+          // Growing the copy leaves the original's chain alone.
+          ASSERT_TRUE(copy.AppendRows({RandomRow(&rng, cols)}).ok());
+          EXPECT_EQ(RelationFingerprint(copy), FullPassFingerprint(copy));
+          if (rng.Uniform(0, 1) == 0) r = copy;
+          break;
+        }
+        case 5: {
+          Relation moved = std::move(r);
+          EXPECT_EQ(r.num_rows(), 0);  // NOLINT(bugprone-use-after-move)
+          EXPECT_EQ(RelationFingerprint(r), FullPassFingerprint(r));
+          r = std::move(moved);
+          break;
+        }
+        case 6: {
+          std::vector<int> rows;
+          for (int i = 0; i < r.num_rows(); ++i) {
+            if (rng.Uniform(0, 1) == 0) rows.push_back(i);
+          }
+          Relation selected = r.Select(rows);
+          EXPECT_EQ(RelationFingerprint(selected),
+                    FullPassFingerprint(selected));
+          if (rng.Uniform(0, 2) == 0) r = std::move(selected);
+          break;
+        }
+        default:
+          r.AdvanceFingerprintChain();
+          break;
+      }
+      ASSERT_EQ(RelationFingerprint(r), FullPassFingerprint(r))
+          << "seed " << seed << " step " << step << " op " << op;
+    }
+  }
+}
+
+// A relation mutated in place after the engine registered it (and after
+// appends advanced its chain past every row) is still refused.
+TEST(RelationFingerprintTest, SetOnRegisteredRelationIsRefused) {
+  Relation r = SmallRelation();
+  DiscoveryEngine engine;
+  ASSERT_TRUE(engine.CacheFor(r).ok());
+  ASSERT_TRUE(
+      engine.AppendRows(r, {{Value("z"), Value(4), Value("p")}}).ok());
+  ASSERT_TRUE(engine.CacheFor(r).ok());
+  r.Set(0, 2, Value("changed"));
+  Result<PliCache*> cache = engine.CacheFor(r);
+  ASSERT_FALSE(cache.ok());
+  EXPECT_EQ(cache.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_FALSE(
+      engine.AppendRows(r, {{Value("w"), Value(5), Value("q")}}).ok());
 }
 
 }  // namespace
