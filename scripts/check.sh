@@ -69,16 +69,19 @@ if [ -n "$LINT_HITS" ]; then
   exit 1
 fi
 
-echo "=== [0/5] lint: no path-selecting flags in src/ ==="
+echo "=== [0/5] lint: no path-selecting flags or second content address in src/ ==="
 # Every miner and quality application has one production path (the
 # encoded one, with the evidence kernel where the input allows it);
 # reference implementations live in tests/ as brute-force oracles. A
-# use_encoding / use_evidence knob would bring back a second path that only
-# tests reach.
-FLAG_HITS="$(grep -rnE 'use_encoding|use_evidence' src || true)"
+# use_encoding / use_evidence / use_hybrid knob would bring back a second
+# path that only tests reach. Every engine store is keyed by the one
+# relation content fingerprint; an EncodingFingerprint (codes alone) would
+# let relations with equal codes but different values share evidence.
+FLAG_HITS="$(grep -rnE 'use_encoding|use_evidence|use_hybrid|EncodingFingerprint' src || true)"
 if [ -n "$FLAG_HITS" ]; then
-  echo "lint: path-selecting flag in src/; put the reference in a test" >&2
-  echo "oracle instead (tests/miner_oracle_test.cc):" >&2
+  echo "lint: deleted flag or content address in src/; put a reference" >&2
+  echo "in a test oracle (tests/miner_oracle_test.cc) and key stores by" >&2
+  echo "RelationFingerprint instead:" >&2
   echo "$FLAG_HITS" >&2
   exit 1
 fi

@@ -122,11 +122,10 @@ Result<std::vector<DiscoveredDd>> DiscoverDds(
   ThreadPool* pool = options.pool;
   // A sampled run re-materializes the input, so the cache's encoding (keyed
   // to the original relation) cannot be borrowed.
+  PliCache* cache = source == &input ? options.cache : nullptr;
   std::unique_ptr<EncodedRelation> local_encoding;
-  FAMTREE_ASSIGN_OR_RETURN(
-      const EncodedRelation* encoded,
-      ResolveEncoding(relation, source == &input ? options.cache : nullptr,
-                      &local_encoding));
+  FAMTREE_ASSIGN_OR_RETURN(const EncodedRelation* encoded,
+                           ResolveEncoding(relation, cache, &local_encoding));
   RunContext* ctx = options.context;
   RunContext::BeginRun(ctx, "dds");
   // A stop during the shared precomputation (distance tables, thresholds,
@@ -216,8 +215,10 @@ Result<std::vector<DiscoveredDd>> DiscoverDds(
     EvidenceOptions eopts;
     eopts.pool = pool;
     eopts.context = ctx;
-    Result<std::shared_ptr<const EvidenceSet>> set_result =
-        GetOrBuildEvidence(options.evidence, *encoded, config, eopts);
+    Result<std::shared_ptr<const EvidenceSet>> set_result = GetOrBuildEvidence(
+        options.evidence, *encoded,
+        EvidenceKeyFingerprint(options.evidence, relation, cache), config,
+        eopts);
     if (!set_result.ok() && RunContext::IsStop(set_result.status())) {
       return exhausted_early(
           set_result.status(),

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "common/status.h"
+#include "engine/evidence_cache.h"
 #include "engine/pli_cache.h"
 #include "relation/encoded_relation.h"
 #include "relation/relation.h"
@@ -29,6 +30,18 @@ inline Result<const EncodedRelation*> ResolveEncoding(
   if (cache != nullptr) return &cache->encoded();
   *local = std::make_unique<EncodedRelation>(relation);
   return static_cast<const EncodedRelation*>(local->get());
+}
+
+/// The fingerprint GetOrBuildEvidence keys `relation`'s evidence by in
+/// `store`: the one `cache` keeps for its encoding when it serves
+/// `relation` (no pass over the cells), else RelationFingerprint. Zero
+/// without a store, where nothing is keyed.
+inline uint64_t EvidenceKeyFingerprint(const EvidenceCache* store,
+                                       const Relation& relation,
+                                       const PliCache* cache) {
+  if (store == nullptr) return 0;
+  return cache != nullptr ? cache->fingerprint()
+                          : RelationFingerprint(relation);
 }
 
 /// True when any dictionary entry of `attr` is a non-finite double. NED

@@ -356,7 +356,10 @@ Result<std::vector<DiscoveredDc>> DiscoverDcs(const Relation& relation,
       bool exact = n <= options.max_rows_exact;
       if (exact) {
         Result<std::shared_ptr<const EvidenceSet>> set_result =
-            GetOrBuildEvidence(options.evidence, encoded, config, eopts);
+            GetOrBuildEvidence(
+                options.evidence, encoded,
+                EvidenceKeyFingerprint(options.evidence, relation, nullptr),
+                config, eopts);
         if (!set_result.ok() && RunContext::IsStop(set_result.status())) {
           return exhausted_early(set_result.status());
         }

@@ -54,8 +54,9 @@ Result<std::vector<DiscoveredMd>> DiscoverMdsHybrid(
   EvidenceOptions eopts;
   eopts.pool = pool;
   eopts.context = ctx;
-  Result<std::shared_ptr<const EvidenceSet>> set_result = GetOrBuildEvidence(
-      options.evidence, *setup.encoded, setup.config, eopts);
+  Result<std::shared_ptr<const EvidenceSet>> set_result =
+      GetOrBuildEvidence(options.evidence, *setup.encoded, setup.fingerprint,
+                         setup.config, eopts);
   if (!set_result.ok() && RunContext::IsStop(set_result.status())) {
     return exhausted_early(set_result.status(), num_candidates);
   }

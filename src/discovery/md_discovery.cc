@@ -72,6 +72,8 @@ Status Prepare(const Relation& relation, AttrSet rhs,
       setup->encoded,
       ResolveEncoding(*setup->sample, sampling ? nullptr : options.cache,
                       &setup->local_encoding));
+  setup->fingerprint = EvidenceKeyFingerprint(
+      options.evidence, *setup->sample, sampling ? nullptr : options.cache);
 
   // Candidate predicates per non-RHS attribute, in the listed threshold
   // order; the evidence axis is the sorted-unique list.
@@ -163,8 +165,9 @@ Result<std::vector<DiscoveredMd>> Mine(MdSetup* setup,
     EvidenceOptions eopts;
     eopts.pool = pool;
     eopts.context = ctx;
-    Result<std::shared_ptr<const EvidenceSet>> set_result = GetOrBuildEvidence(
-        options.evidence, *setup->encoded, setup->config, eopts);
+    Result<std::shared_ptr<const EvidenceSet>> set_result =
+        GetOrBuildEvidence(options.evidence, *setup->encoded,
+                           setup->fingerprint, setup->config, eopts);
     if (!set_result.ok() && RunContext::IsStop(set_result.status())) {
       return exhausted_early(set_result.status(), num_candidates);
     }

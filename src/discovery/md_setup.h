@@ -35,6 +35,8 @@ struct MdSetup {
   const Relation* sample = nullptr;
   std::unique_ptr<EncodedRelation> local_encoding;
   const EncodedRelation* encoded = nullptr;
+  /// `sample`'s evidence-store key (EvidenceKeyFingerprint).
+  uint64_t fingerprint = 0;
   /// Per non-RHS attribute: its default metric and its sorted-unique
   /// thresholds (the evidence bucket axis).
   std::vector<MetricPtr> metrics;

@@ -129,8 +129,10 @@ Result<std::vector<DiscoveredMfd>> DiscoverMfds(
     eopts.pli = options.cache;
     eopts.prune_all_unequal = true;
     eopts.context = ctx;
-    Result<std::shared_ptr<const EvidenceSet>> set_result =
-        GetOrBuildEvidence(options.evidence, *encoded, config, eopts);
+    Result<std::shared_ptr<const EvidenceSet>> set_result = GetOrBuildEvidence(
+        options.evidence, *encoded,
+        EvidenceKeyFingerprint(options.evidence, relation, options.cache),
+        config, eopts);
     if (!set_result.ok() && RunContext::IsStop(set_result.status())) {
       return exhausted_early(set_result.status(),
                              static_cast<int64_t>(candidates.size()));

@@ -1,7 +1,5 @@
 #include "engine/engine.h"
 
-#include <algorithm>
-
 #include "relation/relation.h"
 
 namespace famtree {
@@ -15,14 +13,14 @@ Result<PliCache*> DiscoveryEngine::CacheFor(const Relation& relation) {
   // Fingerprint outside the lock: it folds only the rows past the
   // relation's fingerprint chain — O(schema) for a relation grown through
   // AppendRows, one pass over every cell for one that never was — and it
-  // must not serialize other lookups.
+  // must not serialize other lookups. A new store takes it as is.
   uint64_t fp = RelationFingerprint(relation);
   std::lock_guard<std::mutex> lock(mu_);
   std::unique_ptr<PliCache>& slot = caches_[&relation];
   if (slot == nullptr) {
     PliCache::Options cache_options;
     cache_options.max_bytes = options_.cache_max_bytes;
-    slot = std::make_unique<PliCache>(relation, cache_options);
+    slot = std::make_unique<PliCache>(relation, cache_options, fp);
   } else if (slot->fingerprint() != fp) {
     return Status::Invalid(
         "relation at a remembered address has different content (freed and "
@@ -41,14 +39,11 @@ void DiscoveryEngine::ForgetRelation(const Relation& relation) {
     owned = std::move(it->second);
     caches_.erase(it);
   }
-  // Evidence entries are keyed by the encoding's content fingerprint, so a
-  // *different* relation can never hit them — but the same bytes
+  // Evidence entries are keyed by the relation's content fingerprint, so a
+  // *different* relation can never hit them — but the same content
   // reappearing after the caller mutated and re-ingested this relation
-  // would, and the forget contract promises a clean slate. Hash outside
-  // the engine lock (O(data)).
-  if (const EncodedRelation* encoded = owned->encoded_or_null()) {
-    evidence_.EraseFingerprint(EncodingFingerprint(*encoded));
-  }
+  // would, and the forget contract promises a clean slate.
+  evidence_.EraseFingerprint(owned->fingerprint());
 }
 
 Result<PliCache*> DiscoveryEngine::OocCacheFor(
@@ -77,9 +72,7 @@ void DiscoveryEngine::ForgetSharded(const ShardedEncodedRelation& sharded) {
     owned = std::move(it->second);
     ooc_caches_.erase(it);
   }
-  if (const EncodedRelation* encoded = owned->encoded_or_null()) {
-    evidence_.EraseFingerprint(EncodingFingerprint(*encoded));
-  }
+  evidence_.EraseFingerprint(owned->fingerprint());
 }
 
 Status DiscoveryEngine::AppendRows(Relation& relation,
@@ -104,7 +97,7 @@ Status DiscoveryEngine::AppendRows(Relation& relation,
         "to maintain the stale store (ForgetRelation first)");
   }
   const int old_rows = relation.num_rows();
-  const uint64_t old_evidence_fp = EncodingFingerprint(slot->encoded());
+  const uint64_t old_fp = slot->fingerprint();
   FAMTREE_RETURN_NOT_OK(relation.AppendRows(std::move(rows)));
   Status maintained = slot->MaintainAppend(ctx);
   if (maintained.ok()) {
@@ -112,15 +105,15 @@ Status DiscoveryEngine::AppendRows(Relation& relation,
     ev.pool = &pool_;
     ev.context = ctx;
     ev.pli = slot;
-    maintained =
-        evidence_.MaintainAppend(slot->encoded(), old_evidence_fp, old_rows, ev);
+    maintained = evidence_.MaintainAppend(slot->encoded(), old_fp,
+                                          slot->fingerprint(), old_rows, ev);
   }
-  if (!maintained.ok()) {
-    // The appended rows are in; the cached state may be partial. Drop it —
-    // the next driver call rebuilds cold — and surface the stop.
-    ForgetRelation(relation);
-    evidence_.EraseFingerprint(old_evidence_fp);
-  }
+  // The appended rows are in; the cached state may be partial. Drop it —
+  // the next driver call rebuilds cold — and surface the stop. The store
+  // keeps the old fingerprint when its own maintenance failed, and the
+  // evidence maintenance has already dropped the old key when it ran, so
+  // forgetting by the store's fingerprint leaves no entry behind.
+  if (!maintained.ok()) ForgetRelation(relation);
   return maintained;
 }
 
@@ -142,23 +135,19 @@ Status DiscoveryEngine::AppendCsv(ShardedEncodedRelation& sharded,
         "refusing to maintain the stale store (ForgetSharded first)");
   }
   const int old_rows = sharded.num_rows();
-  const EncodedRelation* old_encoded = slot->encoded_or_null();
-  const uint64_t old_evidence_fp =
-      old_encoded != nullptr ? EncodingFingerprint(*old_encoded) : 0;
+  const uint64_t old_fp = slot->fingerprint();
+  const bool had_encoded = slot->has_encoded();
   FAMTREE_RETURN_NOT_OK(sharded.AppendCsv(text, std::move(options)));
   Status maintained = slot->MaintainAppend(ctx);
-  if (maintained.ok() && old_encoded != nullptr) {
+  if (maintained.ok() && had_encoded) {
     EvidenceOptions ev;
     ev.pool = &pool_;
     ev.context = ctx;
     ev.pli = slot;
-    maintained =
-        evidence_.MaintainAppend(slot->encoded(), old_evidence_fp, old_rows, ev);
+    maintained = evidence_.MaintainAppend(slot->encoded(), old_fp,
+                                          slot->fingerprint(), old_rows, ev);
   }
-  if (!maintained.ok()) {
-    ForgetSharded(sharded);
-    if (old_encoded != nullptr) evidence_.EraseFingerprint(old_evidence_fp);
-  }
+  if (!maintained.ok()) ForgetSharded(sharded);
   return maintained;
 }
 
@@ -226,31 +215,6 @@ Result<std::vector<DiscoveredMd>> DiscoveryEngine::HybridMds(
   if (options.context == nullptr) options.context = default_context();
   FAMTREE_ASSIGN_OR_RETURN(options.cache, CacheFor(relation));
   return DiscoverMdsHybrid(relation, rhs, options);
-}
-
-Result<std::vector<DiscoveredFd>> DiscoveryEngine::Fds(
-    const Relation& relation, int max_lhs_size) {
-  std::vector<DiscoveredFd> out;
-  if (options_.use_hybrid) {
-    HybridFdOptions hybrid;
-    hybrid.max_lhs_size = max_lhs_size;
-    FAMTREE_ASSIGN_OR_RETURN(out, HybridFds(relation, hybrid));
-  } else {
-    TaneOptions tane;
-    tane.max_lhs_size = max_lhs_size;
-    FAMTREE_ASSIGN_OR_RETURN(out, Tane(relation, tane));
-  }
-  std::sort(out.begin(), out.end(),
-            [](const DiscoveredFd& a, const DiscoveredFd& b) {
-              if (a.lhs.size() != b.lhs.size()) {
-                return a.lhs.size() < b.lhs.size();
-              }
-              if (a.lhs != b.lhs) {
-                return a.lhs < b.lhs;
-              }
-              return a.rhs < b.rhs;
-            });
-  return out;
 }
 
 Result<std::vector<DiscoveredDc>> DiscoveryEngine::FastDc(

@@ -42,18 +42,15 @@ struct EngineOptions {
   /// Per-relation PLI cache budget (see PliCache::Options::max_bytes).
   size_t cache_max_bytes = 64ull << 20;
   /// Budget of the engine-wide evidence store (see
-  /// EvidenceCache::Options::max_bytes). The store is content-addressed
-  /// (encoding fingerprints), so one store serves every relation.
+  /// EvidenceCache::Options::max_bytes). The store is content-addressed by
+  /// relation fingerprint — the same address the PLI stores are checked
+  /// against — so one store serves every relation, in memory or out of
+  /// core.
   size_t evidence_max_bytes = 32ull << 20;
   /// Default run limits (deadline / cancellation / memory budget / fault
   /// injection) applied to every driver call that does not carry its own
   /// context in its per-call options. Borrowed; null means unlimited.
   RunContext* context = nullptr;
-  /// Routes DiscoveryEngine::Fds through the hybrid sampling + induction
-  /// engine (HybridFds) instead of the TANE lattice. Both produce the
-  /// identical minimal cover (the differential suite asserts it); hybrid
-  /// wins when few FDs hold at scale, the lattice when levels are dense.
-  bool use_hybrid = false;
 };
 
 /// The parallel lattice engine: one thread pool plus one shared PLI store
@@ -103,11 +100,12 @@ class DiscoveryEngine {
   EvidenceCache& evidence_cache() { return evidence_; }
 
   /// Drops the store of a relation that is going away, including every
-  /// evidence-store entry built from its encoding — a later relation
+  /// evidence-store entry keyed by its fingerprint — a later relation
   /// reallocated at the same address must never be served stale evidence.
   void ForgetRelation(const Relation& relation);
 
-  /// Drops the store of an out-of-core relation that is going away.
+  /// Drops the store of an out-of-core relation that is going away, and
+  /// the evidence-store entries keyed by its fingerprint.
   void ForgetSharded(const ShardedEncodedRelation& sharded);
 
   /// Batch-appends rows to `relation` and incrementally maintains every
@@ -192,12 +190,6 @@ class DiscoveryEngine {
   Result<std::vector<DiscoveredMd>> HybridMds(const Relation& relation,
                                               AttrSet rhs,
                                               MdDiscoveryOptions options = {});
-
-  /// Minimal exact-FD cover up to `max_lhs_size`, canonically sorted by
-  /// (|lhs|, lhs mask, rhs): routed through HybridFds or Tane per
-  /// EngineOptions::use_hybrid — the two are interchangeable.
-  Result<std::vector<DiscoveredFd>> Fds(const Relation& relation,
-                                        int max_lhs_size = 5);
 
   /// FASTDC with parallel evidence-set construction.
   Result<std::vector<DiscoveredDc>> FastDc(const Relation& relation,

@@ -4,37 +4,24 @@
 #include <cstring>
 #include <utility>
 
-#include "common/hash.h"
-
 namespace famtree {
 
-uint64_t EncodingFingerprint(const EncodedRelation& encoded) {
-  size_t h = HashCombine(0x66616d74, static_cast<size_t>(encoded.num_rows()));
-  h = HashCombine(h, static_cast<size_t>(encoded.num_columns()));
-  for (int c = 0; c < encoded.num_columns(); ++c) {
-    h = HashCombine(h, static_cast<size_t>(encoded.dict_size(c)));
-    // The code arrays determine every equality relationship; dictionaries
-    // are representatives of the same classes, so codes alone suffice.
-    for (uint32_t code : encoded.codes(c)) {
-      h = HashCombine(h, static_cast<size_t>(code));
-    }
-  }
-  return static_cast<uint64_t>(h);
-}
+namespace {
 
-std::string EvidenceCache::KeyFor(const EncodedRelation& encoded,
-                                  const std::vector<EvidenceColumn>& columns) {
-  return KeyForFingerprint(EncodingFingerprint(encoded), columns);
-}
-
-std::string EvidenceCache::KeyForFingerprint(
-    uint64_t fp, const std::vector<EvidenceColumn>& columns) {
-  std::string key;
-  key.reserve(32 + columns.size() * 32);
+std::string FingerprintPrefix(uint64_t fingerprint) {
   char buf[32];
   std::snprintf(buf, sizeof(buf), "%016llx",
-                static_cast<unsigned long long>(fp));
-  key += buf;
+                static_cast<unsigned long long>(fingerprint));
+  return std::string(buf);
+}
+
+}  // namespace
+
+std::string EvidenceCache::KeyFor(uint64_t fp,
+                                  const std::vector<EvidenceColumn>& columns) {
+  std::string key = FingerprintPrefix(fp);
+  key.reserve(32 + columns.size() * 32);
+  char buf[32];
   for (const EvidenceColumn& c : columns) {
     std::snprintf(buf, sizeof(buf), "|%d:%d:%d:", c.attr,
                   static_cast<int>(c.cmp), c.track_max ? 1 : 0);
@@ -110,17 +97,6 @@ EvidenceCache::EraseLocked(
   return entries_.erase(it);
 }
 
-namespace {
-
-std::string FingerprintPrefix(uint64_t fingerprint) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%016llx",
-                static_cast<unsigned long long>(fingerprint));
-  return std::string(buf);
-}
-
-}  // namespace
-
 void EvidenceCache::EraseFingerprint(uint64_t fingerprint) {
   const std::string prefix = FingerprintPrefix(fingerprint);
   std::lock_guard<std::mutex> lock(mu_);
@@ -134,9 +110,9 @@ void EvidenceCache::EraseFingerprint(uint64_t fingerprint) {
 }
 
 Status EvidenceCache::MaintainAppend(const EncodedRelation& encoded,
-                                     uint64_t old_fingerprint, int old_rows,
+                                     uint64_t old_fingerprint,
+                                     uint64_t new_fingerprint, int old_rows,
                                      const EvidenceOptions& options) {
-  const uint64_t new_fingerprint = EncodingFingerprint(encoded);
   if (new_fingerprint == old_fingerprint) return Status::OK();
   const std::string old_prefix = FingerprintPrefix(old_fingerprint);
 
@@ -174,11 +150,10 @@ Status EvidenceCache::MaintainAppend(const EncodedRelation& encoded,
            encoded.num_rows());
   }
 
-  // Whatever happened, nothing may stay keyed by the dead fingerprint —
-  // a later relation hashing to the same content as the *old* state would
-  // otherwise be served sets missing the appended rows' pairs. (It can't:
-  // the fingerprint covers the code matrix. But non-maintainable leftovers
-  // would still be unreachable garbage.)
+  // Whatever happened, drop everything keyed by the old fingerprint: the
+  // appended relation no longer has it, so those entries would only hold
+  // bytes until evicted (another relation still at the old content
+  // rebuilds on its next miss).
   EraseFingerprint(old_fingerprint);
   return status;
 }
@@ -189,12 +164,12 @@ EvidenceCache::Stats EvidenceCache::stats() const {
 }
 
 Result<std::shared_ptr<const EvidenceSet>> GetOrBuildEvidence(
-    EvidenceCache* cache, const EncodedRelation& encoded,
+    EvidenceCache* cache, const EncodedRelation& encoded, uint64_t fingerprint,
     const std::vector<EvidenceColumn>& columns,
     const EvidenceOptions& options) {
   std::string key;
   if (cache != nullptr) {
-    key = EvidenceCache::KeyFor(encoded, columns);
+    key = EvidenceCache::KeyFor(fingerprint, columns);
     if (auto hit = cache->Lookup(key)) return hit;
   }
   FAMTREE_ASSIGN_OR_RETURN(std::shared_ptr<const EvidenceSet> set,

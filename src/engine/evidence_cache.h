@@ -13,19 +13,19 @@
 
 namespace famtree {
 
-/// Content fingerprint of an encoding: hashes the shape, the per-column
-/// dictionary sizes and every code array. Two encodings with the same
-/// fingerprint hold the same code matrix, so any evidence set built from
-/// one is valid for the other — which keys the cache by data, not by
-/// address, and keeps entries correct across re-encodings and distinct
-/// relations with identical content.
-uint64_t EncodingFingerprint(const EncodedRelation& encoded);
-
 /// A shared, thread-safe, size-bounded LRU store of evidence multisets,
 /// keyed by (relation fingerprint, column set, distance config) — the
 /// sibling of PliCache one level up: PliCache memoizes partitions, this
 /// memoizes the pairwise comparison structure every evidence consumer
 /// (FASTDC, DD/MD/NED/MFD, constant-CFD pruning) starts from.
+///
+/// The fingerprint is the relation's content address (RelationFingerprint,
+/// equal to PliCache::fingerprint and ShardedEncodedRelation::fingerprint
+/// for the same content): it covers the schema and every Value in row
+/// order, so two relations share an entry only when every comparison —
+/// equality, order, distance — agrees on every pair. Codes alone would not
+/// do: relations with one equality pattern but different values or order
+/// have equal code matrices and different order and distance evidence.
 ///
 /// Entries are shared_ptr<const EvidenceSet>, so an evicted set stays alive
 /// for callers still holding it. A miss is computed outside the lock; two
@@ -48,19 +48,15 @@ class EvidenceCache {
   EvidenceCache() : EvidenceCache(Options()) {}
   explicit EvidenceCache(Options options) : options_(options) {}
 
-  /// Canonical cache key of a build request: the encoding fingerprint plus
+  /// Canonical cache key of a build request: the relation fingerprint plus
   /// an exact serialization of the column config (attributes, comparison
   /// modes, metric names, threshold bit patterns, track flags). The
   /// enumeration strategy (dense / pruned / thread count) is deliberately
   /// not part of the key — every strategy produces the identical multiset.
-  static std::string KeyFor(const EncodedRelation& encoded,
+  /// The fingerprint is always the first 16 hex characters of the key —
+  /// EraseFingerprint and MaintainAppend select entries by that prefix.
+  static std::string KeyFor(uint64_t fingerprint,
                             const std::vector<EvidenceColumn>& columns);
-
-  /// Same key with a precomputed fingerprint. The fingerprint is always the
-  /// first 16 hex characters of the key — EraseFingerprint and
-  /// MaintainAppend select entries by that prefix.
-  static std::string KeyForFingerprint(
-      uint64_t fingerprint, const std::vector<EvidenceColumn>& columns);
 
   std::shared_ptr<const EvidenceSet> Lookup(const std::string& key);
 
@@ -74,16 +70,19 @@ class EvidenceCache {
       const std::string& key, std::shared_ptr<const EvidenceSet> set,
       std::vector<EvidenceColumn> config = {}, int num_rows = 0);
 
-  /// Advances every maintainable entry of the pre-append encoding to the
+  /// Advances every maintainable entry of the pre-append relation to the
   /// appended one: builds the new-pair delta per stored config
-  /// (BuildEvidenceDelta), merges it into the cached multiset, re-inserts
-  /// under the appended fingerprint, and finally drops everything still
-  /// keyed by the old fingerprint (including non-maintainable legacy
-  /// entries — stale sets must not survive under a dead key). Bit-identical
-  /// to evicting and cold-rebuilding, at new-pairs cost.
+  /// (BuildEvidenceDelta over `encoded`, the appended encoding), merges it
+  /// into the cached multiset, re-inserts under `new_fingerprint`, and
+  /// finally drops everything still keyed by `old_fingerprint` (including
+  /// non-maintainable entries — stale sets must not survive under a dead
+  /// key). The fingerprints are the relation's before and after the append
+  /// (PliCache::fingerprint read around its MaintainAppend), so no pass
+  /// over the data is spent on them. Bit-identical to evicting and
+  /// cold-rebuilding, at new-pairs cost.
   Status MaintainAppend(const EncodedRelation& encoded,
-                        uint64_t old_fingerprint, int old_rows,
-                        const EvidenceOptions& options);
+                        uint64_t old_fingerprint, uint64_t new_fingerprint,
+                        int old_rows, const EvidenceOptions& options);
 
   /// Drops every entry keyed by `fingerprint` (the 16-hex key prefix).
   /// DiscoveryEngine's forget paths call this so a forgotten relation's
@@ -119,10 +118,12 @@ class EvidenceCache {
 
 /// The consumer-facing entry point: serves the evidence set from `cache`
 /// when one is attached (building and inserting on a miss), or builds
-/// directly when `cache` is null. Only all-pairs builds are cacheable;
-/// explicit pair lists (FASTDC sampling) bypass the cache.
+/// directly when `cache` is null. `fingerprint` is the RelationFingerprint
+/// of the relation `encoded` was built from (unread when `cache` is null).
+/// Only all-pairs builds are cacheable; explicit pair lists (FASTDC
+/// sampling) bypass the cache.
 Result<std::shared_ptr<const EvidenceSet>> GetOrBuildEvidence(
-    EvidenceCache* cache, const EncodedRelation& encoded,
+    EvidenceCache* cache, const EncodedRelation& encoded, uint64_t fingerprint,
     const std::vector<EvidenceColumn>& columns,
     const EvidenceOptions& options);
 

@@ -35,11 +35,12 @@ Status BuildDeltaIndexOoc(const ShardedEncodedRelation& sharded, int col,
 
 }  // namespace
 
-PliCache::PliCache(const Relation& relation, Options options)
+PliCache::PliCache(const Relation& relation, Options options,
+                   uint64_t fingerprint)
     : relation_(&relation),
       num_rows_(relation.num_rows()),
       num_columns_(relation.num_columns()),
-      fingerprint_(RelationFingerprint(relation)),
+      fingerprint_(fingerprint),
       options_(options),
       encoded_(std::make_shared<const EncodedRelation>(relation)) {}
 

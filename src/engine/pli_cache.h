@@ -72,7 +72,13 @@ class PliCache {
   /// The cache keeps a reference to `relation`; the caller must keep the
   /// relation alive for the cache's lifetime (DiscoveryEngine does).
   explicit PliCache(const Relation& relation) : PliCache(relation, Options()) {}
-  PliCache(const Relation& relation, Options options);
+  PliCache(const Relation& relation, Options options)
+      : PliCache(relation, options, RelationFingerprint(relation)) {}
+  /// With the relation's fingerprint already at hand (it must equal
+  /// RelationFingerprint(relation)): DiscoveryEngine::CacheFor hashes the
+  /// relation for its stale-address check and hands the value over, so a
+  /// new store costs no second pass over the cells.
+  PliCache(const Relation& relation, Options options, uint64_t fingerprint);
 
   /// Out-of-core backend: serves the same Get contract from a
   /// ShardedEncodedRelation without any materialized Relation. The

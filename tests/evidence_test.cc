@@ -3,7 +3,9 @@
 // to the 63-attribute boundary), the tiled, pruned, parallel and pair-list
 // builds must all produce the evidence multiset a naive Value-based double
 // loop produces — same words, same counts, same per-word distance
-// aggregates, bit for bit. Plus EvidenceCache hit/eviction behavior.
+// aggregates, bit for bit. Plus EvidenceCache hit/eviction behavior, and
+// engine-served evidence matching a fresh engine's on relations that share
+// a code matrix but not their values.
 
 #include <gtest/gtest.h>
 
@@ -12,11 +14,15 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
 #include "common/rng.h"
 #include "common/thread_pool.h"
+#include "discovery/fastdc.h"
+#include "discovery/md_discovery.h"
+#include "engine/engine.h"
 #include "engine/evidence.h"
 #include "engine/evidence_cache.h"
 #include "engine/pli_cache.h"
@@ -377,6 +383,7 @@ TEST(EvidencePropertyTest, WideRelationUsesSparsePathCorrectly) {
 TEST(EvidenceCacheTest, HitsMissesAndSharedEntries) {
   Relation r = MakeMixedRandomRelation(99, 40, 3, 4);
   EncodedRelation enc(r);
+  const uint64_t fp = RelationFingerprint(r);
   std::vector<EvidenceColumn> config;
   for (int c = 0; c < 3; ++c) {
     EvidenceColumn col;
@@ -384,17 +391,17 @@ TEST(EvidenceCacheTest, HitsMissesAndSharedEntries) {
     config.push_back(col);
   }
   EvidenceCache cache;
-  auto first = GetOrBuildEvidence(&cache, enc, config, {});
+  auto first = GetOrBuildEvidence(&cache, enc, fp, config, {});
   ASSERT_TRUE(first.ok());
   EXPECT_EQ(cache.stats().misses, 1);
   EXPECT_EQ(cache.stats().hits, 0);
-  auto second = GetOrBuildEvidence(&cache, enc, config, {});
+  auto second = GetOrBuildEvidence(&cache, enc, fp, config, {});
   ASSERT_TRUE(second.ok());
   EXPECT_EQ(cache.stats().hits, 1);
   EXPECT_EQ(first.value().get(), second.value().get());  // same object
   // A different config is a different entry.
   config.pop_back();
-  auto third = GetOrBuildEvidence(&cache, enc, config, {});
+  auto third = GetOrBuildEvidence(&cache, enc, fp, config, {});
   ASSERT_TRUE(third.ok());
   EXPECT_EQ(cache.stats().misses, 2);
   EXPECT_NE(first.value().get(), third.value().get());
@@ -404,35 +411,63 @@ TEST(EvidenceCacheTest, KeySensitivity) {
   Relation r1 = MakeMixedRandomRelation(7, 20, 2, 3);
   Relation r2 = r1;
   r2.Set(3, 1, Value("changed"));
-  EncodedRelation e1(r1), e2(r2);
   std::vector<EvidenceColumn> config(1);
   config[0].attr = 0;
-  EXPECT_NE(EvidenceCache::KeyFor(e1, config),
-            EvidenceCache::KeyFor(e2, config));
-  EXPECT_EQ(EvidenceCache::KeyFor(e1, config),
-            EvidenceCache::KeyFor(EncodedRelation(r1), config));
+  const uint64_t fp1 = RelationFingerprint(r1);
+  EXPECT_NE(EvidenceCache::KeyFor(fp1, config),
+            EvidenceCache::KeyFor(RelationFingerprint(r2), config));
+  Relation copy = r1;
+  EXPECT_EQ(EvidenceCache::KeyFor(fp1, config),
+            EvidenceCache::KeyFor(RelationFingerprint(copy), config));
+  // Same code matrix, different values: both columns encode to codes
+  // 0, 1, 2 in row order, but the second relation's order and distances
+  // differ, so its evidence differs and its key must too.
+  Relation up = RelationBuilder({"a", "b"})
+                    .AddRow({Value(int64_t{1}), Value(int64_t{10})})
+                    .AddRow({Value(int64_t{2}), Value(int64_t{20})})
+                    .AddRow({Value(int64_t{3}), Value(int64_t{30})})
+                    .Build()
+                    .value();
+  Relation down = RelationBuilder({"a", "b"})
+                      .AddRow({Value(int64_t{1}), Value(int64_t{30})})
+                      .AddRow({Value(int64_t{2}), Value(int64_t{20})})
+                      .AddRow({Value(int64_t{3}), Value(int64_t{10})})
+                      .Build()
+                      .value();
+  EncodedRelation eu(up), ed(down);
+  for (int c = 0; c < 2; ++c) {
+    ASSERT_EQ(eu.codes(c), ed.codes(c)) << "column " << c;
+  }
+  std::vector<EvidenceColumn> order(2);
+  for (int c = 0; c < 2; ++c) {
+    order[c].attr = c;
+    order[c].cmp = EvidenceColumn::Cmp::kOrder;
+  }
+  EXPECT_NE(EvidenceCache::KeyFor(RelationFingerprint(up), order),
+            EvidenceCache::KeyFor(RelationFingerprint(down), order));
   // Distance config is part of the key down to threshold bit patterns.
   std::vector<EvidenceColumn> with_metric = config;
   with_metric[0].metric = GetEditDistanceMetric();
   with_metric[0].thresholds = {1.0};
-  EXPECT_NE(EvidenceCache::KeyFor(e1, config),
-            EvidenceCache::KeyFor(e1, with_metric));
+  EXPECT_NE(EvidenceCache::KeyFor(fp1, config),
+            EvidenceCache::KeyFor(fp1, with_metric));
   std::vector<EvidenceColumn> other_threshold = with_metric;
   other_threshold[0].thresholds = {2.0};
-  EXPECT_NE(EvidenceCache::KeyFor(e1, with_metric),
-            EvidenceCache::KeyFor(e1, other_threshold));
+  EXPECT_NE(EvidenceCache::KeyFor(fp1, with_metric),
+            EvidenceCache::KeyFor(fp1, other_threshold));
 }
 
 TEST(EvidenceCacheTest, EvictsLeastRecentlyUsedOverBudget) {
   Relation r = MakeMixedRandomRelation(11, 30, 4, 5);
   EncodedRelation enc(r);
+  const uint64_t fp = RelationFingerprint(r);
   EvidenceCache::Options tiny;
   tiny.max_bytes = 1;  // any second entry forces an eviction
   EvidenceCache cache(tiny);
   for (int c = 0; c < 3; ++c) {
     std::vector<EvidenceColumn> config(1);
     config[0].attr = c;
-    ASSERT_TRUE(GetOrBuildEvidence(&cache, enc, config, {}).ok());
+    ASSERT_TRUE(GetOrBuildEvidence(&cache, enc, fp, config, {}).ok());
   }
   EvidenceCache::Stats stats = cache.stats();
   EXPECT_EQ(stats.misses, 3);
@@ -440,11 +475,95 @@ TEST(EvidenceCacheTest, EvictsLeastRecentlyUsedOverBudget) {
   // The most recent entry survives; older ones rebuild as misses.
   std::vector<EvidenceColumn> config(1);
   config[0].attr = 2;
-  ASSERT_TRUE(GetOrBuildEvidence(&cache, enc, config, {}).ok());
+  ASSERT_TRUE(GetOrBuildEvidence(&cache, enc, fp, config, {}).ok());
   EXPECT_EQ(cache.stats().hits, 1);
   config[0].attr = 0;
-  ASSERT_TRUE(GetOrBuildEvidence(&cache, enc, config, {}).ok());
+  ASSERT_TRUE(GetOrBuildEvidence(&cache, enc, fp, config, {}).ok());
   EXPECT_EQ(cache.stats().misses, 4);
+}
+
+// The engine-wide store must serve a relation exactly what a fresh engine
+// computes for it, however many relations it served before. Each pair
+// below has one code matrix and different values, so a store keyed by the
+// codes alone would hand the second relation the first one's evidence.
+
+std::vector<std::string> DcTexts(const std::vector<DiscoveredDc>& dcs) {
+  std::vector<std::string> out;
+  for (const DiscoveredDc& d : dcs) out.push_back(d.dc.ToString());
+  return out;
+}
+
+std::vector<std::tuple<std::string, double, double>> MdTexts(
+    const std::vector<DiscoveredMd>& mds) {
+  std::vector<std::tuple<std::string, double, double>> out;
+  for (const DiscoveredMd& m : mds) {
+    out.emplace_back(m.md.ToString(), m.support, m.confidence);
+  }
+  return out;
+}
+
+TEST(EvidenceServedTest, FastDcOnSameCodesDifferentOrderMatchesFresh) {
+  Relation up = RelationBuilder({"a", "b"})
+                    .AddRow({Value(int64_t{1}), Value(int64_t{10})})
+                    .AddRow({Value(int64_t{2}), Value(int64_t{20})})
+                    .AddRow({Value(int64_t{3}), Value(int64_t{30})})
+                    .Build()
+                    .value();
+  Relation down = RelationBuilder({"a", "b"})
+                      .AddRow({Value(int64_t{1}), Value(int64_t{30})})
+                      .AddRow({Value(int64_t{2}), Value(int64_t{20})})
+                      .AddRow({Value(int64_t{3}), Value(int64_t{10})})
+                      .Build()
+                      .value();
+  DiscoveryEngine shared;
+  auto first = shared.FastDc(up);
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+  auto served = shared.FastDc(down);
+  ASSERT_TRUE(served.ok()) << served.status().ToString();
+  DiscoveryEngine fresh;
+  auto cold = fresh.FastDc(down);
+  ASSERT_TRUE(cold.ok()) << cold.status().ToString();
+  EXPECT_EQ(DcTexts(*served), DcTexts(*cold));
+  EXPECT_NE(DcTexts(*served), DcTexts(*first));
+  // Each relation built its own entry.
+  EXPECT_EQ(shared.EvidenceStats().hits, 0);
+  EXPECT_EQ(shared.EvidenceStats().misses, 2);
+}
+
+TEST(EvidenceServedTest, MdsOnSameCodesDifferentStringsMatchFresh) {
+  auto names = [](const std::string& second) {
+    return RelationBuilder({"name", "city"})
+        .AddRow({Value("smith"), Value("paris")})
+        .AddRow({Value(second), Value("paris")})
+        .AddRow({Value("jones"), Value("rome")})
+        .AddRow({Value("jones"), Value("rome")})
+        .Build()
+        .value();
+  };
+  Relation near = names("smyth");
+  Relation far = names("zzzzz");
+  EncodedRelation en(near), ef(far);
+  ASSERT_EQ(en.codes(0), ef.codes(0));
+  ASSERT_EQ(en.codes(1), ef.codes(1));
+  MdDiscoveryOptions options;
+  options.min_support = 0;
+  options.min_confidence = 0;
+  DiscoveryEngine shared;
+  auto first = shared.Mds(near, AttrSet::Single(1), options);
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+  auto served = shared.Mds(far, AttrSet::Single(1), options);
+  ASSERT_TRUE(served.ok()) << served.status().ToString();
+  DiscoveryEngine fresh;
+  auto cold = fresh.Mds(far, AttrSet::Single(1), options);
+  ASSERT_TRUE(cold.ok()) << cold.status().ToString();
+  EXPECT_EQ(MdTexts(*served), MdTexts(*cold));
+  EXPECT_NE(MdTexts(*served), MdTexts(*first));
+  EXPECT_EQ(shared.EvidenceStats().hits, 0);
+  // The same relation again is a hit.
+  auto again = shared.Mds(far, AttrSet::Single(1), options);
+  ASSERT_TRUE(again.ok());
+  EXPECT_EQ(MdTexts(*again), MdTexts(*cold));
+  EXPECT_EQ(shared.EvidenceStats().hits, 1);
 }
 
 }  // namespace

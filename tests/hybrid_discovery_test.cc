@@ -170,14 +170,13 @@ TEST(HybridFdDifferentialTest, ThreadCountsProduceIdenticalCovers) {
     for (int threads : {1, 2, 8}) {
       EngineOptions engine_options;
       engine_options.num_threads = threads;
-      engine_options.use_hybrid = true;
       DiscoveryEngine engine(engine_options);
-      auto fds = engine.Fds(r);
+      auto fds = engine.HybridFds(r);
       ASSERT_TRUE(fds.ok()) << fds.status().ToString();
       per_threads.push_back(std::move(*fds));
     }
     // Bit-identical across thread counts — exact list equality, not just
-    // set equality, because Fds is canonically ordered.
+    // set equality, because the hybrid's output is canonically ordered.
     for (size_t i = 1; i < per_threads.size(); ++i) {
       ASSERT_EQ(per_threads[i].size(), per_threads[0].size())
           << "seed " << seed;
@@ -187,11 +186,11 @@ TEST(HybridFdDifferentialTest, ThreadCountsProduceIdenticalCovers) {
         EXPECT_EQ(per_threads[i][k].error, per_threads[0][k].error);
       }
     }
-    // And identical to the lattice route of the same facade.
+    // And identical to the lattice driver of the same engine type.
     EngineOptions lattice_options;
     lattice_options.num_threads = 2;
     DiscoveryEngine lattice(lattice_options);
-    auto via_tane = lattice.Fds(r);
+    auto via_tane = lattice.Tane(r);
     ASSERT_TRUE(via_tane.ok());
     EXPECT_EQ(Canon(per_threads[0]), Canon(*via_tane)) << "seed " << seed;
     // A serial, cache-free, pool-free run closes the matrix.

@@ -406,19 +406,21 @@ TEST(IncrementalEngineTest, AppendRowsMaintainsEvidenceEntries) {
     }
     EvidenceOptions ev;
     ev.pool = &engine.pool();
-    auto warm = GetOrBuildEvidence(&engine.evidence_cache(),
-                                   (*cache)->encoded(), config, ev);
+    auto warm =
+        GetOrBuildEvidence(&engine.evidence_cache(), (*cache)->encoded(),
+                           (*cache)->fingerprint(), config, ev);
     ASSERT_TRUE(warm.ok());
 
     ASSERT_TRUE(engine.AppendRows(r, delta).ok());
 
     // The maintained entry must be served as a *hit* under the appended
-    // encoding's key, bit-identical to a cold build.
+    // relation's key, bit-identical to a cold build.
     int64_t hits_before = engine.EvidenceStats().hits;
     auto cache2 = engine.CacheFor(r);
     ASSERT_TRUE(cache2.ok());
-    auto maintained = GetOrBuildEvidence(&engine.evidence_cache(),
-                                         (*cache2)->encoded(), config, ev);
+    auto maintained =
+        GetOrBuildEvidence(&engine.evidence_cache(), (*cache2)->encoded(),
+                           (*cache2)->fingerprint(), config, ev);
     ASSERT_TRUE(maintained.ok());
     EXPECT_EQ(engine.EvidenceStats().hits, hits_before + 1)
         << "threads " << threads;
@@ -1062,13 +1064,14 @@ TEST(IncrementalEngineTest, ForgetRelationDropsEvidenceEntries) {
     col.cmp = EvidenceColumn::Cmp::kEquality;
     config.push_back(col);
   }
-  auto built = GetOrBuildEvidence(&engine.evidence_cache(),
-                                  (*cache)->encoded(), config, {});
+  auto built =
+      GetOrBuildEvidence(&engine.evidence_cache(), (*cache)->encoded(),
+                         (*cache)->fingerprint(), config, {});
   ASSERT_TRUE(built.ok());
   ASSERT_GT(engine.EvidenceStats().bytes, size_t{0});
 
   // Regression: forgetting the relation must also drop its evidence
-  // entries — they used to linger keyed by the dead encoding fingerprint.
+  // entries — they used to linger keyed by the dead fingerprint.
   engine.ForgetRelation(r);
   EXPECT_EQ(engine.EvidenceStats().bytes, size_t{0});
 }

@@ -771,12 +771,14 @@ TEST(OomFaultTest, EvidenceCacheNotMutatedByFailedBuild) {
   RunContext::BeginRun(&ctx, "test");
   EvidenceOptions eopts;
   eopts.context = &ctx;
-  auto failed = GetOrBuildEvidence(&cache, encoded, config, eopts);
+  auto failed = GetOrBuildEvidence(&cache, encoded, RelationFingerprint(r),
+                                   config, eopts);
   ASSERT_FALSE(failed.ok());
   EXPECT_EQ(failed.status().code(), StatusCode::kResourceExhausted);
   EXPECT_EQ(cache.stats().bytes, 0u) << "failed build was published";
   // The next unlimited call builds and caches the multiset.
-  auto ok = GetOrBuildEvidence(&cache, encoded, config, EvidenceOptions{});
+  auto ok = GetOrBuildEvidence(&cache, encoded, RelationFingerprint(r), config,
+                               EvidenceOptions{});
   ASSERT_TRUE(ok.ok());
   EXPECT_GT(cache.stats().bytes, 0u);
 }
