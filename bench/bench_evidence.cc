@@ -1,0 +1,246 @@
+// Evidence-kernel timing on the two pairwise-rules inputs, at one thread:
+//
+//   bookings  2000 rows x 4 numeric columns, every column an order facet
+//             (FastDC's exact config): BuildEvidence over 2.0M pairs.
+//   hotels    750 rows x 5 columns, the Mds config (edit/abs-diff buckets
+//             on name, address, star, price; region an equality facet):
+//             the bucket-table fill (PairComparator::Make) against the
+//             whole BuildEvidence, so walk = build - fill.
+//   pairs     1M random ordered pairs over bookings, as FastDC's sampled
+//             path draws them: BuildEvidenceForPairs, almost every strip
+//             a single pair.
+//
+// The relations are generated as perfbench's pairwise-rules workload does
+// at seed 1. Each timing is the median (with quartiles) of 25 runs. Exits
+// nonzero when a built multiset differs from a fold of the one-pair
+// PairComparator::Word over every pair.
+//
+//   build/bench/bench_evidence
+
+#include <algorithm>
+#include <chrono>
+#include <cstdint>
+#include <cstdio>
+#include <map>
+#include <memory>
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "engine/evidence.h"
+#include "metric/metric.h"
+#include "relation/encoded_relation.h"
+#include "relation/relation.h"
+
+namespace famtree {
+namespace {
+
+constexpr int kRuns = 25;
+
+uint64_t SplitMix(uint64_t* state) {
+  uint64_t z = (*state += 0x9E3779B97F4A7C15ull);
+  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
+  z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
+  return z ^ (z >> 31);
+}
+
+uint64_t Mix(uint64_t row, uint64_t salt) {
+  uint64_t state = row * 0x2545F4914F6CDD1Dull + salt;
+  return SplitMix(&state);
+}
+
+std::vector<int> Permutation(int n, uint64_t* state) {
+  std::vector<int> perm(n);
+  for (int i = 0; i < n; ++i) perm[i] = i;
+  for (int i = n - 1; i > 0; --i) {
+    std::swap(perm[i], perm[SplitMix(state) % (static_cast<uint64_t>(i) + 1)]);
+  }
+  return perm;
+}
+
+Relation MakeBookings(int rows, uint64_t seed) {
+  uint64_t state = seed;
+  std::vector<int> order = Permutation(rows, &state);
+  int64_t offset[4];
+  for (int64_t& o : offset) o = static_cast<int64_t>(SplitMix(&state) % 10000);
+  RelationBuilder b({"nights", "rate", "subtotal", "taxes"});
+  for (int i = 0; i < rows; ++i) {
+    uint64_t r = static_cast<uint64_t>(order[i]);
+    int64_t nights = 1 + static_cast<int64_t>(Mix(r, 1) % 30);
+    int64_t rate = 200 - 3 * nights + static_cast<int64_t>(Mix(r, 2) % 3);
+    int64_t subtotal = nights * rate;
+    b.AddRow({Value(nights + offset[0]), Value(rate + offset[1]),
+              Value(subtotal + offset[2]), Value(subtotal / 5 + offset[3])});
+  }
+  return std::move(b.Build()).value();
+}
+
+std::string Syllables(uint64_t h) {
+  static const char* kSyllables[] = {"ka", "lo", "mi", "ne", "ru", "sa",
+                                     "ti", "vo", "be", "da", "go", "pu",
+                                     "ze", "fi", "ho", "ja"};
+  std::string w;
+  int n = 2 + static_cast<int>(h % 2);
+  for (int i = 0; i < n; ++i) {
+    h /= 16;
+    w += kSyllables[h % 16];
+  }
+  w[0] = static_cast<char>(w[0] - 'a' + 'A');
+  return w;
+}
+
+/// Hotels rendered three times each, with abbreviations and one-letter
+/// typos (the edit distances matter, the letters do not).
+Relation MakeHotels(int hotels, uint64_t seed) {
+  uint64_t state = seed ^ 0x5bd1e995ull;
+  const int rows = hotels * 3;
+  std::vector<int> order = Permutation(rows, &state);
+  RelationBuilder b({"name", "address", "region", "star", "price"});
+  for (int i = 0; i < rows; ++i) {
+    uint64_t r = static_cast<uint64_t>(order[i]);
+    uint64_t h = r / 3;
+    std::string name = Syllables(Mix(h, 1)) + " " + Syllables(Mix(h, 2));
+    if (Mix(r, 7) % 20 == 0) name[1] = name[1] == 'x' ? 'q' : 'x';
+    std::string street = Mix(r, 6) % 10 < 3 ? " St" : " Street";
+    std::string address = std::to_string(1 + Mix(h, 3) % 900) + " " +
+                          Syllables(Mix(h, 4)) + street;
+    std::string region = Syllables(Mix(h % 40, 5));
+    if (Mix(r, 10) % 25 == 0) region.back() = region.back() == 'x' ? 'q' : 'x';
+    int64_t star = 1 + static_cast<int64_t>(Mix(h, 8) % 5);
+    int64_t price = 50 + 20 * star + static_cast<int64_t>(Mix(h, 9) % 30);
+    b.AddRow({Value(name), Value(address), Value(region), Value(star),
+              Value(price)});
+  }
+  return std::move(b.Build()).value();
+}
+
+struct Quartiles {
+  double q1, median, q3;
+};
+
+template <typename F>
+Quartiles TimeMs(F&& run) {
+  std::vector<double> ms;
+  for (int r = 0; r < kRuns; ++r) {
+    auto t0 = std::chrono::steady_clock::now();
+    run();
+    ms.push_back(std::chrono::duration<double, std::milli>(
+                     std::chrono::steady_clock::now() - t0)
+                     .count());
+  }
+  std::sort(ms.begin(), ms.end());
+  return {ms[kRuns / 4], ms[kRuns / 2], ms[3 * kRuns / 4]};
+}
+
+/// The multiset as a fold of one-pair words over every unordered pair.
+std::map<uint64_t, int64_t> PairFold(const EncodedRelation& enc,
+                                     const std::vector<EvidenceColumn>& cfg) {
+  std::unique_ptr<PairComparator> pc =
+      PairComparator::Make(enc, cfg, nullptr).value();
+  std::map<uint64_t, int64_t> out;
+  for (int i = 0; i < enc.num_rows(); ++i) {
+    for (int j = i + 1; j < enc.num_rows(); ++j) ++out[pc->Word(i, j)];
+  }
+  return out;
+}
+
+std::map<uint64_t, int64_t> PairListFold(
+    const EncodedRelation& enc, const std::vector<EvidenceColumn>& cfg,
+    const std::vector<std::pair<int, int>>& pairs) {
+  std::unique_ptr<PairComparator> pc =
+      PairComparator::Make(enc, cfg, nullptr).value();
+  std::map<uint64_t, int64_t> out;
+  for (const auto& [i, j] : pairs) ++out[pc->Word(i, j)];
+  return out;
+}
+
+bool SameMultiset(const EvidenceSet& set,
+                  const std::map<uint64_t, int64_t>& expected) {
+  if (set.words().size() != expected.size()) return false;
+  size_t k = 0;
+  for (const auto& [bits, count] : expected) {
+    if (set.words()[k].bits != bits || set.words()[k].count != count) {
+      return false;
+    }
+    ++k;
+  }
+  return true;
+}
+
+void Print(const char* label, const Quartiles& q) {
+  std::printf("%-34s %8.2f %8.2f %8.2f\n", label, q.q1, q.median, q.q3);
+}
+
+int Main() {
+  Relation bookings = MakeBookings(2000, 1);
+  EncodedRelation benc(bookings);
+  std::vector<EvidenceColumn> bcfg(4);
+  for (int c = 0; c < 4; ++c) {
+    bcfg[c].attr = c;
+    bcfg[c].cmp = EvidenceColumn::Cmp::kOrder;
+  }
+
+  Relation hotels = MakeHotels(250, 1);
+  EncodedRelation henc(hotels);
+  std::vector<EvidenceColumn> hcfg;
+  const std::vector<double> kString = {0, 1, 2, 3}, kNumeric = {0, 1, 5};
+  for (int a : {0, 1, 3, 4}) {
+    EvidenceColumn col;
+    col.attr = a;
+    col.cmp = EvidenceColumn::Cmp::kNone;
+    col.metric = DefaultMetricFor(hotels.schema().column(a).type);
+    col.thresholds = a <= 1 ? kString : kNumeric;
+    hcfg.push_back(std::move(col));
+  }
+  EvidenceColumn region;
+  region.attr = 2;
+  hcfg.push_back(region);
+
+  std::vector<std::pair<int, int>> pairs;
+  uint64_t state = 7;
+  const int n = bookings.num_rows();
+  while (pairs.size() < 1000000) {
+    int i = static_cast<int>(SplitMix(&state) % n);
+    int j = static_cast<int>(SplitMix(&state) % n);
+    if (i != j) pairs.push_back({i, j});
+  }
+
+  std::shared_ptr<const EvidenceSet> bset, hset, pset;
+  Quartiles build_b = TimeMs([&] { bset = BuildEvidence(benc, bcfg, {}).value(); });
+  Quartiles build_p = TimeMs(
+      [&] { pset = BuildEvidenceForPairs(benc, bcfg, pairs, {}).value(); });
+  Quartiles fill_h = TimeMs([&] {
+    std::unique_ptr<PairComparator> pc =
+        PairComparator::Make(henc, hcfg, nullptr).value();
+  });
+  Quartiles build_h = TimeMs([&] { hset = BuildEvidence(henc, hcfg, {}).value(); });
+
+  std::printf("# 1 thread, %d runs each; ms q1 / median / q3\n", kRuns);
+  std::printf("bookings: %d rows, %lld pairs, %zu distinct words\n",
+              bookings.num_rows(),
+              static_cast<long long>(bset->total_pairs()),
+              bset->words().size());
+  Print("  BuildEvidence", build_b);
+  std::printf("bookings random pairs: %zu pairs, %zu distinct words\n",
+              pairs.size(), pset->words().size());
+  Print("  BuildEvidenceForPairs", build_p);
+  std::printf("hotels: %d rows, %lld pairs, %zu distinct words\n",
+              hotels.num_rows(), static_cast<long long>(hset->total_pairs()),
+              hset->words().size());
+  Print("  bucket fill (PairComparator::Make)", fill_h);
+  Print("  BuildEvidence (fill + walk)", build_h);
+  std::printf("  walk (median build - median fill) %8.2f\n",
+              build_h.median - fill_h.median);
+
+  bool ok = SameMultiset(*bset, PairFold(benc, bcfg)) &&
+            SameMultiset(*pset, PairListFold(benc, bcfg, pairs)) &&
+            SameMultiset(*hset, PairFold(henc, hcfg));
+  std::printf("multisets equal the one-pair Word fold: %s\n",
+              ok ? "yes" : "NO");
+  return ok ? 0 : 1;
+}
+
+}  // namespace
+}  // namespace famtree
+
+int main() { return famtree::Main(); }

@@ -86,6 +86,23 @@ if [ -n "$FLAG_HITS" ]; then
   exit 1
 fi
 
+echo "=== [0/5] lint: the comparison word is packed in one place ==="
+# PairComparator's strip kernel (src/engine/evidence.cc) is the only code
+# that packs facets into the comparison word; Word is its one-partner
+# strip. A second packing loop elsewhere (a detector- or dedup-local strip)
+# would duplicate the layout and drift from it. Consumers read words
+# through the layout's masks (cmp_mask / bucket_mask, EvidenceSet::CmpOf).
+# Comment-only lines are ignored.
+PACK_HITS="$(grep -rnE '[|]=.*<<.*(cmp_shift|bucket_shift)' src \
+  | grep -vE '^src/engine/evidence\.cc:' \
+  | grep -vE ':[0-9]+:[[:space:]]*(//|\*)' || true)"
+if [ -n "$PACK_HITS" ]; then
+  echo "lint: comparison-word packing outside src/engine/evidence.cc;" >&2
+  echo "compute words with PairComparator::Strip / Word instead:" >&2
+  echo "$PACK_HITS" >&2
+  exit 1
+fi
+
 echo "=== [1/5] Release: ctest -L tier1 ==="
 run cmake -B "$PREFIX" >/dev/null
 run cmake --build "$PREFIX" -j "$JOBS"

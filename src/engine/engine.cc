@@ -11,9 +11,10 @@ DiscoveryEngine::DiscoveryEngine(EngineOptions options)
 
 Result<PliCache*> DiscoveryEngine::CacheFor(const Relation& relation) {
   // Fingerprint outside the lock: it folds only the rows past the
-  // relation's fingerprint chain — O(schema) for a relation grown through
-  // AppendRows, one pass over every cell for one that never was — and it
-  // must not serialize other lookups. A new store takes it as is.
+  // relation's fingerprint chain — O(schema) for a relation built by
+  // RelationBuilder / ReadCsvString or grown through AppendRows, one pass
+  // over the unfolded rows otherwise (say, after a Set) — and it must not
+  // serialize other lookups. A new store takes it as is.
   uint64_t fp = RelationFingerprint(relation);
   std::lock_guard<std::mutex> lock(mu_);
   std::unique_ptr<PliCache>& slot = caches_[&relation];

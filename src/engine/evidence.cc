@@ -45,21 +45,26 @@ class Accumulator {
     }
   }
 
-  void Add(uint64_t w, const double* td) {
-    if (dense_) {
-      ++counts_[w];
-      if (tracked_ > 0) Fold(&aggs_[w * tracked_], td);
+  /// Adds a strip of `count` words; `td` holds their tracked distances in
+  /// the kernel's per-slot layout (td[slot * count + k]).
+  void AddStrip(const uint64_t* words, const double* td, int count) {
+    if (tracked_ == 0 && dense_) {
+      for (int k = 0; k < count; ++k) ++counts_[words[k]];
       return;
     }
-    auto [it, inserted] = index_.try_emplace(w, counts_.size());
-    if (inserted) {
-      counts_.push_back(0);
-      for (int t = 0; t < tracked_; ++t) {
-        aggs_.push_back(EvidenceSet::Aggregate{});
+    for (int k = 0; k < count; ++k) {
+      size_t slot = words[k];
+      if (!dense_) {
+        auto [it, inserted] = index_.try_emplace(words[k], counts_.size());
+        if (inserted) {
+          counts_.push_back(0);
+          aggs_.resize(aggs_.size() + tracked_);
+        }
+        slot = it->second;
       }
+      ++counts_[slot];
+      if (tracked_ > 0) Fold(&aggs_[slot * tracked_], td + k, count);
     }
-    ++counts_[it->second];
-    if (tracked_ > 0) Fold(&aggs_[it->second * tracked_], td);
   }
 
   /// Merges this chunk into the global word map.
@@ -97,9 +102,9 @@ class Accumulator {
   }
 
  private:
-  void Fold(EvidenceSet::Aggregate* a, const double* td) {
+  void Fold(EvidenceSet::Aggregate* a, const double* td, int stride) {
     for (int t = 0; t < tracked_; ++t) {
-      double d = td[t];
+      double d = td[t * stride];
       // Mirrors the row-pair scan folds exactly: std::max never replaces the
       // accumulator with NaN, +inf is sticky, and max_finite only sees
       // finite distances.
@@ -167,7 +172,11 @@ Result<std::unique_ptr<PairComparator>> PairComparator::Make(
     } else if (spec.cmp == EvidenceColumn::Cmp::kOrder) {
       col.cmp_shift = lay.cmp_shift = shift;
       shift += 2;
-      col.ranks = CodeRanks(encoded, spec.attr);
+      std::vector<uint32_t> ranks = CodeRanks(encoded, spec.attr);
+      col.row_ranks.resize(encoded.num_rows());
+      for (int r = 0; r < encoded.num_rows(); ++r) {
+        col.row_ranks[r] = ranks[col.codes[r]];
+      }
     }
     bool bucketed = spec.metric != nullptr && !spec.thresholds.empty();
     if (spec.track_max) {
@@ -204,38 +213,91 @@ Result<std::unique_ptr<PairComparator>> PairComparator::Make(
   return pc;
 }
 
-uint64_t PairComparator::Word(int i, int j, double* tracked_dists) const {
-  uint64_t w = base_word_;
-  for (const Col& c : cols_) {
-    uint32_t ca = c.codes[i], cb = c.codes[j];
-    switch (c.cmp) {
-      case EvidenceColumn::Cmp::kEquality:
-        if (!c.const_unequal) {
-          w |= static_cast<uint64_t>(ca != cb) << c.cmp_shift;
+[[gnu::always_inline]] inline void PairComparator::Fill(
+    int i, int j0, const int* partners, int count, uint64_t* words,
+    double* tracked_dists) const {
+  uint32_t gathered[kStripRows];
+  uint8_t buckets[kStripRows];
+  double dists[kStripRows];
+  for (int k0 = 0; k0 < count; k0 += kStripRows) {
+    const int m = std::min(kStripRows, count - k0);
+    uint64_t* w = words + k0;
+    std::fill(w, w + m, base_word_);
+    // The partners' entries of one per-row array: a slice of it, or
+    // gathered from the partner list.
+    auto partner_values = [&](const uint32_t* per_row) -> const uint32_t* {
+      if (partners == nullptr) return per_row + j0 + k0;
+      for (int k = 0; k < m; ++k) gathered[k] = per_row[partners[k0 + k]];
+      return gathered;
+    };
+    for (const Col& c : cols_) {
+      const uint32_t a = c.codes[i];
+      const uint32_t* b = nullptr;
+      if (c.cmp == EvidenceColumn::Cmp::kEquality && !c.const_unequal) {
+        b = partner_values(c.codes);
+        for (int k = 0; k < m; ++k) {
+          w[k] |= static_cast<uint64_t>(b[k] != a) << c.cmp_shift;
         }
-        break;
-      case EvidenceColumn::Cmp::kOrder:
-        if (ca != cb) {
-          w |= static_cast<uint64_t>(c.ranks[ca] < c.ranks[cb] ? 1 : 2)
-               << c.cmp_shift;
+      } else if (c.cmp == EvidenceColumn::Cmp::kOrder) {
+        // Distinct codes have distinct ranks: 0 equal, 1 less, 2 greater.
+        const uint32_t ra = c.row_ranks[i];
+        const uint32_t* rb = partner_values(c.row_ranks.data());
+        for (int k = 0; k < m; ++k) {
+          w[k] |= (static_cast<uint64_t>(ra < rb[k]) |
+                   static_cast<uint64_t>(ra > rb[k]) << 1)
+                  << c.cmp_shift;
         }
-        break;
-      case EvidenceColumn::Cmp::kNone:
-        break;
-    }
-    if (c.dist != nullptr) {
-      double d = c.dist->Distance(ca, cb);
-      if (!c.thresholds.empty()) {
-        w |= static_cast<uint64_t>(BucketFromDistance(d, c.thresholds))
-             << c.bucket_shift;
       }
-      if (c.track_slot >= 0 && tracked_dists != nullptr) {
-        tracked_dists[c.track_slot] = d;
+      double* d = c.track_slot >= 0 && tracked_dists != nullptr
+                      ? tracked_dists + c.track_slot * count + k0
+                      : nullptr;
+      if (c.dist != nullptr && (d != nullptr || !c.thresholds.empty())) {
+        if (b == nullptr) b = partner_values(c.codes);
+        if (d == nullptr) d = dists;
+        c.dist->Distances(a, b, m, d);
+        if (!c.thresholds.empty()) {
+          for (int k = 0; k < m; ++k) {
+            w[k] |= static_cast<uint64_t>(BucketFromDistance(d[k],
+                                                             c.thresholds))
+                    << c.bucket_shift;
+          }
+        }
+      } else if (c.bucket != nullptr) {
+        if (b == nullptr) b = partner_values(c.codes);
+        c.bucket->Buckets(a, b, m, buckets);
+        for (int k = 0; k < m; ++k) {
+          w[k] |= static_cast<uint64_t>(buckets[k]) << c.bucket_shift;
+        }
       }
-    } else if (c.bucket != nullptr) {
-      w |= static_cast<uint64_t>(c.bucket->Bucket(ca, cb)) << c.bucket_shift;
     }
   }
+}
+
+// The one-partner case gets its own inlined copy of the kernel: with
+// count fixed at 1 its block and column loops fold to straight-line code,
+// which one-partner strips (Word, two-row clusters, a delta's last
+// anchors) would otherwise pay loop setup for in every column.
+void PairComparator::Strip(int i, int j0, int count, uint64_t* words,
+                           double* tracked_dists) const {
+  if (count == 1) {
+    Fill(i, j0, nullptr, 1, words, tracked_dists);
+  } else {
+    Fill(i, j0, nullptr, count, words, tracked_dists);
+  }
+}
+
+void PairComparator::Strip(int i, const int* partners, int count,
+                           uint64_t* words, double* tracked_dists) const {
+  if (count == 1) {
+    Strip(i, partners[0], 1, words, tracked_dists);
+  } else {
+    Fill(i, 0, partners, count, words, tracked_dists);
+  }
+}
+
+uint64_t PairComparator::Word(int i, int j, double* tracked_dists) const {
+  uint64_t w = 0;
+  Strip(i, j, 1, &w, tracked_dists);
   return w;
 }
 
@@ -310,6 +372,21 @@ Clusters ClustersFromCodes(const EncodedRelation& encoded, int attr) {
   return out;
 }
 
+/// One chunk's strip output: the words of up to `strip` partners and, when
+/// the config tracks distances, their per-slot distances.
+class StripBuffers {
+ public:
+  StripBuffers(const PairComparator& pc, int strip)
+      : words_(strip), dists_(static_cast<size_t>(strip) * pc.num_tracked()) {}
+
+  uint64_t* words() { return words_.data(); }
+  double* dists() { return dists_.empty() ? nullptr : dists_.data(); }
+
+ private:
+  std::vector<uint64_t> words_;
+  std::vector<double> dists_;
+};
+
 }  // namespace
 
 /// Assembles EvidenceSets from the merged accumulators (friend of
@@ -346,7 +423,7 @@ class EvidenceBuilder {
     bool pruned = false;
     if (pairs != nullptr) {
       FAMTREE_RETURN_NOT_OK(
-          PairListWalk(*pc, *pairs, chunks, options, &accs));
+          PairListWalk(*pc, n, *pairs, chunks, options, &accs));
     } else if (options.prune_all_unequal && PruneEligible(columns)) {
       pruned = true;
       FAMTREE_RETURN_NOT_OK(PrunedWalk(*pc, encoded, columns, delta_from_row,
@@ -476,7 +553,7 @@ class EvidenceBuilder {
     int num_tiles = (n + tile - 1) / tile;
     return ParallelFor(options.pool, chunks, [&](int64_t chunk) {
       Accumulator& acc = (*accs)[chunk];
-      std::vector<double> td(std::max(1, pc.num_tracked()));
+      StripBuffers buf(pc, tile);
       for (int ti = static_cast<int>(chunk); ti < num_tiles; ti += chunks) {
         FAMTREE_RETURN_NOT_OK(
             RunContext::FaultPoint(options.context, "evidence_tile"));
@@ -485,10 +562,12 @@ class EvidenceBuilder {
           FAMTREE_RETURN_NOT_OK(RunContext::Poll(options.context));
           int j0 = tj * tile, j1 = std::min(n, j0 + tile);
           if (j1 <= old_rows) continue;  // delta mode: j must be appended
+          // One strip per anchor: its partners in this tile.
           for (int i = i0; i < i1; ++i) {
-            for (int j = std::max({j0, i + 1, old_rows}); j < j1; ++j) {
-              acc.Add(pc.Word(i, j, td.data()), td.data());
-            }
+            int lo = std::max({j0, i + 1, old_rows});
+            if (lo >= j1) continue;
+            pc.Strip(i, lo, j1 - lo, buf.words(), buf.dists());
+            acc.AddStrip(buf.words(), buf.dists(), j1 - lo);
           }
         }
       }
@@ -496,22 +575,35 @@ class EvidenceBuilder {
     });
   }
 
-  static Status PairListWalk(const PairComparator& pc,
+  /// Pair-list walk: the pairs are grouped by anchor with a counting sort
+  /// (the folds are commutative, so list order cannot show), and each
+  /// anchor's partners form strips of at most kStripRows. A random sample
+  /// thus gets strips of about pairs / rows partners instead of lone pairs;
+  /// the grouping holds 4 bytes per pair and 8 per row while it runs.
+  static Status PairListWalk(const PairComparator& pc, int n,
                              const std::vector<std::pair<int, int>>& pairs,
                              int chunks, const EvidenceOptions& options,
                              std::vector<Accumulator>* accs) {
-    int64_t total = static_cast<int64_t>(pairs.size());
-    int64_t block = (total + chunks - 1) / chunks;
+    // offsets[i] counts, then ends, then (after placing backwards) starts
+    // anchor i's partners; offsets[n] is the total.
+    std::vector<int64_t> offsets(static_cast<size_t>(n) + 1, 0);
+    for (const auto& [i, j] : pairs) ++offsets[i];
+    for (int i = 0; i < n; ++i) offsets[i + 1] += offsets[i];
+    std::vector<int> partners(pairs.size());
+    for (const auto& [i, j] : pairs) partners[--offsets[i]] = j;
+    FAMTREE_RETURN_NOT_OK(RunContext::Poll(options.context));
     return ParallelFor(options.pool, chunks, [&](int64_t chunk) {
       Accumulator& acc = (*accs)[chunk];
-      std::vector<double> td(std::max(1, pc.num_tracked()));
-      int64_t begin = chunk * block, end = std::min(total, begin + block);
-      for (int64_t p = begin; p < end; ++p) {
-        if ((p & 1023) == 0) {
+      StripBuffers buf(pc, PairComparator::kStripRows);
+      for (int i = static_cast<int>(chunk); i < n; i += chunks) {
+        for (int64_t k0 = offsets[i]; k0 < offsets[i + 1];
+             k0 += PairComparator::kStripRows) {
           FAMTREE_RETURN_NOT_OK(RunContext::Poll(options.context));
+          const int m = static_cast<int>(std::min<int64_t>(
+              PairComparator::kStripRows, offsets[i + 1] - k0));
+          pc.Strip(i, partners.data() + k0, m, buf.words(), buf.dists());
+          acc.AddStrip(buf.words(), buf.dists(), m);
         }
-        acc.Add(pc.Word(pairs[p].first, pairs[p].second, td.data()),
-                td.data());
       }
       return Status::OK();
     });
@@ -567,7 +659,8 @@ class EvidenceBuilder {
     int64_t num_items = static_cast<int64_t>(items.size());
     return ParallelFor(options.pool, chunks, [&](int64_t chunk) {
       Accumulator& acc = (*accs)[chunk];
-      std::vector<double> td(std::max(1, pc.num_tracked()));
+      StripBuffers buf(pc, PairComparator::kStripRows);
+      int partners[PairComparator::kStripRows];
       for (int64_t it = chunk; it < num_items; it += chunks) {
         FAMTREE_RETURN_NOT_OK(RunContext::Poll(options.context));
         FAMTREE_RETURN_NOT_OK(
@@ -584,10 +677,20 @@ class EvidenceBuilder {
                            std::lower_bound(rows, rows + size, old_rows) -
                            rows)
                      : 1;
-        for (int y = std::max(y0, 1); y < size; ++y) {
-          for (int x = 0; x < y; ++x) {
-            int i = rows[x], j = rows[y];
-            // Deduplicate: only the first agreeing column owns the pair.
+        if (y0 >= size) continue;  // delta mode: no appended row here
+        // Anchor rows[x] strips over its later partners rows[y], y > x,
+        // that only this column owns: the first (in config order) agreeing
+        // column deduplicates a pair.
+        for (int x = 0; x + 1 < size; ++x) {
+          const int i = rows[x];
+          int m = 0;
+          auto flush = [&] {
+            pc.Strip(i, partners, m, buf.words(), buf.dists());
+            acc.AddStrip(buf.words(), buf.dists(), m);
+            m = 0;
+          };
+          for (int y = std::max(y0, x + 1); y < size; ++y) {
+            const int j = rows[y];
             bool first = true;
             for (int p = 0; p < c; ++p) {
               if (codes[p][i] == codes[p][j]) {
@@ -596,8 +699,10 @@ class EvidenceBuilder {
               }
             }
             if (!first) continue;
-            acc.Add(pc.Word(i, j, td.data()), td.data());
+            partners[m++] = j;
+            if (m == PairComparator::kStripRows) flush();
           }
+          if (m > 0) flush();
         }
       }
       return Status::OK();

@@ -75,8 +75,9 @@ struct EvidenceOptions {
   /// zero aggregates — consumers must only read aggregates of words with at
   /// least one equal facet (MFD candidates always have one).
   bool prune_all_unequal = false;
-  /// Rows per tile of the dense walk; tiles keep each column's code slices
-  /// L2-resident while the pair loop sweeps them.
+  /// Rows per tile of the dense walk: an anchor's partners within one tile
+  /// form one strip. Tiles keep each column's code slices L2-resident while
+  /// the strips sweep them.
   int tile_rows = 128;
 };
 
@@ -187,12 +188,35 @@ class EvidenceSet {
   int num_tracked_ = 0;
 };
 
-/// Compiled per-pair word evaluator — the kernel's inner layer, exposed for
-/// consumers that need pair identities (dedup's union-find) rather than the
-/// aggregated multiset. Borrows the encoding and any tables it compiles;
-/// keep both alive while using it.
+/// Compiled comparison-word evaluator — the kernel's inner layer, exposed
+/// for consumers that need pair identities (dedup's union-find, the
+/// violation detector's witnesses) rather than the aggregated multiset.
+/// Borrows the encoding and any tables it compiles; keep both alive while
+/// using it.
+///
+/// Strip contract: for one anchor row i and a run of partner rows, `Strip`
+/// writes the word of every ordered pair (i, partner), one column at a
+/// time: the equality bit from a code compare, the order trit from
+/// per-row ranks (CodeRanks, materialized once per row in Make), the
+/// bucket from the column's CodeBucketTable or CodeDistanceTable strip
+/// lookup, each OR-ed into the word buffer. Partners are either a
+/// contiguous row range or an explicit row list (a PLI cluster, one
+/// anchor's pair-list partners); any partner may equal or precede i. `Word` is the
+/// one-partner strip, so the word layout is packed in exactly one place.
+/// Any strip length works; callers bound it (the dense walk's tile_rows,
+/// kStripRows elsewhere) so their word buffers stay cache-resident.
+///
+/// Memory: an order facet holds one 4-byte rank per row (O(rows), not
+/// O(dictionary)), so a comparator over n rows with o order columns adds
+/// 4·n·o bytes for its lifetime; the tables are O(dictionary²).
 class PairComparator {
  public:
+  /// Strip length of every caller but the dense walk (the pruned and
+  /// pair-list walks, the detector's and the dedup matcher's anchor
+  /// loops); the kernel also works through longer strips in blocks of this
+  /// many partners.
+  static constexpr int kStripRows = 256;
+
   static Result<std::unique_ptr<PairComparator>> Make(
       const EncodedRelation& encoded, std::vector<EvidenceColumn> columns,
       ThreadPool* pool) {
@@ -200,8 +224,20 @@ class PairComparator {
                 CodeDistanceTable::kDefaultMaxEntries);
   }
 
-  /// The comparison word of the ordered pair (i, j); `tracked_dists`, when
-  /// non-null, receives num_tracked() distances indexed by track slot.
+  /// Words of the ordered pairs (i, j0 + k), k in [0, count), into
+  /// words[k]. `tracked_dists`, when non-null, receives the distances per
+  /// track slot: tracked_dists[slot * count + k].
+  void Strip(int i, int j0, int count, uint64_t* words,
+             double* tracked_dists = nullptr) const;
+
+  /// Words of the ordered pairs (i, partners[k]), k in [0, count); the
+  /// distance layout is as above.
+  void Strip(int i, const int* partners, int count, uint64_t* words,
+             double* tracked_dists = nullptr) const;
+
+  /// The comparison word of the ordered pair (i, j) — the one-partner
+  /// strip; `tracked_dists`, when non-null, receives num_tracked()
+  /// distances indexed by track slot.
   uint64_t Word(int i, int j, double* tracked_dists = nullptr) const;
 
   int num_bits() const { return num_bits_; }
@@ -218,7 +254,7 @@ class PairComparator {
     EvidenceColumn::Cmp cmp = EvidenceColumn::Cmp::kNone;
     int cmp_shift = 0;
     bool const_unequal = false;  // all-distinct column: facet is constant
-    std::vector<uint32_t> ranks;  // order facet (CodeRanks)
+    std::vector<uint32_t> row_ranks;  // order facet: CodeRanks per row
     const CodeDistanceTable* dist = nullptr;
     std::unique_ptr<CodeDistanceTable> owned_dist;
     std::unique_ptr<CodeBucketTable> owned_bucket;
@@ -235,6 +271,12 @@ class PairComparator {
   static Result<std::unique_ptr<PairComparator>> Make(
       const EncodedRelation& encoded, std::vector<EvidenceColumn> columns,
       ThreadPool* pool, int64_t max_table_entries);
+
+  /// The strip kernel: partners are `partners[k]` when non-null, else
+  /// j0 + k. Inlined into each entry point, so a one-partner call compiles
+  /// to straight-line code.
+  void Fill(int i, int j0, const int* partners, int count, uint64_t* words,
+            double* tracked_dists) const;
 
   std::vector<Col> cols_;
   std::vector<EvidenceSet::ColumnLayout> layout_;

@@ -1,6 +1,7 @@
 #ifndef FAMTREE_METRIC_CODE_DISTANCE_H_
 #define FAMTREE_METRIC_CODE_DISTANCE_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <utility>
 #include <vector>
@@ -43,13 +44,17 @@ class CodeDistanceTable {
 
   /// Distance between the values behind two codes of this column; equal to
   /// metric->Distance(Decode(attr, a), Decode(attr, b)) bit for bit.
+  /// A memoized table indexes its triangle with a branch-free min/max.
   double Distance(uint32_t a, uint32_t b) const {
-    if (memoized_) {
-      if (a > b) std::swap(a, b);
-      return table_[TriIndex(a, b)];
-    }
+    if (memoized_) return table_[TriIndex(std::min(a, b), std::max(a, b))];
     return metric_->Distance(encoded_->Decode(attr_, a),
                              encoded_->Decode(attr_, b));
+  }
+
+  /// Distance(a, b[k]) for k in [0, count), into out — the strip form the
+  /// evidence kernel reads.
+  void Distances(uint32_t a, const uint32_t* b, int count, double* out) const {
+    for (int k = 0; k < count; ++k) out[k] = Distance(a, b[k]);
   }
 
   /// Row-level convenience: distance between two rows' values in this
@@ -103,12 +108,14 @@ class CodeBucketTable {
                   int64_t max_entries = CodeDistanceTable::kDefaultMaxEntries);
 
   uint8_t Bucket(uint32_t a, uint32_t b) const {
-    if (memoized_) {
-      if (a > b) std::swap(a, b);
-      return table_[TriIndex(a, b)];
-    }
+    if (memoized_) return table_[TriIndex(std::min(a, b), std::max(a, b))];
     return BucketOf(metric_->Distance(encoded_->Decode(attr_, a),
                                       encoded_->Decode(attr_, b)));
+  }
+
+  /// Bucket(a, b[k]) for k in [0, count), into out (see Distances).
+  void Buckets(uint32_t a, const uint32_t* b, int count, uint8_t* out) const {
+    for (int k = 0; k < count; ++k) out[k] = Bucket(a, b[k]);
   }
 
   uint8_t RowBucket(int row_a, int row_b) const {

@@ -1,5 +1,6 @@
 #include "quality/dedup.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <map>
@@ -122,31 +123,39 @@ Result<MatchResult> MdMatcher::Match(const Relation& relation,
   FAMTREE_ASSIGN_OR_RETURN(
       int64_t anchors_done,
       AnytimeParallelFor(ctx, options.pool, n, [&](int64_t i) {
-    for (int j = static_cast<int>(i) + 1; j < n; ++j) {
-      bool any = false;
-      if (comparator != nullptr) {
-        uint64_t w = comparator->Word(static_cast<int>(i), j);
-        for (const SimilarityTest& test : tests) {
-          if (test.Holds(w)) {
-            ++counts[i];
-            any = true;
-          }
-        }
-      } else {
-        for (const Md* rule : live) {
-          bool similar = true;
-          for (const SimilarityPredicate& p : rule->lhs()) {
-            int f = facets.FacetOf(p);
-            if (!(tables[f]->RowDistance(static_cast<int>(i), j) <=
-                  p.threshold)) {
-              similar = false;
-              break;
+    const int anchor = static_cast<int>(i);
+    if (comparator != nullptr) {
+      uint64_t words[PairComparator::kStripRows];
+      for (int j0 = anchor + 1; j0 < n; j0 += PairComparator::kStripRows) {
+        const int m = std::min(PairComparator::kStripRows, n - j0);
+        comparator->Strip(anchor, j0, m, words);
+        for (int k = 0; k < m; ++k) {
+          bool any = false;
+          for (const SimilarityTest& test : tests) {
+            if (test.Holds(words[k])) {
+              ++counts[i];
+              any = true;
             }
           }
-          if (similar) {
-            ++counts[i];
-            any = true;
+          if (any) partners[i].push_back(j0 + k);
+        }
+      }
+      return Status::OK();
+    }
+    for (int j = anchor + 1; j < n; ++j) {
+      bool any = false;
+      for (const Md* rule : live) {
+        bool similar = true;
+        for (const SimilarityPredicate& p : rule->lhs()) {
+          int f = facets.FacetOf(p);
+          if (!(tables[f]->RowDistance(anchor, j) <= p.threshold)) {
+            similar = false;
+            break;
           }
+        }
+        if (similar) {
+          ++counts[i];
+          any = true;
         }
       }
       if (any) partners[i].push_back(j);

@@ -285,24 +285,34 @@ class PairRuleWord {
                 hit.emplace_back(static_cast<int>(r), j);
               }
             };
-            for (int j = dcs.empty() ? i + 1 : 0; j < n; ++j) {
-              if (j == i) continue;
-              const uint64_t w = pc->Word(i, j);
-              if (j > i) {
-                for (size_t m = 0; m < num_mds; ++m) {
-                  if (!mds[m].lhs.Holds(w)) continue;
-                  ++sim[m];
-                  if ((w & mds[m].rhs_mask) == 0) {
-                    ++ident[m];
-                  } else {
-                    record(m, j);
+            // Partners j < i (DCs only), then j > i, in strips.
+            uint64_t words[PairComparator::kStripRows];
+            auto check = [&](int j0, int j1) {
+              for (int s0 = j0; s0 < j1; s0 += PairComparator::kStripRows) {
+                const int m = std::min(PairComparator::kStripRows, j1 - s0);
+                pc->Strip(i, s0, m, words);
+                for (int k = 0; k < m; ++k) {
+                  const int j = s0 + k;
+                  const uint64_t w = words[k];
+                  if (j > i) {
+                    for (size_t r = 0; r < num_mds; ++r) {
+                      if (!mds[r].lhs.Holds(w)) continue;
+                      ++sim[r];
+                      if ((w & mds[r].rhs_mask) == 0) {
+                        ++ident[r];
+                      } else {
+                        record(r, j);
+                      }
+                    }
+                  }
+                  for (size_t d = 0; d < dcs.size(); ++d) {
+                    if (dcs[d].Holds(w)) record(num_mds + d, j);
                   }
                 }
               }
-              for (size_t d = 0; d < dcs.size(); ++d) {
-                if (dcs[d].Holds(w)) record(num_mds + d, j);
-              }
-            }
+            };
+            if (!dcs.empty()) check(0, i);
+            check(i + 1, n);
             for (size_t r = 0; r < num_rules; ++r) {
               violations[r].fetch_add(viol[r], std::memory_order_relaxed);
             }

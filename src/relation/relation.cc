@@ -282,6 +282,7 @@ RelationBuilder& RelationBuilder::AddRow(std::vector<Value> row) {
 Result<Relation> RelationBuilder::Build() {
   if (!first_error_.ok()) return first_error_;
   relation_.InferTypes();
+  relation_.AdvanceFingerprintChain();
   return std::move(relation_);
 }
 

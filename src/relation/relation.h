@@ -43,8 +43,8 @@ class Relation {
   const std::vector<Value>& column(int col) const { return columns_[col]; }
 
   /// Appends a row; the row must have exactly num_columns() values. The
-  /// fingerprint chain is left where it is (builders append row by row and
-  /// may never ask for a fingerprint).
+  /// fingerprint chain is left where it is: RelationBuilder appends row by
+  /// row and folds every row once, in Build.
   Status AppendRow(std::vector<Value> row);
 
   /// Batch append: validates every row's arity up front, then appends all
@@ -61,7 +61,13 @@ class Relation {
   /// Folds every row past the fingerprint chain into it, after which
   /// RelationFingerprint costs O(schema) until the next mutation. One pass
   /// over the rows not yet folded; a no-op when the chain is current.
+  /// RelationBuilder::Build (and so ReadCsvString) calls it, so a built
+  /// relation starts with a current chain.
   void AdvanceFingerprintChain();
+
+  /// Rows folded into the fingerprint chain; RelationFingerprint folds the
+  /// rest on every call.
+  int fingerprint_chain_rows() const { return chain_rows_; }
 
   /// Materializes one row (used by pretty-printing and tests).
   std::vector<Value> Row(int row) const;
@@ -114,11 +120,12 @@ class Relation {
 /// running chain (RelationRowChain), and the schema + shape fold in last
 /// (FinalizeRelationFingerprint). Each Relation keeps that chain over a
 /// row prefix (advanced by AppendRows and AdvanceFingerprintChain, reset
-/// by Set), and this function folds only the rows past it — so on a
-/// relation grown through DiscoveryEngine::AppendRows it costs O(schema),
-/// not O(cells). It never writes the relation, and its value always equals
-/// a full pass over every cell: a freshly built or reallocated relation
-/// starts with an empty chain, and a mutated cell resets it.
+/// by Set, folded whole by RelationBuilder::Build), and this function
+/// folds only the rows past it — so on a built relation, or one grown
+/// through DiscoveryEngine::AppendRows, it costs O(schema), not O(cells).
+/// It never writes the relation, and its value always equals a full pass
+/// over every cell: a relation assembled any other way starts with an
+/// empty chain, and a mutated cell resets it.
 uint64_t RelationFingerprint(const Relation& relation);
 
 /// Folds the cell hashes of rows [from_row, to_row), row-major, into
@@ -145,8 +152,10 @@ class RelationBuilder {
 
   RelationBuilder& AddRow(std::vector<Value> row);
 
-  /// Finalizes: infers column types and returns the relation. The builder
-  /// reports the first row-arity error, if any, here.
+  /// Finalizes: infers column types, folds every row into the fingerprint
+  /// chain (one pass over the cells, so each later RelationFingerprint —
+  /// every DiscoveryEngine lookup — costs O(schema)) and returns the
+  /// relation. The builder reports the first row-arity error, if any, here.
   Result<Relation> Build();
 
  private:

@@ -7,6 +7,7 @@
 #include "common/rng.h"
 #include "engine/engine.h"
 #include "gen/paper_tables.h"
+#include "relation/csv.h"
 #include "relation/relation.h"
 
 namespace famtree {
@@ -252,6 +253,26 @@ TEST(RelationFingerprintTest, ChainedFingerprintEqualsFullPass) {
           << "seed " << seed << " step " << step << " op " << op;
     }
   }
+}
+
+// A built relation (RelationBuilder, ReadCsvString) starts with every row
+// folded into its chain, so each engine lookup costs O(schema); the chain
+// still equals a from-scratch hash, and Set still resets it.
+TEST(RelationFingerprintTest, BuiltRelationHasCurrentChain) {
+  Relation built = SmallRelation();
+  EXPECT_EQ(built.fingerprint_chain_rows(), built.num_rows());
+  EXPECT_EQ(RelationFingerprint(built), FullPassFingerprint(built));
+  auto parsed = ReadCsvString("a,b\nx,1\ny,2\nx,3\n");
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  EXPECT_EQ(parsed->num_rows(), 3);
+  EXPECT_EQ(parsed->fingerprint_chain_rows(), parsed->num_rows());
+  EXPECT_EQ(RelationFingerprint(*parsed), FullPassFingerprint(*parsed));
+
+  const uint64_t before = RelationFingerprint(built);
+  built.Set(1, 1, Value(int64_t{99}));
+  EXPECT_EQ(built.fingerprint_chain_rows(), 0);
+  EXPECT_EQ(RelationFingerprint(built), FullPassFingerprint(built));
+  EXPECT_NE(RelationFingerprint(built), before);
 }
 
 // A relation mutated in place after the engine registered it (and after
