@@ -157,7 +157,7 @@ int Run() {
     double oracle = pli.FdError(hotels, AttrSet::Single(3));
     row.value_ms = MillisSince(start);
     start = std::chrono::steady_clock::now();
-    double fast = pli.FdError(encoded, AttrSet::Single(3));
+    double fast = pli.FdError(encoded.codes(3), encoded.dict_size(3));
     row.encoded_ms = MillisSince(start);
     row.identical = oracle == fast;  // bit-identical doubles
     PrintRow(row);

@@ -103,6 +103,23 @@ if [ -n "$PACK_HITS" ]; then
   exit 1
 fi
 
+echo "=== [0/5] lint: one partition product recipe ==="
+# Every multi-attribute partition is a refinement of a cached or parent
+# partition by one attribute's codes (StrippedPartition::Refine); the
+# stamped-leaf Product is its byte-identical form for the out-of-core PLI
+# cache without a flat encoding. A Product call elsewhere in src/ would be
+# a second recipe with its own class order and cost.
+PRODUCT_HITS="$(grep -rnE '\bProduct\(' src \
+  | grep -vE '^src/(relation/partition\.(h|cc)|engine/pli_cache\.cc):' \
+  | grep -vE ':[0-9]+:[[:space:]]*(//|\*)' || true)"
+if [ -n "$PRODUCT_HITS" ]; then
+  echo "lint: partition Product outside relation/partition.* and" >&2
+  echo "engine/pli_cache.cc; refine by the added attribute's codes" >&2
+  echo "(StrippedPartition::Refine) or Get the partition from the PliCache:" >&2
+  echo "$PRODUCT_HITS" >&2
+  exit 1
+fi
+
 echo "=== [1/5] Release: ctest -L tier1 ==="
 run cmake -B "$PREFIX" >/dev/null
 run cmake --build "$PREFIX" -j "$JOBS"

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <limits>
 #include <memory>
+#include <optional>
 #include <unordered_set>
 #include <utility>
 
@@ -130,42 +131,26 @@ Status FrontierValidator::ValidateEntry(const FdTree::Entry& entry,
     }
     return Status::OK();
   }
-  std::shared_ptr<const StrippedPartition> owned;
-  const StrippedPartition* pli = nullptr;
+  std::shared_ptr<const StrippedPartition> pli;
   if (cache_ != nullptr) {
-    owned = cache_->Get(entry.lhs, ctx_);
-    if (owned == nullptr) {
+    pli = cache_->Get(entry.lhs, ctx_);
+    if (pli == nullptr) {
       Status stop = RunContext::StopStatus(ctx_);
       return RunContext::IsStop(stop)
                  ? stop
                  : Status::Invalid("frontier PLI unavailable");
     }
-    pli = owned.get();
   } else {
-    owned = std::make_shared<StrippedPartition>(
+    pli = std::make_shared<StrippedPartition>(
         StrippedPartition::ForAttributeSet(encoded_, entry.lhs));
-    pli = owned.get();
   }
   for (int a : entry.rhs_bits) {
-    const std::vector<uint32_t>& codes = encoded_.codes(a);
-    Violation violation;
-    bool valid = true;
-    for (int c = 0; valid && c < pli->num_classes(); ++c) {
-      const int* rows = pli->class_begin(c);
-      int size = pli->class_size(c);
-      uint32_t head = codes[rows[0]];
-      for (int k = 1; k < size; ++k) {
-        if (codes[rows[k]] != head) {
-          violation = Violation{a, rows[0], rows[k]};
-          valid = false;
-          break;
-        }
-      }
-    }
-    if (valid) {
+    std::optional<std::pair<int, int>> bad =
+        pli->FirstViolation(encoded_.codes(a));
+    if (!bad) {
       result->valid_rhs.Add(a);
     } else {
-      result->violations.push_back(violation);
+      result->violations.push_back(Violation{a, bad->first, bad->second});
     }
   }
   return Status::OK();

@@ -34,11 +34,6 @@ struct Node {
 
 using Level = std::map<AttrSet, Node>;
 
-/// e(X) in TANE terms: rows in stripped classes minus class count.
-int PartitionCost(const StrippedPartition& p) {
-  return p.num_rows_in_classes() - p.num_classes();
-}
-
 /// One validity test X \ A -> A, flattened out of the per-node candidate
 /// loops so a thread pool can chew on all of a level's tests at once.
 struct CandidateTest {
@@ -50,13 +45,14 @@ struct CandidateTest {
   double error = 1.0;
 };
 
-/// One next-level lattice node whose partition product is still pending.
+/// One next-level lattice node whose partition is still pending: without a
+/// cache it is `parent`'s partition refined by attribute `added`'s codes.
 struct PendingNode {
   AttrSet attrs;
-  Pli parent1;  // unused when a cache serves the partition
-  Pli parent2;
+  Pli parent;  // unused when a cache serves the partition
+  int added = 0;
   AttrSet cplus;
-  Pli pli;  // output slot
+  Pli pli;  // output slot; stays null on the last level
 };
 
 /// The shared walk behind both public entries. `relation` is nullptr for
@@ -103,8 +99,8 @@ Result<std::vector<DiscoveredFd>> DiscoverFdsTaneImpl(
   const EncodedRelation* encoded = nullptr;
   if (cache != nullptr) {
     // Null for an out-of-core cache that has not materialized its flat
-    // encoding: exact discovery never needs it (the g3-free validity tests
-    // below compare partition costs and every partition comes from the
+    // encoding: exact discovery never needs it (the validity tests below
+    // key by the RHS leaf instead and every partition comes from the
     // cache), and the cache-only entry materializes it up front for
     // approximate discovery.
     encoded = cache->encoded_or_null();
@@ -140,7 +136,7 @@ Result<std::vector<DiscoveredFd>> DiscoverFdsTaneImpl(
   FAMTREE_RETURN_NOT_OK(singles_status);
   Level level;
   for (int a = 0; a < nc; ++a) {
-    level.emplace(AttrSet::Single(a), Node{std::move(singles[a]), full});
+    level.emplace(AttrSet::Single(a), Node{singles[a], full});
   }
 
   // Level 0's C+ is the full set; dependencies {} -> A (constant columns)
@@ -158,8 +154,10 @@ Result<std::vector<DiscoveredFd>> DiscoverFdsTaneImpl(
     }
   }
 
-  // Partitions of the previous level, used by the validity test
-  // e(X \ A) == e(X) (exact) / g3 from pi(X \ A) (approximate).
+  // Partitions of the previous level, the only ones the validity tests
+  // read: X \ A -> A holds iff every class of pi(X \ A) is constant on A
+  // (exact), or by its g3 error off pi(X \ A) (approximate). So the last
+  // level builds no partition.
   std::unordered_map<AttrSet, Pli, AttrSetHash> prev_plis;
 
   // Level `depth` holds attribute sets X with |X| = depth; the FDs tested
@@ -205,14 +203,16 @@ Result<std::vector<DiscoveredFd>> DiscoverFdsTaneImpl(
           if (prev == prev_plis.end()) return Status::OK();  // lhs pruned
           test.tested = true;
           if (exact) {
-            const Pli& node_pli = nodes[test.node_index]->pli;
-            test.error = PartitionCost(*prev->second) ==
-                                 PartitionCost(*node_pli)
-                             ? 0.0
-                             : 1.0;
+            // Keyed by A's codes, or by A's leaf on a PLI-only cache.
+            bool holds =
+                encoded != nullptr
+                    ? !prev->second->FirstViolation(encoded->codes(test.rhs))
+                    : !prev->second->FirstViolation(*singles[test.rhs],
+                                                    num_rows);
+            test.error = holds ? 0.0 : 1.0;
           } else {
-            test.error =
-                prev->second->FdError(*encoded, AttrSet::Single(test.rhs));
+            test.error = prev->second->FdError(encoded->codes(test.rhs),
+                                               encoded->dict_size(test.rhs));
           }
           return Status::OK();
         });
@@ -242,8 +242,9 @@ Result<std::vector<DiscoveredFd>> DiscoverFdsTaneImpl(
       const AttrSet& x = it->first;
       Node& node = it->second;
       bool erase = node.cplus.empty();
-      if (!erase && exact && node.pli->IsKey() &&
-          x.size() <= options.max_lhs_size) {
+      // The size test comes first: last-level nodes carry no partition.
+      if (!erase && exact && x.size() <= options.max_lhs_size &&
+          node.pli->IsKey()) {
         for (int a : node.cplus.Minus(x).ToVector()) {
           // Minimality check per TANE: A must be in the intersection of
           // C+(X u {A} \ {B}) over B in X; approximate conservatively by
@@ -275,7 +276,8 @@ Result<std::vector<DiscoveredFd>> DiscoverFdsTaneImpl(
     }
     // GENERATE next level via prefix join: enumerate the surviving
     // candidate sets serially (cheap bit tricks), then compute the
-    // expensive partition products in parallel.
+    // expensive partitions in parallel — except on the last level, whose
+    // tests read only this level's partitions.
     std::vector<PendingNode> pending;
     std::set<AttrSet> seen;
     for (auto it1 = level.begin(); it1 != level.end(); ++it1) {
@@ -296,18 +298,22 @@ Result<std::vector<DiscoveredFd>> DiscoverFdsTaneImpl(
           cplus = cplus.Intersect(found->second.cplus);
         }
         if (!ok) continue;
-        pending.push_back(PendingNode{u, it1->second.pli, it2->second.pli,
-                                      cplus, nullptr});
+        int added = u.Minus(it1->first).ToVector()[0];
+        pending.push_back(
+            PendingNode{u, it1->second.pli, added, cplus, nullptr});
       }
     }
+    const bool last_level = depth == options.max_lhs_size;
     Status products_status = ParallelFor(
-        pool, static_cast<int64_t>(pending.size()), [&](int64_t i) {
+        pool, last_level ? 0 : static_cast<int64_t>(pending.size()),
+        [&](int64_t i) {
           FAMTREE_RETURN_NOT_OK(RunContext::Poll(ctx));
           PendingNode& p = pending[i];
           p.pli = cache != nullptr
                       ? cache->Get(p.attrs, ctx)
-                      : std::make_shared<StrippedPartition>(
-                            p.parent1->Product(*p.parent2, num_rows));
+                      : std::make_shared<StrippedPartition>(p.parent->Refine(
+                            encoded->codes(p.added),
+                            encoded->dict_size(p.added)));
           if (p.pli == nullptr) return PliStopStatus(ctx);
           return Status::OK();
         });

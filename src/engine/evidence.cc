@@ -16,10 +16,16 @@ namespace {
 /// L2-sized while covering every paper-scale configuration.
 constexpr int kDenseBits = 16;
 
-/// Parallel chunks. More chunks than workers is fine — each chunk's
-/// accumulator merges commutatively, so the chunk count only bounds
-/// parallelism, never changes the result.
-int NumChunks(ThreadPool* pool) { return pool != nullptr ? 8 : 1; }
+/// Parallel chunks: up to 8 with a pool, but no more than the walk's
+/// `pairs` can fill — about one per 2^bits (a dense accumulator zeroes and
+/// scans that many slots), so a small delta pays for one. More chunks than
+/// workers is fine — each chunk's accumulator merges commutatively, so the
+/// chunk count only bounds parallelism, never changes the result.
+int NumChunks(ThreadPool* pool, int64_t pairs, int bits) {
+  if (pool == nullptr) return 1;
+  return static_cast<int>(
+      std::clamp<int64_t>(pairs >> std::min(bits, kDenseBits), 1, 8));
+}
 
 uint8_t BucketFromDistance(double d, const std::vector<double>& thresholds) {
   uint8_t j = 0;
@@ -331,47 +337,6 @@ size_t EvidenceSet::footprint_bytes() const {
 
 namespace {
 
-/// Clusters of size >= 2 for one column, CSR layout.
-struct Clusters {
-  std::vector<int> rows;
-  std::vector<int> offsets;
-  int num_classes() const {
-    return offsets.empty() ? 0 : static_cast<int>(offsets.size()) - 1;
-  }
-};
-
-Clusters ClustersFromCodes(const EncodedRelation& encoded, int attr) {
-  const std::vector<uint32_t>& codes = encoded.codes(attr);
-  int k = encoded.dict_size(attr);
-  std::vector<int> count(k, 0);
-  for (uint32_t c : codes) ++count[c];
-  Clusters out;
-  std::vector<int> pos(k, -1);
-  int total = 0, classes = 0;
-  for (int c = 0; c < k; ++c) {
-    if (count[c] >= 2) {
-      pos[c] = total;
-      total += count[c];
-      ++classes;
-    }
-  }
-  out.rows.resize(total);
-  out.offsets.reserve(classes + 1);
-  std::vector<int> cursor(pos);
-  for (int r = 0; r < static_cast<int>(codes.size()); ++r) {
-    int p = cursor[codes[r]];
-    if (p >= 0) {
-      out.rows[p] = r;
-      ++cursor[codes[r]];
-    }
-  }
-  for (int c = 0; c < k; ++c) {
-    if (pos[c] >= 0) out.offsets.push_back(pos[c]);
-  }
-  if (!out.offsets.empty() || total > 0) out.offsets.push_back(total);
-  return out;
-}
-
 /// One chunk's strip output: the words of up to `strip` partners and, when
 /// the config tracks distances, their per-slot distances.
 class StripBuffers {
@@ -414,7 +379,7 @@ class EvidenceBuilder {
     FAMTREE_ASSIGN_OR_RETURN(
         std::unique_ptr<PairComparator> pc,
         PairComparator::Make(encoded, columns, options.pool, max_entries));
-    int chunks = NumChunks(options.pool);
+    int chunks = NumChunks(options.pool, walk_pairs, pc->num_bits());
     int tracked = pc->num_tracked();
     std::vector<Accumulator> accs;
     accs.reserve(chunks);
@@ -622,37 +587,24 @@ class EvidenceBuilder {
                            std::vector<Accumulator>* accs) {
     int nc = static_cast<int>(columns.size());
     // Cluster source per column: borrowed pinned PLI leaves when a cache is
-    // attached, local counting sort otherwise. Both yield the same pair
-    // sets; enumeration order cannot show through the commutative folds.
+    // attached, the same counting sort locally otherwise.
     std::vector<std::shared_ptr<const StrippedPartition>> plis(nc);
-    std::vector<Clusters> local(nc);
-    struct View {
-      const int* rows;
-      const int* offsets;
-      int classes;
-    };
-    std::vector<View> views(nc);
     std::vector<const uint32_t*> codes(nc);
     for (int c = 0; c < nc; ++c) {
-      codes[c] = encoded.codes(columns[c].attr).data();
+      int attr = columns[c].attr;
+      codes[c] = encoded.codes(attr).data();
       if (options.pli != nullptr) {
-        plis[c] =
-            options.pli->Get(AttrSet::Single(columns[c].attr), options.context);
+        plis[c] = options.pli->Get(AttrSet::Single(attr), options.context);
       }
-      if (plis[c] != nullptr) {
-        views[c] = View{plis[c]->row_indices().data(),
-                        plis[c]->class_offsets().data(),
-                        plis[c]->num_classes()};
-      } else {
-        local[c] = ClustersFromCodes(encoded, columns[c].attr);
-        views[c] = View{local[c].rows.data(), local[c].offsets.data(),
-                        local[c].num_classes()};
+      if (plis[c] == nullptr) {
+        plis[c] = std::make_shared<StrippedPartition>(
+            StrippedPartition::ForAttribute(encoded, attr));
       }
     }
     // Flattened (column, class) work items, strided over chunks.
     std::vector<std::pair<int, int>> items;
     for (int c = 0; c < nc; ++c) {
-      for (int cls = 0; cls < views[c].classes; ++cls) {
+      for (int cls = 0; cls < plis[c]->num_classes(); ++cls) {
         items.push_back({c, cls});
       }
     }
@@ -666,9 +618,8 @@ class EvidenceBuilder {
         FAMTREE_RETURN_NOT_OK(
             RunContext::FaultPoint(options.context, "evidence_tile"));
         auto [c, cls] = items[it];
-        const View& v = views[c];
-        const int* rows = v.rows + v.offsets[cls];
-        int size = v.offsets[cls + 1] - v.offsets[cls];
+        const int* rows = plis[c]->class_begin(cls);
+        int size = plis[c]->class_size(cls);
         // Delta mode: rows inside a cluster ascend, so the appended tail
         // starts at the first row >= old_rows; each pair keeps its larger
         // row in the tail.

@@ -142,8 +142,11 @@ std::shared_ptr<const StrippedPartition> PliCache::Compute(AttrSet attrs,
     return std::make_shared<StrippedPartition>(
         StrippedPartition::ForAttribute(*encoded_, attrs.ToVector()[0]));
   }
-  // Deterministic split: lowest attribute off, product with the rest. The
-  // rest is usually the already-cached prefix of a lattice walk.
+  // Deterministic split: lowest attribute off, the rest (usually the
+  // cached prefix of a lattice walk) refined by its codes — or, out of core
+  // without a flat encoding, by its leaf's class ids (Product), with
+  // byte-identical output. The leaf is fetched either way, so it stays
+  // pinned and the hit/miss counts do not depend on the backend.
   int lowest = attrs.ToVector()[0];
   std::shared_ptr<const StrippedPartition> rest =
       Get(attrs.Without(lowest), ctx);
@@ -151,8 +154,11 @@ std::shared_ptr<const StrippedPartition> PliCache::Compute(AttrSet attrs,
   std::shared_ptr<const StrippedPartition> single =
       Get(AttrSet::Single(lowest), ctx);
   if (single == nullptr) return nullptr;
+  const EncodedRelation* encoded = encoded_or_null();
   return std::make_shared<StrippedPartition>(
-      rest->Product(*single, num_rows_));
+      encoded != nullptr
+          ? rest->Refine(encoded->codes(lowest), encoded->dict_size(lowest))
+          : rest->Product(*single, num_rows_));
 }
 
 std::shared_ptr<const StrippedPartition> PliCache::Insert(

@@ -29,9 +29,9 @@ namespace famtree {
 /// partitions are pinned: they are the leaves every product chain starts
 /// from, are small, and evicting them would only force an immediate
 /// rebuild. Multi-attribute partitions are computed by splitting off the
-/// lowest attribute and taking the TANE partition product of the two cached
-/// halves — a deterministic recipe, so a partition's class content never
-/// depends on which algorithm (or thread) asked first.
+/// lowest attribute and refining the cached rest by that attribute's codes
+/// (StrippedPartition::Refine) — a deterministic recipe, so a partition's
+/// class content never depends on which algorithm (or thread) asked first.
 ///
 /// Two backends serve the single-attribute leaves:
 ///  - In-memory (the Relation constructors): a counting sort over the

@@ -9,18 +9,19 @@ namespace famtree {
 
 namespace {
 
-/// Reusable per-thread scratch for Product and the encoded FdError. All
-/// arrays grow monotonically and are restored to their neutral state before
-/// a call returns (owner validity via epoch stamps, counters via the
-/// touched list), so no call ever pays a full-size zeroing pass and results
-/// are independent of which pool thread runs the call.
+/// Reusable per-thread scratch for the refinement, constancy and encoded
+/// FdError kernels. All arrays grow monotonically and are restored to their
+/// neutral state before a call returns (owner validity via epoch stamps,
+/// counters via the touched list), so no call ever pays a full-size zeroing
+/// pass and results are independent of which pool thread runs the call.
 struct PartitionScratch {
-  /// owner[row] is valid iff owner_epoch[row] == epoch.
+  /// Class ids stamped by StampKey: owner[row] is valid iff
+  /// owner_epoch[row] == epoch.
   std::vector<int> owner;
   std::vector<uint32_t> owner_epoch;
   uint32_t epoch = 0;
 
-  /// Probe table over the left partition's class ids (Product) or over RHS
+  /// Probe table over the refining keys (Refine, Product) or over RHS
   /// codes (FdError). Zero outside calls; reset via `touched`.
   std::vector<int> count;
   std::vector<int> cursor;
@@ -117,58 +118,110 @@ StrippedPartition StrippedPartition::ForAttributeSet(
   return FromRowKeys(keys, num_keys);
 }
 
-StrippedPartition StrippedPartition::Product(const StrippedPartition& other,
-                                             int num_rows) const {
-  // TANE's linear-time partition product over the flat layout. Rows of
-  // *this are stamped with their class id ("owner"); each class of `other`
-  // is then split by owner through the scratch probe table. Surviving
-  // sub-classes are emitted in first-touch order — deterministic for any
-  // thread count because the scratch state never leaks between calls.
+namespace {
+
+/// The kernels below take a per-row key: key(row) is the row's class
+/// under the refining attribute, or -1 when no other row shares it.
+auto CodeKey(const std::vector<uint32_t>& codes) {
+  return [codes = codes.data()](int row) {
+    return static_cast<int>(codes[row]);
+  };
+}
+
+/// Stamps `p`'s class ids into the scratch and keys rows by them.
+auto StampKey(const StrippedPartition& p, int num_rows) {
   PartitionScratch& s = g_scratch;
   s.StampOwners(num_rows);
-  int nc = num_classes();
-  for (int c = 0; c < nc; ++c) {
-    const int* begin = class_begin(c);
-    const int* end = begin + class_size(c);
-    for (const int* it = begin; it != end; ++it) {
+  for (int c = 0; c < p.num_classes(); ++c) {
+    const int* begin = p.class_begin(c);
+    for (const int* it = begin; it != begin + p.class_size(c); ++it) {
       s.owner[*it] = c;
       s.owner_epoch[*it] = s.epoch;
     }
   }
-  s.EnsureCounters(nc);
-  std::vector<int> out_rows;
-  out_rows.reserve(std::min(num_rows_in_classes(),
-                            other.num_rows_in_classes()));
+  return [owner = s.owner.data(), stamp = s.owner_epoch.data(),
+          epoch = s.epoch](int row) {
+    return stamp[row] == epoch ? owner[row] : -1;
+  };
+}
+
+/// TANE's linear-time refinement: each class of `p` is split by key through
+/// the scratch probe table, sub-classes emitted in first-touch order.
+template <typename Key>
+StrippedPartition RefineBy(const StrippedPartition& p, Key key,
+                           int num_keys) {
+  PartitionScratch& s = g_scratch;
+  s.EnsureCounters(num_keys);
+  std::vector<int> out_rows(p.num_rows_in_classes());
+  int used = 0;
   std::vector<int> out_offsets;
   out_offsets.push_back(0);
-  for (int oc = 0; oc < other.num_classes(); ++oc) {
-    const int* begin = other.class_begin(oc);
-    const int* end = begin + other.class_size(oc);
+  for (int c = 0; c < p.num_classes(); ++c) {
+    const int size = p.class_size(c);
+    const int* begin = p.class_begin(c);
+    const int* end = begin + size;
     s.touched.clear();
     for (const int* it = begin; it != end; ++it) {
-      if (s.owner_epoch[*it] != s.epoch) continue;
-      int o = s.owner[*it];
-      if (s.count[o]++ == 0) s.touched.push_back(o);
+      int k = key(*it);
+      if (k >= 0 && s.count[k]++ == 0) s.touched.push_back(k);
     }
-    // Reserve one output slot range per surviving owner, in first-touch
-    // order, then place the rows through per-owner cursors.
-    for (int o : s.touched) {
-      if (s.count[o] >= 2) {
-        s.cursor[o] = static_cast<int>(out_rows.size());
-        out_rows.resize(out_rows.size() + s.count[o]);
-        out_offsets.push_back(static_cast<int>(out_rows.size()));
+    // Reserve one output slot range per surviving key, in first-touch
+    // order, then place the rows through per-key cursors.
+    for (int k : s.touched) {
+      if (s.count[k] >= 2) {
+        s.cursor[k] = used;
+        used += s.count[k];
+        out_offsets.push_back(used);
       } else {
-        s.cursor[o] = -1;
+        s.cursor[k] = -1;
       }
+      s.count[k] = 0;
     }
     for (const int* it = begin; it != end; ++it) {
-      if (s.owner_epoch[*it] != s.epoch) continue;
-      int o = s.owner[*it];
-      if (s.cursor[o] >= 0) out_rows[s.cursor[o]++] = *it;
+      int k = key(*it);
+      if (k >= 0 && s.cursor[k] >= 0) out_rows[s.cursor[k]++] = *it;
     }
-    for (int o : s.touched) s.count[o] = 0;
   }
-  return StrippedPartition(std::move(out_rows), std::move(out_offsets));
+  out_rows.resize(used);
+  return StrippedPartition::FromCsr(std::move(out_rows),
+                                    std::move(out_offsets));
+}
+
+template <typename Key>
+std::optional<std::pair<int, int>> FirstViolationBy(
+    const StrippedPartition& p, Key key) {
+  for (int c = 0; c < p.num_classes(); ++c) {
+    const int* rows = p.class_begin(c);
+    int head = key(rows[0]);
+    for (int k = 1; k < p.class_size(c); ++k) {
+      if (head < 0 || key(rows[k]) != head) {
+        return std::make_pair(rows[0], rows[k]);
+      }
+    }
+  }
+  return std::nullopt;
+}
+
+}  // namespace
+
+StrippedPartition StrippedPartition::Refine(
+    const std::vector<uint32_t>& codes, int num_codes) const {
+  return RefineBy(*this, CodeKey(codes), num_codes);
+}
+
+StrippedPartition StrippedPartition::Product(const StrippedPartition& other,
+                                             int num_rows) const {
+  return RefineBy(*this, StampKey(other, num_rows), other.num_classes());
+}
+
+std::optional<std::pair<int, int>> StrippedPartition::FirstViolation(
+    const std::vector<uint32_t>& codes) const {
+  return FirstViolationBy(*this, CodeKey(codes));
+}
+
+std::optional<std::pair<int, int>> StrippedPartition::FirstViolation(
+    const StrippedPartition& other, int num_rows) const {
+  return FirstViolationBy(*this, StampKey(other, num_rows));
 }
 
 int StrippedPartition::MaxClassSize() const {
@@ -185,15 +238,6 @@ std::vector<std::vector<int>> StrippedPartition::classes() const {
     out[c].assign(class_begin(c), class_begin(c) + class_size(c));
   }
   return out;
-}
-
-bool StrippedPartition::FdHolds(const StrippedPartition& x,
-                                const StrippedPartition& xy) {
-  // X -> Y holds iff refining X's classes by Y does not break any class,
-  // i.e. |classes| and covered rows coincide in cost terms:
-  // e(X) == e(XY) with e = rows_in_classes - num_classes.
-  return (x.num_rows_in_classes() - x.num_classes()) ==
-         (xy.num_rows_in_classes() - xy.num_classes());
 }
 
 double StrippedPartition::FdError(const Relation& relation,
@@ -233,24 +277,13 @@ double StrippedPartition::FdError(const Relation& relation,
   return n == 0 ? 0.0 : static_cast<double>(to_remove) / n;
 }
 
-double StrippedPartition::FdError(const EncodedRelation& encoded,
-                                  AttrSet rhs) const {
+double StrippedPartition::FdError(const std::vector<uint32_t>& codes,
+                                  int num_codes) const {
   // Same g3 computation over dictionary codes: the plurality count per
   // X-class comes out of a scratch counter array indexed by RHS code — no
   // hashing, no Value comparisons, no per-class map allocation. Equal
   // codes are exactly equal Values, so the removal count (and the returned
   // error) is bit-identical to the Value-based overload.
-  std::vector<int> av = rhs.ToVector();
-  const std::vector<uint32_t>* codes;
-  std::vector<uint32_t> combined;
-  int num_codes;
-  if (av.size() == 1) {
-    codes = &encoded.codes(av[0]);
-    num_codes = encoded.dict_size(av[0]);
-  } else {
-    num_codes = encoded.RowKeys(rhs, &combined);
-    codes = &combined;
-  }
   PartitionScratch& s = g_scratch;
   s.EnsureCounters(num_codes);
   int to_remove = 0;
@@ -260,15 +293,15 @@ double StrippedPartition::FdError(const EncodedRelation& encoded,
     s.touched.clear();
     int best = 0;
     for (const int* it = begin; it != end; ++it) {
-      uint32_t code = (*codes)[*it];
+      uint32_t code = codes[*it];
       if (s.count[code]++ == 0) s.touched.push_back(static_cast<int>(code));
       best = std::max(best, s.count[code]);
     }
     for (int code : s.touched) s.count[code] = 0;
     to_remove += class_size(c) - best;
   }
-  int n = encoded.num_rows();
-  return n == 0 ? 0.0 : static_cast<double>(to_remove) / n;
+  return codes.empty() ? 0.0
+                      : static_cast<double>(to_remove) / codes.size();
 }
 
 }  // namespace famtree

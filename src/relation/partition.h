@@ -1,6 +1,9 @@
 #ifndef FAMTREE_RELATION_PARTITION_H_
 #define FAMTREE_RELATION_PARTITION_H_
 
+#include <cstdint>
+#include <optional>
+#include <utility>
 #include <vector>
 
 #include "common/attr_set.h"
@@ -19,7 +22,7 @@ namespace famtree {
 /// every class's rows back to back, plus a `class_offsets` array with one
 /// offset per class boundary (size num_classes + 1). Compared to the
 /// earlier vector<vector<int>> layout this is one allocation instead of one
-/// per class, and Product walks it with a reusable per-thread scratch probe
+/// per class, and Refine walks it with a reusable per-thread scratch probe
 /// table instead of a freshly allocated hash map per class — the two moves
 /// the discovery hot path needs to run at memory speed.
 class StrippedPartition {
@@ -53,12 +56,33 @@ class StrippedPartition {
                              std::move(class_offsets));
   }
 
-  /// Partition product: rows equivalent under (X ∪ Y) given the partitions
-  /// for X and Y. Linear in the represented rows (TANE's core operation).
-  /// Uses a per-thread scratch probe table, so concurrent Products never
-  /// contend and repeated calls never re-zero full-size arrays.
+  /// Refinement, the one product kernel: splits every class of this
+  /// partition (for X) by attribute b's dictionary `codes` (in
+  /// [0, num_codes)), giving the partition for X ∪ {b} in time linear in
+  /// this partition's rows; b's own partition is never walked.
+  /// Class order: this partition's classes in order, each replaced by its
+  /// sub-classes in first-touch order, rows ascending, singletons dropped —
+  /// not the leaf builders' first-occurrence order, so compare partitions
+  /// of different recipes in a canonical form.
+  StrippedPartition Refine(const std::vector<uint32_t>& codes,
+                           int num_codes) const;
+
+  /// Partition product for X ∪ Y: refines this partition by `other`'s class
+  /// ids, stamped into a per-thread scratch (rows outside its classes are
+  /// alone). For a leaf `other` it is byte-identical to Refine by the
+  /// leaf's codes; for callers without flat codes (out-of-core PLI cache).
   StrippedPartition Product(const StrippedPartition& other,
                             int num_rows) const;
+
+  /// Constancy check: X -> A holds iff every class of this partition (for
+  /// X) is constant on A's `codes`. Returns std::nullopt when it holds,
+  /// else the head of the first non-constant class and its first row with
+  /// a different code. The second overload keys by A's partition `other`
+  /// instead (PLI-only callers) and returns the identical pair.
+  std::optional<std::pair<int, int>> FirstViolation(
+      const std::vector<uint32_t>& codes) const;
+  std::optional<std::pair<int, int>> FirstViolation(
+      const StrippedPartition& other, int num_rows) const;
 
   /// Number of equivalence classes of size >= 2.
   int num_classes() const {
@@ -107,20 +131,14 @@ class StrippedPartition {
   /// pretty-printing only — hot paths use the flat accessors.
   std::vector<std::vector<int>> classes() const;
 
-  /// Checks whether the FD X -> Y holds given this partition for X and the
-  /// partition for X ∪ Y: they must have identical refinement cost.
-  /// (TANE: e(X) == e(X ∪ Y) iff X -> Y.)
-  static bool FdHolds(const StrippedPartition& x,
-                      const StrippedPartition& xy);
-
   /// The g3 error of the FD X -> Y (fraction of rows to delete so the FD
   /// holds), computed from this partition (for X) against the `rhs` column
   /// grouping. Matches the paper's Section 2.3.1 definition. The Relation
-  /// overload is the Value-based oracle; the EncodedRelation overload
-  /// counts plurality RHS codes through a scratch array and returns the
-  /// identical value.
+  /// overload is the Value-based oracle; the code-keyed overload (Y one
+  /// attribute, keyed like Refine) counts plurality codes through a scratch
+  /// array and returns the identical value.
   double FdError(const Relation& relation, AttrSet rhs) const;
-  double FdError(const EncodedRelation& encoded, AttrSet rhs) const;
+  double FdError(const std::vector<uint32_t>& codes, int num_codes) const;
 
  private:
   StrippedPartition(std::vector<int> row_indices,

@@ -118,7 +118,7 @@ TEST(EncodedPropertyTest, FdErrorBitIdenticalToOracle) {
       if (lhs.empty()) continue;
       int rhs = static_cast<int>(rng.Uniform(0, cols - 1));
       StrippedPartition pli = StrippedPartition::ForAttributeSet(enc, lhs);
-      EXPECT_EQ(pli.FdError(enc, AttrSet::Single(rhs)),
+      EXPECT_EQ(pli.FdError(enc.codes(rhs), enc.dict_size(rhs)),
                 pli.FdError(r, AttrSet::Single(rhs)))
           << "seed " << seed << " lhs " << lhs.mask() << " rhs " << rhs;
     }

@@ -68,6 +68,8 @@
 #include "engine/evidence_cache.h"
 #include "engine/pli_cache.h"
 #include "metric/metric.h"
+#include "relation/csv.h"
+#include "relation/ooc/sharded_relation.h"
 
 namespace famtree {
 namespace {
@@ -447,6 +449,60 @@ TEST(MinerOracleTest, TaneFindsEveryMinimalAfd) {
         key);
     EXPECT_TRUE(SameItems(Sorted(Keys(got, key)), FdOracle(r, 2, 0.1)))
         << "seed " << s;
+  }
+}
+
+// TANE reads only the previous level's partitions (the last level builds
+// none) and keys its exact test by the RHS codes, or by the RHS leaf on an
+// out-of-core cache without a flat encoding. Every level cap — including
+// none, one, and caps at and beyond the column count — must still give the
+// oracle's minimal (A)FDs on every backend: no cache, a shared cache, and
+// the out-of-core cache, each at 1, 2 and 8 threads. The second relation's
+// domain equals its row count, so many rows are alone in a leaf: the
+// out-of-core exact test must not take two such rows for equal.
+TEST(MinerOracleTest, TaneMatchesOracleAtEveryLevelCapOnEveryBackend) {
+  for (uint64_t s = 0; s < 2; ++s) {
+    const int nc = 5;
+    const int rows = 90 + 30 * static_cast<int>(s);
+    Relation r = RandomRelation(
+        CaseSeed("TaneMatchesOracleAtEveryLevelCapOnEveryBackend") + s, rows,
+        nc, s == 0 ? 3 : rows, 0.05);
+    auto sharded = ShardedEncodedRelation::IngestCsvString(WriteCsvString(r));
+    ASSERT_TRUE(sharded.ok()) << sharded.status().ToString();
+    std::function<std::string(const DiscoveredFd&)> key = FdKey;
+    for (double max_error : {0.0, 0.1}) {
+      for (int max_lhs : {0, 1, 2, nc - 1, nc, nc + 2}) {
+        std::vector<std::string> want = FdOracle(r, max_lhs, max_error);
+        auto options = [&](ThreadPool* pool, PliCache* cache) {
+          TaneOptions o;
+          o.max_error = max_error;
+          o.max_lhs_size = max_lhs;
+          o.pool = pool;
+          o.cache = cache;
+          return o;
+        };
+        auto got = RunEverywhere<DiscoveredFd>(
+            r,
+            [&](ThreadPool* pool, PliCache* cache, EvidenceCache*) {
+              return DiscoverFdsTane(r, options(pool, cache));
+            },
+            key);
+        EXPECT_TRUE(SameItems(Sorted(Keys(got, key)), want))
+            << "seed " << s << " max_error " << max_error << " max_lhs "
+            << max_lhs;
+        for (int threads : kThreadCounts) {
+          ThreadPool pool(threads);
+          PliCache ooc(**sharded);
+          auto ooc_got = DiscoverFdsTane(&ooc, options(&pool, nullptr));
+          ASSERT_TRUE(ooc_got.ok()) << ooc_got.status().ToString();
+          EXPECT_EQ(Keys(*ooc_got, key), Keys(got, key))
+              << "out of core, seed " << s << " max_error " << max_error
+              << " max_lhs " << max_lhs << " threads " << threads;
+          EXPECT_EQ(ooc.has_encoded(), max_error > 0.0)
+              << "exact TANE must stay PLI-only out of core";
+        }
+      }
+    }
   }
 }
 

@@ -63,36 +63,63 @@ std::shared_ptr<ShardedEncodedRelation> MustIngest(const std::string& text,
   return std::move(r).value();
 }
 
+// MakeCsv plus three low-cardinality columns (r mod 3, r / 7 mod 4, and
+// r mod 2 blanked on every fifth row): their products with each other and
+// with the key-pair columns are non-empty, so product CSR order shows.
+std::string MakeLowCardinalityCsv(int rows) {
+  std::string csv = "a,b,c,d,e,f\n";
+  for (int r = 0; r < rows; ++r) {
+    csv += std::to_string(r % 59) + "," + std::to_string(r % 61) + "," +
+           std::to_string(r % 67) + "," + std::to_string(r % 3) + "," +
+           std::to_string(r / 7 % 4) + "," +
+           (r % 5 == 0 ? std::string() : std::to_string(r % 2)) + "\n";
+  }
+  return csv;
+}
+
 // PLIs served by an out-of-core cache are the same CSR arrays, byte for
 // byte, as the in-memory cache's — for singles (spill-merged runs) and for
-// products built on top of them.
+// every product built on top of them: keyed by the lowest attribute's
+// leaf class ids without a flat encoding, by its codes once EnsureEncoded
+// materialized one (the in-memory recipe).
 TEST(OocDeterminismTest, CachedPlisBitIdenticalToInMemory) {
-  std::string csv = MakeCsv(1500);
+  std::string csv = MakeLowCardinalityCsv(1500);
   Relation rel = MustRead(csv);
+  const int nc = rel.num_columns();
   PliCache memory_cache(rel);
   std::mt19937 rng(7);
   for (bool force_spill : {false, true}) {
-    IngestOptions options;
-    options.force_spill = force_spill;
-    options.shard_rows = 100 + static_cast<int>(rng() % 400);
-    options.io_chunk_bytes = 1 + rng() % 4096;
-    auto sharded = MustIngest(csv, options);
-    PliCache ooc_cache(*sharded);
-    EXPECT_EQ(memory_cache.fingerprint(), ooc_cache.fingerprint());
-    std::vector<AttrSet> probes = {
-        AttrSet::Single(0), AttrSet::Single(1), AttrSet::Single(2),
-        AttrSet::Single(0).With(1), AttrSet::Single(1).With(2),
-        AttrSet::Single(0).With(1).With(2)};
-    for (AttrSet attrs : probes) {
-      auto expected = memory_cache.Get(attrs);
-      auto got = ooc_cache.Get(attrs);
-      ASSERT_NE(expected, nullptr);
-      ASSERT_NE(got, nullptr);
-      EXPECT_EQ(expected->row_indices(), got->row_indices())
-          << "attrs " << attrs.mask() << " force_spill " << force_spill;
-      EXPECT_EQ(expected->class_offsets(), got->class_offsets());
+    for (bool encode : {false, true}) {
+      IngestOptions options;
+      options.force_spill = force_spill;
+      options.shard_rows = 100 + static_cast<int>(rng() % 400);
+      options.io_chunk_bytes = 1 + rng() % 4096;
+      auto sharded = MustIngest(csv, options);
+      PliCache ooc_cache(*sharded);
+      EXPECT_EQ(memory_cache.fingerprint(), ooc_cache.fingerprint());
+      if (encode) {
+        ASSERT_TRUE(ooc_cache.EnsureEncoded(nullptr).ok());
+      }
+      int nonempty_products = 0;
+      for (int size = 1; size <= nc; ++size) {
+        for (AttrSet attrs : AllSubsetsOfSize(nc, size)) {
+          auto expected = memory_cache.Get(attrs);
+          auto got = ooc_cache.Get(attrs);
+          ASSERT_NE(expected, nullptr);
+          ASSERT_NE(got, nullptr);
+          EXPECT_EQ(expected->row_indices(), got->row_indices())
+              << "attrs " << attrs.mask() << " force_spill " << force_spill
+              << " encode " << encode;
+          EXPECT_EQ(expected->class_offsets(), got->class_offsets());
+          nonempty_products += size > 1 && expected->num_classes() > 1;
+        }
+      }
+      EXPECT_GT(nonempty_products, 20);
+      EXPECT_EQ(ooc_cache.has_encoded(), encode);
+      if (force_spill) {
+        EXPECT_GT(ooc_cache.stats().ooc_spill_bytes, 0);
+      }
     }
-    if (force_spill) EXPECT_GT(ooc_cache.stats().ooc_spill_bytes, 0);
   }
 }
 

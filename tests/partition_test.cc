@@ -2,6 +2,7 @@
 
 #include "common/rng.h"
 #include "deps/afd.h"
+#include "relation/encoded_relation.h"
 #include "relation/partition.h"
 
 namespace famtree {
@@ -59,23 +60,27 @@ TEST(PartitionTest, ProductEqualsDirectPartition) {
   }
 }
 
-TEST(PartitionTest, FdHoldsMatchesDefinition) {
+TEST(PartitionTest, FirstViolationMatchesDefinition) {
   RelationBuilder b({"x", "y"});
   b.AddRow({Value(1), Value(10)});
   b.AddRow({Value(1), Value(10)});
   b.AddRow({Value(2), Value(20)});
   Relation good = std::move(b.Build()).value();
+  EncodedRelation good_enc(good);
   auto x = StrippedPartition::ForAttribute(good, 0);
-  auto xy = StrippedPartition::ForAttributeSet(good, AttrSet::Of({0, 1}));
-  EXPECT_TRUE(StrippedPartition::FdHolds(x, xy));
+  auto y = StrippedPartition::ForAttribute(good, 1);
+  EXPECT_EQ(x.FirstViolation(good_enc.codes(1)), std::nullopt);
+  EXPECT_EQ(x.FirstViolation(y, good.num_rows()), std::nullopt);
 
   RelationBuilder b2({"x", "y"});
   b2.AddRow({Value(1), Value(10)});
   b2.AddRow({Value(1), Value(11)});
   Relation bad = std::move(b2.Build()).value();
+  EncodedRelation bad_enc(bad);
   auto x2 = StrippedPartition::ForAttribute(bad, 0);
-  auto xy2 = StrippedPartition::ForAttributeSet(bad, AttrSet::Of({0, 1}));
-  EXPECT_FALSE(StrippedPartition::FdHolds(x2, xy2));
+  auto y2 = StrippedPartition::ForAttribute(bad, 1);
+  EXPECT_EQ(x2.FirstViolation(bad_enc.codes(1)), std::make_pair(0, 1));
+  EXPECT_EQ(x2.FirstViolation(y2, bad.num_rows()), std::make_pair(0, 1));
 }
 
 TEST(PartitionTest, FdErrorMatchesPaperExample) {
@@ -193,6 +198,97 @@ TEST(PartitionProductAlgebraTest,
     EXPECT_EQ(Canonical(pa.Product(pa, n)), Canonical(pa))
         << "idempotence, seed " << seed;
   }
+}
+
+/// A relation whose columns span the partition regimes: column 0 is one
+/// value (one class of every row), column 1 a key (an empty partition),
+/// column 2 mostly singletons, and the rest random over small domains.
+Relation MakeRegimeRelation(uint64_t seed, int rows, int cols) {
+  Rng rng(seed);
+  std::vector<std::string> names;
+  for (int c = 0; c < cols; ++c) names.push_back("c" + std::to_string(c));
+  RelationBuilder b(names);
+  for (int r = 0; r < rows; ++r) {
+    std::vector<Value> row = {Value(7), Value(r),
+                              Value(rng.Uniform(0, rows + 1))};
+    for (int c = 3; c < cols; ++c) {
+      row.push_back(Value(rng.Uniform(0, 1 + static_cast<int>(seed % 4))));
+    }
+    b.AddRow(std::move(row));
+  }
+  return std::move(b.Build()).value();
+}
+
+// Refine by b's codes is the product with b's leaf byte for byte, and both
+// are the direct grouping of X u {b} up to class order — on one-class,
+// key (empty), singleton-heavy and empty relations. The stamped product by
+// a multi-attribute partition is the grouping too.
+TEST(PartitionRefineTest, RefineEqualsProductOnEveryRegime) {
+  for (uint64_t seed = 0; seed < 40; ++seed) {
+    int rows = seed % 10 == 0 ? 0 : 1 + static_cast<int>(seed % 7) * 9;
+    int cols = 4 + static_cast<int>(seed % 3);
+    Relation r = MakeRegimeRelation(seed, rows, cols);
+    EncodedRelation enc(r);
+    int n = r.num_rows();
+    for (int x = 1; x < (1 << cols); ++x) {
+      AttrSet xs;
+      for (int a = 0; a < cols; ++a) {
+        if ((x >> a) & 1) xs.Add(a);
+      }
+      auto px = StrippedPartition::ForAttributeSet(enc, xs);
+      for (int b = 0; b < cols; ++b) {
+        auto leaf = StrippedPartition::ForAttribute(enc, b);
+        auto refined = px.Refine(enc.codes(b), enc.dict_size(b));
+        auto product = px.Product(leaf, n);
+        EXPECT_EQ(refined.row_indices(), product.row_indices())
+            << "seed " << seed << " x " << x << " b " << b;
+        EXPECT_EQ(refined.class_offsets(), product.class_offsets());
+        EXPECT_EQ(Canonical(refined),
+                  Canonical(StrippedPartition::ForAttributeSet(
+                      r, xs.With(b))))
+            << "seed " << seed << " x " << x << " b " << b;
+        // Constancy: none iff X -> b holds, else a pair agreeing on X and
+        // disagreeing on b; both keys give the same pair.
+        auto by_codes = px.FirstViolation(enc.codes(b));
+        EXPECT_EQ(by_codes, px.FirstViolation(leaf, n));
+        EXPECT_EQ(!by_codes.has_value(),
+                  refined.num_rows_in_classes() - refined.num_classes() ==
+                      px.num_rows_in_classes() - px.num_classes());
+        if (by_codes) {
+          EXPECT_TRUE(r.AgreeOn(by_codes->first, by_codes->second, xs));
+          EXPECT_FALSE(r.AgreeOn(by_codes->first, by_codes->second,
+                                 AttrSet::Single(b)));
+        }
+      }
+      // Product by a multi-attribute partition (not a leaf).
+      AttrSet rest = AttrSet::Full(cols).Minus(xs);
+      if (rest.empty()) continue;
+      auto prest = StrippedPartition::ForAttributeSet(enc, rest);
+      EXPECT_EQ(Canonical(px.Product(prest, n)),
+                Canonical(StrippedPartition::ForAttributeSet(
+                    r, AttrSet::Full(cols))))
+          << "seed " << seed << " x " << x;
+    }
+  }
+}
+
+// Refine keeps the documented class order: this partition's classes in
+// order, each split into first-touch sub-classes, singletons dropped.
+TEST(PartitionRefineTest, RefineEmitsFirstTouchSubClassesPerClass) {
+  RelationBuilder b({"x", "y"});
+  // x classes: {0, 2, 3, 5, 6} (x=1), then {1, 4} (x=2).
+  for (auto [x, y] : std::vector<std::pair<int, int>>{
+           {1, 9}, {2, 4}, {1, 8}, {1, 6}, {2, 4}, {1, 8}, {1, 6}}) {
+    b.AddRow({Value(x), Value(y)});
+  }
+  Relation r = std::move(b.Build()).value();
+  EncodedRelation enc(r);
+  auto px = StrippedPartition::ForAttribute(enc, 0);
+  auto refined = px.Refine(enc.codes(1), enc.dict_size(1));
+  // Row 0 (y=9) is alone; then {2, 5} (y=8) before {3, 6} (y=6) in the
+  // first class; the second class {1, 4} survives whole.
+  EXPECT_EQ(refined.classes(),
+            (std::vector<std::vector<int>>{{2, 5}, {3, 6}, {1, 4}}));
 }
 
 }  // namespace

@@ -135,6 +135,40 @@ TEST(PliCacheTest, PinnedSinglesSurviveEvictionPressure) {
   EXPECT_EQ(cache.stats().hits, hits_before + 5);
 }
 
+// TANE's tests read only the previous level's partitions, so a cached run
+// with LHS cap k leaves no partition of more than k attributes behind
+// (k >= 1; the level-1 leaves always serve the constant-column test). A
+// probe Get of every (k + 1)-set must miss.
+TEST(PliCacheTest, TaneCachesNoPartitionBeyondItsLevelCap) {
+  Relation r = MakeRandomRelation(53, 80, 5, 3);
+  for (int max_lhs : {1, 2, 3}) {
+    PliCache cache(r);
+    TaneOptions options;
+    options.max_lhs_size = max_lhs;
+    options.cache = &cache;
+    auto cached = DiscoverFdsTane(r, options);
+    ASSERT_TRUE(cached.ok());
+    options.cache = nullptr;
+    auto plain = DiscoverFdsTane(r, options);
+    ASSERT_TRUE(plain.ok());
+    EXPECT_EQ(cached->size(), plain->size()) << "max_lhs " << max_lhs;
+    int64_t hits = cache.stats().hits;
+    int cached_at_cap = 0;
+    for (AttrSet attrs : AllSubsetsOfSize(5, max_lhs)) {
+      cache.Get(attrs);
+      cached_at_cap += cache.stats().hits > hits;
+      hits = cache.stats().hits;
+    }
+    EXPECT_GT(cached_at_cap, 0) << "the walk never reached level " << max_lhs;
+    for (AttrSet attrs : AllSubsetsOfSize(5, max_lhs + 1)) {
+      int64_t misses = cache.stats().misses;
+      cache.Get(attrs);
+      EXPECT_GT(cache.stats().misses, misses)
+          << "max_lhs " << max_lhs << " cached " << attrs.ToString();
+    }
+  }
+}
+
 TEST(PliCacheTest, ConcurrentGetsAgreeWithGroundTruth) {
   Relation r = MakeRandomRelation(47, 90, 6, 3);
   PliCache cache(r);
