@@ -120,6 +120,20 @@ if [ -n "$PRODUCT_HITS" ]; then
   exit 1
 fi
 
+echo "=== [0/5] lint: one value dictionary ==="
+# Every column dictionary (EncodedRelation's constructor and Appended, the
+# out-of-core ingester) encodes through ValueDictionary
+# (src/relation/encoded_relation.h): one flat table that returns the lowest
+# equal code. A per-hash bucket map would be a second dictionary with its
+# own growth and tie rules.
+DICT_HITS="$(grep -rnE 'unordered_map<[[:space:]]*(std::)?size_t,[[:space:]]*(std::)?vector<[[:space:]]*(std::)?uint32_t[[:space:]]*>[[:space:]]*>' src || true)"
+if [ -n "$DICT_HITS" ]; then
+  echo "lint: per-hash bucket dictionary in src/; encode through" >&2
+  echo "ValueDictionary (src/relation/encoded_relation.h) instead:" >&2
+  echo "$DICT_HITS" >&2
+  exit 1
+fi
+
 echo "=== [1/5] Release: ctest -L tier1 ==="
 run cmake -B "$PREFIX" >/dev/null
 run cmake --build "$PREFIX" -j "$JOBS"

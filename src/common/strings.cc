@@ -4,6 +4,7 @@
 #include <charconv>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 
 namespace famtree {
 
@@ -32,6 +33,10 @@ std::string Join(const std::vector<std::string>& parts, std::string_view sep) {
 }
 
 std::string_view Trim(std::string_view s) {
+  // Printable ASCII is never whitespace, so text that starts and ends with
+  // it (most CSV cells) is returned without a locale lookup.
+  auto printable = [](char c) { return c > ' ' && c < 0x7f; };
+  if (!s.empty() && printable(s.front()) && printable(s.back())) return s;
   size_t b = 0;
   while (b < s.size() && std::isspace(static_cast<unsigned char>(s[b]))) ++b;
   size_t e = s.size();
@@ -57,6 +62,16 @@ bool EndsWith(std::string_view s, std::string_view suffix) {
 bool ParseInt64(std::string_view s, long long* out) {
   s = Trim(s);
   if (s.empty()) return false;
+  // Up to 18 digits cannot overflow: sum them here, as from_chars would.
+  size_t i = s[0] == '-', neg = i;
+  long long v = 0;
+  for (; i < s.size() && i < neg + 18 && s[i] >= '0' && s[i] <= '9'; ++i) {
+    v = v * 10 + (s[i] - '0');
+  }
+  if (i == s.size() && i > neg) {
+    *out = neg ? -v : v;
+    return true;
+  }
   auto [ptr, ec] = std::from_chars(s.data(), s.data() + s.size(), *out);
   return ec == std::errc() && ptr == s.data() + s.size();
 }
@@ -64,11 +79,20 @@ bool ParseInt64(std::string_view s, long long* out) {
 bool ParseDouble(std::string_view s, double* out) {
   s = Trim(s);
   if (s.empty()) return false;
-  // std::from_chars<double> is not universally available; strtod on a copy.
-  std::string buf(s);
+  // strtod (hex, inf, nan, a leading '+') needs a NUL-terminated copy; a
+  // token can only start with one of these, so other text skips the copy.
+  if (std::strchr("+-.0123456789iInN", s[0]) == nullptr) return false;
+  char small[64] = {};
+  std::string large;
+  const char* buf = small;
+  if (s.size() < sizeof(small)) {
+    std::memcpy(small, s.data(), s.size());
+  } else {
+    buf = (large = std::string(s)).c_str();
+  }
   char* end = nullptr;
-  *out = std::strtod(buf.c_str(), &end);
-  return end == buf.c_str() + buf.size();
+  *out = std::strtod(buf, &end);
+  return end == buf + s.size();
 }
 
 std::string FormatDouble(double v) {

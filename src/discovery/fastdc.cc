@@ -330,7 +330,10 @@ Result<std::vector<DiscoveredDc>> DiscoverDcs(const Relation& relation,
   // sees exactly the multiset the per-predicate path would produce.
   // Cross-column predicates, NaN order ties and words wider than 64 bits
   // take the per-predicate path below instead.
-  EncodedRelation encoded(relation);
+  std::unique_ptr<EncodedRelation> local;
+  FAMTREE_ASSIGN_OR_RETURN(const EncodedRelation* resolved,
+                           ResolveEncoding(relation, options.cache, &local));
+  const EncodedRelation& encoded = *resolved;
   if (!options.cross_column) {
     std::vector<EvidenceColumn> config;
     bool supported = true;
@@ -358,7 +361,8 @@ Result<std::vector<DiscoveredDc>> DiscoverDcs(const Relation& relation,
         Result<std::shared_ptr<const EvidenceSet>> set_result =
             GetOrBuildEvidence(
                 options.evidence, encoded,
-                EvidenceKeyFingerprint(options.evidence, relation, nullptr),
+                EvidenceKeyFingerprint(options.evidence, relation,
+                                       options.cache),
                 config, eopts);
         if (!set_result.ok() && RunContext::IsStop(set_result.status())) {
           return exhausted_early(set_result.status());

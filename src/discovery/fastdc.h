@@ -10,6 +10,7 @@
 namespace famtree {
 
 class EvidenceCache;
+class PliCache;
 class RunContext;
 class ThreadPool;
 
@@ -57,6 +58,9 @@ struct FastDcOptions {
   /// relation content + column config; only the exact (all-pairs) build is
   /// cacheable.
   EvidenceCache* evidence = nullptr;
+  /// Optional PLI store serving `relation`: lends its encoding and its
+  /// fingerprint, so a call encodes and hashes nothing itself.
+  PliCache* cache = nullptr;
 };
 
 struct DiscoveredDc {

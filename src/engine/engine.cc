@@ -223,6 +223,7 @@ Result<std::vector<DiscoveredDc>> DiscoveryEngine::FastDc(
   options.pool = &pool_;
   options.evidence = &evidence_;
   if (options.context == nullptr) options.context = default_context();
+  FAMTREE_ASSIGN_OR_RETURN(options.cache, CacheFor(relation));
   return DiscoverDcs(relation, options);
 }
 

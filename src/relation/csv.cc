@@ -1,8 +1,12 @@
 #include "relation/csv.h"
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <cstring>
 #include <fstream>
 
+#include "common/hash.h"
 #include "common/strings.h"
 
 namespace famtree {
@@ -38,108 +42,156 @@ class ScopedCsvCharge {
   bool committed_ = false;
 };
 
+/// Bytes of `w` that are zero, flagged in their high bits; the lowest flag
+/// is exact (a borrow only flags bytes above a real zero byte).
+uint64_t ZeroBytes(uint64_t w) {
+  return (w - 0x0101010101010101ULL) & ~w & 0x8080808080808080ULL;
+}
+
+/// The first byte of [p, end) in the `special` class, or end: eight bytes
+/// per step on little-endian hosts, then the byte-class table.
+const char* ScanPlain(const char* p, const char* end, char separator,
+                      const bool* special) {
+  if constexpr (std::endian::native == std::endian::little) {
+    const uint64_t ones = 0x0101010101010101ULL;
+    const uint64_t sep = ones * static_cast<uint8_t>(separator);
+    for (; end - p >= 8; p += 8) {
+      uint64_t w;
+      std::memcpy(&w, p, 8);
+      uint64_t hit = ZeroBytes(w ^ sep) | ZeroBytes(w ^ (ones * '"')) |
+                     ZeroBytes(w ^ (ones * '\r')) |
+                     ZeroBytes(w ^ (ones * '\n'));
+      if (hit != 0) return p + (std::countr_zero(hit) >> 3);
+    }
+  }
+  while (p < end && !special[static_cast<unsigned char>(*p)]) ++p;
+  return p;
+}
+
 /// Pulls chunks from `next` (empty view = end of input), charging each chunk
-/// before it is parsed, and assembles the decoded rows into a Relation.
-Result<Relation> ReadCsvChunks(
-    const std::function<Result<std::string_view>()>& next,
-    const CsvOptions& options) {
+/// before it is parsed, and adopts the decoded columns as the relation.
+/// `total_bytes` (the input size) sizes the columns once from the first
+/// chunk's bytes per row, so they do not regrow cell by cell.
+Result<Relation> ReadCsvChunks(const CsvChunkSource& next,
+                               const CsvOptions& options,
+                               size_t total_bytes) {
   ScopedCsvCharge charge(options.context);
-  std::vector<std::vector<Value>> rows;
-  CsvRowDecoder decoder(options, [&rows](std::vector<Value>&& row) {
-    rows.push_back(std::move(row));
-    return Status::OK();
-  });
-  CsvStreamParser parser(options.separator);
-  auto emit = [&decoder](std::vector<CsvField>* fields) {
-    return decoder.OnRecord(fields);
-  };
-  for (;;) {
+  CsvRowDecoder decoder(options);
+  for (bool first = true;; first = false) {
     FAMTREE_ASSIGN_OR_RETURN(std::string_view chunk, next());
     if (chunk.empty()) break;
     FAMTREE_RETURN_NOT_OK(charge.Charge(chunk.size()));
-    FAMTREE_RETURN_NOT_OK(parser.Feed(chunk, emit));
+    FAMTREE_RETURN_NOT_OK(decoder.Feed(chunk));
+    if (first && decoder.rows() > 0 && total_bytes > chunk.size()) {
+      size_t rows = static_cast<size_t>(decoder.rows()) * total_bytes /
+                    chunk.size();
+      for (auto& col : decoder.columns()) col.reserve(rows + rows / 64 + 16);
+    }
   }
-  FAMTREE_RETURN_NOT_OK(parser.Finish(emit));
   FAMTREE_RETURN_NOT_OK(decoder.Finish());
-  RelationBuilder builder(decoder.names());
-  for (auto& row : rows) builder.AddRow(std::move(row));
   charge.Commit();
-  return builder.Build();
+  return Relation(decoder.schema(), std::move(decoder.columns()),
+                  decoder.chain());
 }
 
 }  // namespace
 
 CsvStreamParser::CsvStreamParser(char separator) : separator_(separator) {
-  specials_[0] = separator_;
-  specials_[1] = '"';
-  specials_[2] = '\r';
-  specials_[3] = '\n';
+  for (char c : {separator, '"', '\r', '\n'}) {
+    special_[static_cast<unsigned char>(c)] = true;
+  }
+}
+
+int CsvStreamParser::ToCarry(std::string_view text) {
+  if (carry_used_ == static_cast<int>(carry_.size())) carry_.emplace_back();
+  carry_[carry_used_].assign(text);
+  return carry_used_++;
+}
+
+void CsvStreamParser::Append(const char* data, size_t size) {
+  if (carry_index_ < 0) {
+    std::string_view& text = field_.text;
+    if (text.empty() || text.data() + text.size() == data) {
+      text = std::string_view(text.empty() ? data : text.data(),
+                              text.size() + size);
+      return;
+    }
+    carry_index_ = ToCarry(text);
+  }
+  carry_[carry_index_].append(data, size);
+}
+
+void CsvStreamParser::EndField() {
+  if (carry_index_ >= 0) field_.text = carry_[carry_index_];
+  fields_.push_back(field_);
+  field_ = CsvField();
+  carry_index_ = -1;
 }
 
 Status CsvStreamParser::Emit(const RecordFn& emit) {
-  fields_.push_back(std::move(field_));
-  field_ = CsvField();
+  EndField();
   record_open_ = false;
-  Status st = emit(&fields_);
+  Status st = emit(fields_);
   fields_.clear();
+  chunk_fields_ = 0;
+  carry_used_ = 0;
   return st;
 }
 
 Status CsvStreamParser::Feed(std::string_view chunk, const RecordFn& emit) {
-  while (!chunk.empty()) {
+  const char* p = chunk.data();
+  const char* const end = p + chunk.size();
+  while (p < end) {
     if (skip_lf_) {
       skip_lf_ = false;
-      if (chunk.front() == '\n') {
-        chunk.remove_prefix(1);
+      if (*p == '\n') {
+        ++p;
         continue;
       }
     }
     if (quote_pending_) {
       quote_pending_ = false;
-      if (chunk.front() == '"') {
-        field_.text += '"';
+      if (*p == '"') {  // an escaped quote: the second one is the literal
+        Append(p++, 1);
         record_open_ = true;
-        chunk.remove_prefix(1);
         continue;
       }
       in_quotes_ = false;  // the pending quote closed the region
     }
+    // Inside quotes only a quote stops the scan; outside, any special byte.
+    const char* q =
+        in_quotes_ ? static_cast<const char*>(memchr(p, '"', end - p))
+                   : ScanPlain(p, end, separator_, special_);
+    if (q == nullptr) q = end;
+    if (q > p) {
+      Append(p, q - p);
+      record_open_ = true;
+    }
+    if (q == end) break;  // chunk consumed
+    char c = *q;
+    p = q + 1;
+    record_open_ = true;
     if (in_quotes_) {
-      size_t stop = chunk.find('"');
-      size_t take = stop == std::string_view::npos ? chunk.size() : stop;
-      if (take > 0) {
-        field_.text.append(chunk.substr(0, take));
-        record_open_ = true;
-      }
-      if (stop == std::string_view::npos) break;  // chunk consumed
       // A quote inside quotes is ambiguous until the next byte, which may
       // live in the next chunk.
       quote_pending_ = true;
-      record_open_ = true;
-      chunk.remove_prefix(take + 1);
-      continue;
-    }
-    size_t stop = chunk.find_first_of(specials_, 0, 4);
-    size_t take = stop == std::string_view::npos ? chunk.size() : stop;
-    if (take > 0) {
-      field_.text.append(chunk.substr(0, take));
-      record_open_ = true;
-    }
-    if (stop == std::string_view::npos) break;  // chunk consumed
-    char c = chunk[take];
-    chunk.remove_prefix(take + 1);
-    if (c == separator_) {
-      fields_.push_back(std::move(field_));
-      field_ = CsvField();
-      record_open_ = true;
+    } else if (c == separator_) {
+      EndField();
     } else if (c == '"') {
       in_quotes_ = true;
       field_.quoted = true;
-      record_open_ = true;
     } else {
       if (c == '\r') skip_lf_ = true;
       FAMTREE_RETURN_NOT_OK(Emit(emit));
     }
+  }
+  // Views die with the chunk: the open record's fields move to the carry.
+  for (size_t i = chunk_fields_; i < fields_.size(); ++i) {
+    fields_[i].text = carry_[ToCarry(fields_[i].text)];
+  }
+  chunk_fields_ = fields_.size();
+  if (carry_index_ < 0 && !field_.text.empty()) {
+    carry_index_ = ToCarry(field_.text);
   }
   return Status::OK();
 }
@@ -159,7 +211,7 @@ Status CsvStreamParser::Finish(const RecordFn& emit) {
 }
 
 Value ParseCsvField(const CsvField& field, const CsvOptions& options) {
-  if (field.quoted) return Value(field.text);
+  if (field.quoted) return Value(std::string(field.text));
   if (field.text.empty() || field.text == options.null_literal) {
     return Value::Null();
   }
@@ -169,7 +221,7 @@ Value ParseCsvField(const CsvField& field, const CsvOptions& options) {
     double dv;
     if (ParseDouble(field.text, &dv)) return Value(dv);
   }
-  return Value(field.text);
+  return Value(std::string(field.text));
 }
 
 std::string EscapeCsvField(const std::string& field, const CsvOptions& options,
@@ -197,19 +249,55 @@ std::string EscapeCsvField(const std::string& field, const CsvOptions& options,
   return out;
 }
 
-CsvRowDecoder::CsvRowDecoder(const CsvOptions& options, RowFn on_row)
-    : options_(options), on_row_(std::move(on_row)) {}
+CsvRowDecoder::CsvRowDecoder(const CsvOptions& options,
+                             std::vector<ColumnTypeFold> folds,
+                             uint64_t chain)
+    : options_(options),
+      parser_(options.separator),
+      folds_(std::move(folds)),
+      chain_(chain) {}
 
-Status CsvRowDecoder::OnRecord(std::vector<CsvField>* fields) {
+Status CsvRowDecoder::Feed(std::string_view chunk) {
+  return parser_.Feed(chunk, [this](const std::vector<CsvField>& fields) {
+    return OnRecord(fields);
+  });
+}
+
+Status CsvRowDecoder::Finish() {
+  FAMTREE_RETURN_NOT_OK(
+      parser_.Finish([this](const std::vector<CsvField>& fields) {
+        return OnRecord(fields);
+      }));
+  if (options_.has_header && !saw_header_) {
+    return Status::Invalid("empty CSV input");
+  }
+  return Status::OK();
+}
+
+Schema CsvRowDecoder::schema() const {
+  std::vector<Column> cols(names_.size());
+  for (size_t c = 0; c < cols.size(); ++c) {
+    cols[c].name = names_[c];
+    cols[c].type = folds_[c].result();
+  }
+  return Schema(std::move(cols));
+}
+
+void CsvRowDecoder::FixWidth() {
+  if (folds_.empty()) folds_.resize(names_.size());
+  columns_.resize(folds_.size());
+}
+
+Status CsvRowDecoder::OnRecord(const std::vector<CsvField>& fields) {
   if (options_.has_header && !saw_header_) {
     saw_header_ = true;
-    for (auto& f : *fields) names_.push_back(std::string(Trim(f.text)));
+    for (const CsvField& f : fields) names_.emplace_back(Trim(f.text));
+    FixWidth();
     return Status::OK();
   }
   // A record that is a single unquoted empty field is a blank line; a quoted
   // "" is a real one-cell record holding the empty string.
-  if (fields->size() == 1 && !(*fields)[0].quoted &&
-      Trim((*fields)[0].text).empty()) {
+  if (fields.size() == 1 && !fields[0].quoted && Trim(fields[0].text).empty()) {
     return Status::OK();
   }
   if ((rows_ & 255) == 0) {
@@ -217,56 +305,66 @@ Status CsvRowDecoder::OnRecord(std::vector<CsvField>* fields) {
   }
   if (names_.empty()) {
     // No header: the first data row fixes the width.
-    for (size_t i = 0; i < fields->size(); ++i) {
+    for (size_t i = 0; i < fields.size(); ++i) {
       names_.push_back("c" + std::to_string(i));
     }
+    FixWidth();
   }
-  if (fields->size() != names_.size()) {
+  if (fields.size() != names_.size()) {
     return Status::Invalid("row " + std::to_string(rows_ + 1) + " has " +
-                           std::to_string(fields->size()) +
+                           std::to_string(fields.size()) +
                            " fields, expected " +
                            std::to_string(names_.size()));
   }
-  std::vector<Value> row;
-  row.reserve(fields->size());
-  for (const auto& f : *fields) row.push_back(ParseCsvField(f, options_));
+  if (fields.size() != folds_.size()) {
+    // Only when continuing a decode: rows must fit the earlier relation.
+    return Status::Invalid("append row has " + std::to_string(fields.size()) +
+                           " values, relation has " +
+                           std::to_string(folds_.size()) + " columns");
+  }
+  for (size_t c = 0; c < fields.size(); ++c) {
+    Value v = ParseCsvField(fields[c], options_);
+    folds_[c].Add(v.type());
+    chain_ = HashCombine(chain_, v.Hash());
+    columns_[c].push_back(std::move(v));
+  }
   ++rows_;
-  return on_row_(std::move(row));
+  return Status::OK();
 }
 
-Status CsvRowDecoder::Finish() {
-  if (options_.has_header && !saw_header_) {
-    return Status::Invalid("empty CSV input");
-  }
-  return Status::OK();
+CsvChunkSource StringChunks(const std::string& text, size_t stride) {
+  return [&text, stride, pos = size_t{0}]() mutable
+         -> Result<std::string_view> {
+    std::string_view chunk(text.data() + pos,
+                           std::min(text.size() - pos, stride));
+    pos += chunk.size();
+    return chunk;
+  };
+}
+
+CsvChunkSource StreamChunks(std::istream& in, std::vector<char>* buf) {
+  return [&in, buf]() -> Result<std::string_view> {
+    in.read(buf->data(), static_cast<std::streamsize>(buf->size()));
+    if (in.bad()) return Status::IoError("read failed");
+    return std::string_view(buf->data(), static_cast<size_t>(in.gcount()));
+  };
 }
 
 Result<Relation> ReadCsvString(const std::string& text,
                                const CsvOptions& options) {
-  size_t pos = 0;
-  return ReadCsvChunks(
-      [&text, &pos]() -> Result<std::string_view> {
-        size_t take = std::min(text.size() - pos, kCsvIoChunkBytes);
-        std::string_view chunk(text.data() + pos, take);
-        pos += take;
-        return chunk;
-      },
-      options);
+  return ReadCsvChunks(StringChunks(text, kCsvIoChunkBytes), options,
+                       text.size());
 }
 
 Result<Relation> ReadCsvFile(const std::string& path,
                              const CsvOptions& options) {
-  std::ifstream in(path, std::ios::binary);
+  std::ifstream in(path, std::ios::binary | std::ios::ate);
   if (!in) return Status::IoError("cannot open '" + path + "'");
+  std::streamoff size = in.tellg();
+  in.seekg(0);
   std::vector<char> buf(kCsvIoChunkBytes);
-  return ReadCsvChunks(
-      [&in, &buf]() -> Result<std::string_view> {
-        in.read(buf.data(), static_cast<std::streamsize>(buf.size()));
-        if (in.bad()) return Status::IoError("read failed");
-        return std::string_view(buf.data(),
-                                static_cast<size_t>(in.gcount()));
-      },
-      options);
+  return ReadCsvChunks(StreamChunks(in, &buf), options,
+                       size > 0 ? static_cast<size_t>(size) : 0);
 }
 
 std::string WriteCsvString(const Relation& relation,

@@ -1,7 +1,9 @@
 #ifndef FAMTREE_RELATION_CSV_H_
 #define FAMTREE_RELATION_CSV_H_
 
+#include <deque>
 #include <functional>
+#include <istream>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -36,9 +38,11 @@ inline constexpr size_t kCsvIoChunkBytes = 256 * 1024;
 
 /// One raw field plus whether any part of it was quoted in the source; the
 /// readers need that distinction because quoting suppresses null detection
-/// and type inference.
+/// and type inference. The text views the parser's input chunk, or its
+/// carry buffer for a field that spans chunks or holds an escaped quote;
+/// it is valid only during the record callback.
 struct CsvField {
-  std::string text;
+  std::string_view text;
   bool quoted = false;
 };
 
@@ -46,11 +50,15 @@ struct CsvField {
 /// invokes `emit` once per record, so a quoted field, a doubled quote, or a
 /// CRLF pair may span any chunk boundary. Feed() consumes a chunk; Finish()
 /// flushes a final record with no trailing newline and rejects an
-/// unterminated quoted field. The fields vector passed to `emit` is reused
-/// between records; the callback may move the texts out.
+/// unterminated quoted field. Unquoted text is scanned eight bytes at a
+/// time (a byte-class table for the tail) and quoted text with memchr; a
+/// field contiguous in its chunk is passed as a view of it, and only the
+/// rest (an escaped quote, text on both sides of a quote, or a record left
+/// open at the end of a chunk) is copied, into carry strings reused from
+/// record to record.
 class CsvStreamParser {
  public:
-  using RecordFn = std::function<Status(std::vector<CsvField>*)>;
+  using RecordFn = std::function<Status(const std::vector<CsvField>&)>;
 
   explicit CsvStreamParser(char separator);
 
@@ -58,12 +66,21 @@ class CsvStreamParser {
   Status Finish(const RecordFn& emit);
 
  private:
+  /// Copies `text` into the next free carry string; returns its index.
+  int ToCarry(std::string_view text);
+  void Append(const char* data, size_t size);
+  void EndField();
   Status Emit(const RecordFn& emit);
 
   char separator_;
-  char specials_[4];  // separator, quote, CR, LF — the bulk-scan stop set
-  std::vector<CsvField> fields_;
+  bool special_[256] = {};  // separator, quote, CR, LF: the scan stop set
+  std::vector<CsvField> fields_;  // the open record's finished fields
   CsvField field_;
+  int carry_index_ = -1;  // field_'s carry string, or -1 while a view
+  size_t chunk_fields_ = 0;  // fields_ before this one view the chunk
+  /// A deque: growing it leaves the carried fields' views valid.
+  std::deque<std::string> carry_;
+  int carry_used_ = 0;
   bool in_quotes_ = false;
   /// Saw a quote inside a quoted region at a chunk boundary: a following
   /// quote is an escaped literal, anything else closes the region.
@@ -90,36 +107,62 @@ Value ParseCsvField(const CsvField& field, const CsvOptions& options);
 std::string EscapeCsvField(const std::string& field, const CsvOptions& options,
                            bool from_string_value);
 
-/// Streams parsed records into typed rows with the exact dialect the
-/// whole-file reader applies: captures the header (or synthesizes c0..cN
-/// names from the first data row), skips blank lines, applies ParseCsvField,
-/// enforces a uniform field count, and polls the context once per 256 data
-/// rows. Shared by ReadCsvString/ReadCsvFile and the out-of-core ingester so
-/// every ingest path accepts the identical format.
+/// Decodes CSV text into typed columns with the exact dialect every ingest
+/// path applies: captures the header (or synthesizes c0..cN names from the
+/// first data row), skips blank lines, applies ParseCsvField, enforces a
+/// uniform field count, and polls the context once per 256 data rows. Each
+/// cell goes straight into its column, and the same row-major pass folds
+/// the column types and the fingerprint chain (RelationRowChain's fold).
+/// Shared by ReadCsvString/ReadCsvFile, which adopt the columns as the
+/// relation, and the out-of-core ingester, which drains them into its
+/// dictionaries after every chunk.
 class CsvRowDecoder {
  public:
-  using RowFn = std::function<Status(std::vector<Value>&&)>;
+  /// Non-empty `folds` continue an earlier decode's type fold and `chain`
+  /// (an append to an ingested relation); rows must then have
+  /// folds.size() fields.
+  explicit CsvRowDecoder(const CsvOptions& options,
+                         std::vector<ColumnTypeFold> folds = {},
+                         uint64_t chain = kRelationChainSeed);
 
-  CsvRowDecoder(const CsvOptions& options, RowFn on_row);
-
-  /// The CsvStreamParser record callback.
-  Status OnRecord(std::vector<CsvField>* fields);
-
-  /// Rejects input that never produced the expected header.
+  Status Feed(std::string_view chunk);
+  /// Flushes the last record; rejects input that never produced the
+  /// expected header.
   Status Finish();
 
   /// Column names seen so far (header, synthesized, or empty when no data
   /// row has fixed the width yet).
   const std::vector<std::string>& names() const { return names_; }
   int64_t rows() const { return rows_; }
+  /// Cells decoded since the caller last emptied them, one vector per
+  /// column (empty until the width is known).
+  std::vector<std::vector<Value>>& columns() { return columns_; }
+  const std::vector<ColumnTypeFold>& folds() const { return folds_; }
+  /// The names with their folded column types.
+  Schema schema() const;
+  uint64_t chain() const { return chain_; }
 
  private:
+  Status OnRecord(const std::vector<CsvField>& fields);
+  void FixWidth();
+
   CsvOptions options_;
-  RowFn on_row_;
+  CsvStreamParser parser_;
   std::vector<std::string> names_;
   bool saw_header_ = false;
   int64_t rows_ = 0;
+  std::vector<std::vector<Value>> columns_;
+  std::vector<ColumnTypeFold> folds_;
+  uint64_t chain_;
 };
+
+/// A chunk source for the readers: each call returns the next chunk of the
+/// input, an empty view at its end.
+using CsvChunkSource = std::function<Result<std::string_view>()>;
+/// `text` in views of at most `stride` bytes.
+CsvChunkSource StringChunks(const std::string& text, size_t stride);
+/// Reads of at most buf->size() bytes from `in` into `*buf`.
+CsvChunkSource StreamChunks(std::istream& in, std::vector<char>* buf);
 
 /// Parses CSV text into a Relation.
 Result<Relation> ReadCsvString(const std::string& text,

@@ -1,9 +1,68 @@
 #include "relation/encoded_relation.h"
 
 #include <algorithm>
+#include <bit>
+#include <cmath>
 #include <unordered_map>
 
 namespace famtree {
+
+namespace {
+
+bool IsNan(const Value& v) {
+  return v.type() == ValueType::kDouble && std::isnan(v.as_double());
+}
+
+}  // namespace
+
+ValueDictionary::ValueDictionary(std::vector<Value> values)
+    : values_(std::move(values)) {
+  int_keys_ = std::all_of(values_.begin(), values_.end(), [](const Value& v) {
+    return v.type() == ValueType::kInt || IsNan(v);
+  });
+  Rebuild();
+}
+
+void ValueDictionary::Rebuild() {
+  size_t capacity = 16;
+  while (capacity < 4 * (values_.size() + 1)) capacity <<= 1;
+  slots_.assign(capacity, Slot{0, kEmpty});
+  shift_ = 64 - std::countr_zero(capacity);
+  entries_ = 0;
+  for (uint32_t code = 0; code < values_.size(); ++code) {
+    if (IsNan(values_[code])) continue;
+    uint64_t key = KeyOf(values_[code]);
+    size_t i = Home(key);
+    while (slots_[i].code != kEmpty) i = (i + 1) & (capacity - 1);
+    slots_[i] = Slot{key, code};
+    ++entries_;
+  }
+}
+
+uint32_t ValueDictionary::Encode(const Value& v) {
+  const uint32_t next = static_cast<uint32_t>(values_.size());
+  if (IsNan(v)) {  // equal to nothing: a fresh code, kept out of the table
+    values_.push_back(v);
+    return next;
+  }
+  if (int_keys_ && v.type() != ValueType::kInt) {
+    int_keys_ = false;
+    Rebuild();
+  } else if (2 * (entries_ + 1) > slots_.size()) {
+    Rebuild();
+  }
+  const uint64_t key = KeyOf(v);
+  size_t i = Home(key);
+  for (; slots_[i].code != kEmpty; i = (i + 1) & (slots_.size() - 1)) {
+    if (slots_[i].key == key && (int_keys_ || values_[slots_[i].code] == v)) {
+      return slots_[i].code;
+    }
+  }
+  slots_[i] = Slot{key, next};
+  ++entries_;
+  values_.push_back(v);
+  return next;
+}
 
 EncodedRelation::EncodedRelation(const Relation& relation)
     : EncodedRelation(relation, AttrSet::Full(relation.num_columns())) {}
@@ -20,37 +79,15 @@ EncodedRelation::EncodedRelation(const Relation& relation, AttrSet attrs)
   int nc = relation.num_columns();
   columns_.resize(nc);
   dicts_.resize(nc);
-  // Dictionary build per column: bucket by Value::Hash, resolve collisions
-  // by full Value comparison so distinct-but-colliding values never share a
-  // code, while cross-representation equal numerics (1 vs 1.0) always do.
-  std::unordered_map<size_t, std::vector<uint32_t>> buckets;
   for (int c = 0; c < nc; ++c) {
     if (!attrs.Contains(c)) continue;
     const std::vector<Value>& cells = relation.column(c);
-    std::vector<uint32_t>& codes = columns_[c];
-    std::vector<Value>& dict = dicts_[c];
-    codes.resize(cells.size());
-    buckets.clear();
-    buckets.reserve(cells.size() * 2);
+    columns_[c].resize(cells.size());
+    ValueDictionary dict;
     for (size_t row = 0; row < cells.size(); ++row) {
-      const Value& v = cells[row];
-      std::vector<uint32_t>& candidates = buckets[v.Hash()];
-      uint32_t code = 0;
-      bool found = false;
-      for (uint32_t cand : candidates) {
-        if (dict[cand] == v) {
-          code = cand;
-          found = true;
-          break;
-        }
-      }
-      if (!found) {
-        code = static_cast<uint32_t>(dict.size());
-        dict.push_back(v);
-        candidates.push_back(code);
-      }
-      codes[row] = code;
+      columns_[c][row] = dict.Encode(cells[row]);
     }
+    dicts_[c] = dict.TakeValues();
   }
 }
 
@@ -69,43 +106,21 @@ Result<EncodedRelation> EncodedRelation::Appended(const EncodedRelation& base,
     return Status::Invalid("appended encoding: base was mutated via SetCode");
   }
   EncodedRelation out(new_rows, base.columns_, base.dicts_);
-  std::unordered_map<size_t, std::vector<uint32_t>> buckets;
   for (int c = 0; c < nc; ++c) {
     std::vector<uint32_t>& codes = out.columns_[c];
-    std::vector<Value>& dict = out.dicts_[c];
     if (static_cast<int>(codes.size()) != old_rows) {
       return Status::Invalid(
           "appended encoding: base is a subset encoding");
     }
-    // Rebuild the hash buckets from the dictionary: every existing code is
-    // reachable under its representative's hash, exactly as the cold
-    // encoder left them.
-    buckets.clear();
-    buckets.reserve(dict.size() * 2);
-    for (uint32_t code = 0; code < dict.size(); ++code) {
-      buckets[dict[code].Hash()].push_back(code);
-    }
+    // Resuming from the dictionary reaches every existing code exactly as
+    // the cold encoder left it.
+    ValueDictionary dict(std::move(out.dicts_[c]));
     codes.resize(new_rows);
     const std::vector<Value>& cells = relation.column(c);
     for (int row = old_rows; row < new_rows; ++row) {
-      const Value& v = cells[row];
-      std::vector<uint32_t>& candidates = buckets[v.Hash()];
-      uint32_t code = 0;
-      bool found = false;
-      for (uint32_t cand : candidates) {
-        if (dict[cand] == v) {
-          code = cand;
-          found = true;
-          break;
-        }
-      }
-      if (!found) {
-        code = static_cast<uint32_t>(dict.size());
-        dict.push_back(v);
-        candidates.push_back(code);
-      }
-      codes[row] = code;
+      codes[row] = dict.Encode(cells[row]);
     }
+    out.dicts_[c] = dict.TakeValues();
   }
   return out;
 }

@@ -10,6 +10,51 @@
 
 namespace famtree {
 
+/// One column's dictionary under construction: Encode gives each cell a
+/// dense code in first-occurrence order, the same code iff the Values are
+/// equal under Value::operator==. A flat linear-probing table keyed by
+/// Value::Hash and always refilled in code order, so a lookup meets equal
+/// entries in code order and returns the *lowest* equal code: codes stay
+/// deterministic although equality is not transitive above 2^53 (2^53+1 ==
+/// 2^53.0 == 2^53 != 2^53+1). A NaN equals nothing: it takes a fresh code
+/// and never enters the table. While every entry is an int the key is the
+/// int itself (no hash, no variant compare). EncodedRelation's constructor
+/// and Appended and the out-of-core ingester all encode through it.
+class ValueDictionary {
+ public:
+  ValueDictionary() = default;
+  /// Resumes a dictionary from its values in code order.
+  explicit ValueDictionary(std::vector<Value> values);
+
+  uint32_t Encode(const Value& v);
+
+  size_t size() const { return values_.size(); }
+  /// The representatives (each code's first occurrence) in code order.
+  std::vector<Value> TakeValues() { return std::move(values_); }
+
+ private:
+  struct Slot {
+    uint64_t key;
+    uint32_t code;
+  };
+  static constexpr uint32_t kEmpty = ~uint32_t{0};
+
+  uint64_t KeyOf(const Value& v) const {
+    return int_keys_ ? static_cast<uint64_t>(v.as_int()) : v.Hash();
+  }
+  size_t Home(uint64_t key) const {
+    return (key * 0x9e3779b97f4a7c15ULL) >> shift_;
+  }
+  /// Refills the table from values_ in code order, at most a quarter full.
+  void Rebuild();
+
+  std::vector<Value> values_;
+  std::vector<Slot> slots_;
+  int shift_ = 64;  // 64 - log2(slots_.size())
+  size_t entries_ = 0;
+  bool int_keys_ = true;
+};
+
 /// Dictionary-encoded columnar view of a Relation: per column, a flat
 /// std::vector<uint32_t> of codes plus a code -> Value dictionary. Built
 /// once per relation, it turns every equality-driven primitive of the
@@ -51,12 +96,11 @@ class EncodedRelation {
   /// Incremental re-encode after a batch append: `base` must be the full
   /// encoding of `relation`'s first base.num_rows() rows, and `relation`
   /// must have grown by pure row appends since. Copies base's code arrays
-  /// and dictionaries, rebuilds the per-column hash buckets from the
-  /// dictionaries (O(distinct values), not O(rows)), and encodes only the
-  /// appended rows under the same dictionary discipline — bit-identical to
-  /// EncodedRelation(relation) built cold. Fails on a subset or mutated
-  /// (SetCode) base, where the dense first-occurrence invariant needed for
-  /// the splice no longer holds.
+  /// and dictionaries, resumes a ValueDictionary from each (O(distinct
+  /// values), not O(rows)), and encodes only the appended rows —
+  /// bit-identical to EncodedRelation(relation) built cold. Fails on a
+  /// subset or mutated (SetCode) base, where the dense first-occurrence
+  /// invariant needed for the splice no longer holds.
   static Result<EncodedRelation> Appended(const EncodedRelation& base,
                                           const Relation& relation);
 

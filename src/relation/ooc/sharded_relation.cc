@@ -7,11 +7,8 @@
 #include <functional>
 #include <limits>
 #include <sstream>
-#include <unordered_map>
 #include <utility>
 
-#include "common/hash.h"
-#include "common/strings.h"
 
 namespace famtree {
 
@@ -25,20 +22,18 @@ size_t DictEntryBytes(const Value& v) {
 
 }  // namespace
 
-/// Streaming builder: drives the incremental CSV parser, encodes each row
-/// against growing per-column dictionaries with exactly EncodedRelation's
-/// hash-bucket + full-comparison discipline, and closes fixed-size shards
-/// that stay resident under the budget or spill.
+/// Streaming builder: feeds each chunk to the CSV decoder (which folds the
+/// column types and the fingerprint chain), then encodes the decoded rows
+/// against per-column ValueDictionaries, exactly as EncodedRelation does,
+/// and closes fixed-size shards that stay resident under the budget or
+/// spill.
 class ShardedEncodedRelation::Ingester {
  public:
   explicit Ingester(IngestOptions options)
       : options_(std::move(options)),
         owned_(new ShardedEncodedRelation()),
         rel_(owned_.get()),
-        decoder_(MakeCsvOptions(),
-                 [this](std::vector<Value>&& row) {
-                   return OnRow(std::move(row));
-                 }) {
+        decoder_(MakeCsvOptions()) {
     rel_->force_spill_ = options_.force_spill;
     rel_->spill_dir_ =
         options_.spill_dir.empty() ? DefaultSpillDir() : options_.spill_dir;
@@ -49,16 +44,13 @@ class ShardedEncodedRelation::Ingester {
   }
 
   /// Append-resume mode: continues an existing relation's encoder state —
-  /// dictionaries (hash buckets rebuilt from the dictionaries themselves),
-  /// type fold, row counter, and fingerprint chain — so the delta rows get
-  /// codes exactly as they would have in one uninterrupted ingest.
+  /// dictionaries, type fold, row counter, and fingerprint chain — so the
+  /// delta rows get codes exactly as they would have in one uninterrupted
+  /// ingest.
   Ingester(ShardedEncodedRelation* existing, IngestOptions options)
       : options_(std::move(options)),
         rel_(existing),
-        decoder_(MakeCsvOptions(),
-                 [this](std::vector<Value>&& row) {
-                   return OnRow(std::move(row));
-                 }) {
+        decoder_(MakeCsvOptions(), existing->fold_, existing->chain_) {
     if (options_.shard_rows < 1) options_.shard_rows = 1;
     // Spill settings stay the relation's own. Adopt the append context's
     // budget as the residency account only if ingest never had one;
@@ -66,31 +58,13 @@ class ShardedEncodedRelation::Ingester {
     if (rel_->ingest_budget_ == nullptr && options_.context != nullptr) {
       rel_->ingest_budget_ = options_.context->memory_budget();
     }
-    int nc = rel_->num_columns();
     num_rows_ = rel_->num_rows_;
-    chain_ = rel_->chain_;
-    if (nc > 0) {
-      initialized_ = true;
-      types_ = rel_->fold_types_;
-      mixed_ = rel_->fold_mixed_;
-      buckets_.resize(nc);
-      for (int c = 0; c < nc; ++c) {
-        const std::vector<Value>& dict = rel_->dicts_[c];
-        buckets_[c].reserve(dict.size() * 2);
-        for (uint32_t code = 0; code < dict.size(); ++code) {
-          buckets_[c][dict[code].Hash()].push_back(code);
-        }
-      }
-      cur_cols_.resize(nc);
-      for (auto& col : cur_cols_) col.reserve(options_.shard_rows);
+    for (const std::vector<Value>& dict : rel_->dicts_) {
+      dicts_.emplace_back(dict);
     }
   }
 
-  Status Run(const std::function<Result<std::string_view>()>& next) {
-    CsvStreamParser parser(options_.csv.separator);
-    auto emit = [this](std::vector<CsvField>* fields) {
-      return decoder_.OnRecord(fields);
-    };
+  Status Run(const CsvChunkSource& next) {
     MemoryBudget* budget =
         options_.context ? options_.context->memory_budget() : nullptr;
     for (;;) {
@@ -103,30 +77,18 @@ class ShardedEncodedRelation::Ingester {
       // (spill) when the chunk needs the headroom they occupy.
       FAMTREE_RETURN_NOT_OK(
           rel_->ChargeWithSpill(options_.context, chunk.size(), "csv_rows"));
-      Status st = parser.Feed(chunk, emit);
+      Status st = EncodeAfter(decoder_.Feed(chunk));
       if (budget != nullptr) budget->Release(chunk.size());
       FAMTREE_RETURN_NOT_OK(st);
       rel_->stats_.bytes_read += static_cast<int64_t>(chunk.size());
     }
-    FAMTREE_RETURN_NOT_OK(parser.Finish(emit));
-    FAMTREE_RETURN_NOT_OK(decoder_.Finish());
-    return Status::OK();
+    return EncodeAfter(decoder_.Finish());
   }
 
   Result<std::shared_ptr<ShardedEncodedRelation>> Finish() {
     FAMTREE_RETURN_NOT_OK(CloseShard());
-    if (!initialized_ && !decoder_.names().empty()) {
-      // Header but zero data rows: the schema is still known.
-      InitColumns(static_cast<int>(decoder_.names().size()));
-    }
     FAMTREE_RETURN_NOT_OK(FlushDictCharge());
-    int nc = initialized_ ? static_cast<int>(types_.size()) : 0;
-    std::vector<Column> cols(nc);
-    for (int c = 0; c < nc; ++c) {
-      cols[c].name = decoder_.names()[c];
-      cols[c].type = mixed_[c] ? ValueType::kNull : types_[c];
-    }
-    rel_->schema_ = Schema(std::move(cols));
+    rel_->schema_ = decoder_.schema();
     Seal();
     return std::move(owned_);
   }
@@ -154,20 +116,12 @@ class ShardedEncodedRelation::Ingester {
         }
       }
     }
-    if (nc == 0 && initialized_) {
+    if (nc == 0 && num_rows_ > 0) {
       // Appending onto an empty, schema-less relation is a plain ingest.
-      std::vector<Column> cols(types_.size());
-      for (size_t c = 0; c < types_.size(); ++c) {
-        cols[c].name = decoder_.names()[c];
-      }
-      rel_->schema_ = Schema(std::move(cols));
-      nc = rel_->num_columns();
-    }
-    if (initialized_) {
+      rel_->schema_ = decoder_.schema();
+    } else {
       std::vector<Column> cols = rel_->schema_.columns();
-      for (int c = 0; c < nc; ++c) {
-        cols[c].type = mixed_[c] ? ValueType::kNull : types_[c];
-      }
+      for (int c = 0; c < nc; ++c) cols[c].type = decoder_.folds()[c].result();
       rel_->schema_ = Schema(std::move(cols));
     }
     Seal();
@@ -181,80 +135,39 @@ class ShardedEncodedRelation::Ingester {
     return csv;
   }
 
-  void InitColumns(int nc) {
-    initialized_ = true;
-    rel_->dicts_.resize(nc);
-    buckets_.resize(nc);
-    types_.assign(nc, ValueType::kNull);
-    mixed_.assign(nc, 0);
-    cur_cols_.resize(nc);
-    for (auto& col : cur_cols_) col.reserve(options_.shard_rows);
-  }
-
-  Status OnRow(std::vector<Value>&& row) {
-    if (!initialized_) InitColumns(static_cast<int>(row.size()));
-    if (num_rows_ == std::numeric_limits<int>::max()) {
-      return Status::Invalid("relation exceeds 2^31 - 1 rows");
+  /// Encodes the rows `decoded` left in the decoder's columns, in row
+  /// order, before reporting `decoded`: the rows a failed chunk decoded
+  /// first are encoded exactly as a row-at-a-time ingest would have, and
+  /// an encode failure among them is the first error.
+  Status EncodeAfter(const Status& decoded) {
+    std::vector<std::vector<Value>>& cells = decoder_.columns();
+    int nc = static_cast<int>(cells.size());
+    size_t rows = nc == 0 ? 0 : cells[0].size();
+    if (rows > 0 && cur_cols_.empty()) {
+      dicts_.resize(nc);
+      cur_cols_.resize(nc);
+      for (auto& col : cur_cols_) col.reserve(options_.shard_rows);
     }
-    int nc = static_cast<int>(row.size());
-    if (nc != static_cast<int>(types_.size())) {
-      // Only reachable in append mode: the decoder keeps each parse
-      // internally uniform, but the delta's width must also match the
-      // existing relation.
-      return Status::Invalid("append row has " + std::to_string(nc) +
-                             " values, relation has " +
-                             std::to_string(types_.size()) + " columns");
-    }
-    for (int c = 0; c < nc; ++c) {
-      const Value& v = row[c];
-      // Incremental Relation::InferTypes fold (order-independent: uniform
-      // type wins, int+double merge to double, anything else is mixed).
-      if (!v.is_null() && !mixed_[c]) {
-        ValueType vt = v.type();
-        if (types_[c] == ValueType::kNull) {
-          types_[c] = vt;
-        } else if (types_[c] != vt) {
-          if ((types_[c] == ValueType::kInt && vt == ValueType::kDouble) ||
-              (types_[c] == ValueType::kDouble && vt == ValueType::kInt)) {
-            types_[c] = ValueType::kDouble;
-          } else {
-            mixed_[c] = 1;
-          }
-        }
+    for (size_t r = 0; r < rows; ++r) {
+      if (num_rows_ == std::numeric_limits<int>::max()) {
+        return Status::Invalid("relation exceeds 2^31 - 1 rows");
       }
-      std::vector<Value>& dict = rel_->dicts_[c];
-      size_t cell_hash = v.Hash();
-      // Row-major fingerprint chain (see RelationRowChain): equal Values
-      // hash equally, so the parsed cell stands in for the dictionary
-      // representative the materialized relation would hold.
-      chain_ = HashCombine(static_cast<size_t>(chain_), cell_hash);
-      std::vector<uint32_t>& candidates = buckets_[c][cell_hash];
-      uint32_t code = 0;
-      bool found = false;
-      for (uint32_t cand : candidates) {
-        if (dict[cand] == v) {
-          code = cand;
-          found = true;
-          break;
-        }
+      for (int c = 0; c < nc; ++c) {
+        const Value& v = cells[c][r];
+        size_t before = dicts_[c].size();
+        cur_cols_[c].push_back(dicts_[c].Encode(v));
+        if (dicts_[c].size() > before) dict_pending_bytes_ += DictEntryBytes(v);
       }
-      if (!found) {
-        code = static_cast<uint32_t>(dict.size());
-        dict_pending_bytes_ += DictEntryBytes(v);
-        dict.push_back(std::move(row[c]));
-        candidates.push_back(code);
+      ++num_rows_;
+      if (static_cast<int>(cur_cols_[0].size()) >= options_.shard_rows) {
+        FAMTREE_RETURN_NOT_OK(CloseShard());
       }
-      cur_cols_[c].push_back(code);
+      if (dict_pending_bytes_ >= kDictChargeStride) {
+        FAMTREE_RETURN_NOT_OK(FlushDictCharge());
+      }
     }
-    ++num_rows_;
-    if (static_cast<int>(cur_cols_.empty() ? 0 : cur_cols_[0].size()) >=
-        options_.shard_rows) {
-      FAMTREE_RETURN_NOT_OK(CloseShard());
-    }
-    if (dict_pending_bytes_ >= kDictChargeStride) {
-      FAMTREE_RETURN_NOT_OK(FlushDictCharge());
-    }
-    return Status::OK();
+    for (auto& col : cells) col.clear();
+    return decoded;
   }
 
   Status FlushDictCharge() {
@@ -293,20 +206,23 @@ class ShardedEncodedRelation::Ingester {
     return Status::OK();
   }
 
-  /// Shared tail of Finish/FinishAppend: commits counters, persists the
-  /// append-resume state (cell chain + type fold), and finalizes the
-  /// fingerprint. The cell hashes were folded row-major during OnRow, so
-  /// the result matches RelationFingerprint of the relation the whole-file
+  /// Shared tail of Finish/FinishAppend: commits counters, dictionaries
+  /// and the append-resume state (cell chain + type fold), and finalizes
+  /// the fingerprint. The decoder folded the cell hashes row-major, so the
+  /// result matches RelationFingerprint of the relation the whole-file
   /// reader would materialize — with no shard rescan.
   void Seal() {
     rel_->num_rows_ = num_rows_;
     rel_->stats_.rows = num_rows_;
     rel_->stats_.shards = rel_->num_shards();
-    rel_->chain_ = chain_;
-    rel_->fold_types_ = types_;
-    rel_->fold_mixed_ = mixed_;
+    rel_->dicts_.resize(decoder_.folds().size());
+    for (size_t c = 0; c < dicts_.size(); ++c) {
+      rel_->dicts_[c] = dicts_[c].TakeValues();
+    }
+    rel_->chain_ = decoder_.chain();
+    rel_->fold_ = decoder_.folds();
     rel_->fingerprint_ =
-        FinalizeRelationFingerprint(chain_, rel_->schema_, num_rows_);
+        FinalizeRelationFingerprint(rel_->chain_, rel_->schema_, num_rows_);
   }
 
   static constexpr size_t kDictChargeStride = 256 * 1024;
@@ -317,12 +233,8 @@ class ShardedEncodedRelation::Ingester {
   std::shared_ptr<ShardedEncodedRelation> owned_;
   ShardedEncodedRelation* rel_;
   CsvRowDecoder decoder_;
-  bool initialized_ = false;
   int num_rows_ = 0;
-  uint64_t chain_ = kRelationChainSeed;
-  std::vector<std::unordered_map<size_t, std::vector<uint32_t>>> buckets_;
-  std::vector<ValueType> types_;
-  std::vector<char> mixed_;
+  std::vector<ValueDictionary> dicts_;
   std::vector<std::vector<uint32_t>> cur_cols_;
   size_t dict_pending_bytes_ = 0;
 };
@@ -330,16 +242,9 @@ class ShardedEncodedRelation::Ingester {
 Result<std::shared_ptr<ShardedEncodedRelation>>
 ShardedEncodedRelation::IngestCsvString(const std::string& text,
                                         IngestOptions options) {
-  size_t stride = options.io_chunk_bytes < 1 ? 1 : options.io_chunk_bytes;
+  size_t stride = std::max<size_t>(options.io_chunk_bytes, 1);
   Ingester ingester(std::move(options));
-  size_t pos = 0;
-  FAMTREE_RETURN_NOT_OK(
-      ingester.Run([&text, &pos, stride]() -> Result<std::string_view> {
-        size_t take = std::min(text.size() - pos, stride);
-        std::string_view chunk(text.data() + pos, take);
-        pos += take;
-        return chunk;
-      }));
+  FAMTREE_RETURN_NOT_OK(ingester.Run(StringChunks(text, stride)));
   return ingester.Finish();
 }
 
@@ -348,30 +253,17 @@ ShardedEncodedRelation::IngestCsvFile(const std::string& path,
                                       IngestOptions options) {
   std::ifstream in(path, std::ios::binary);
   if (!in) return Status::IoError("cannot open '" + path + "'");
-  size_t stride = options.io_chunk_bytes < 1 ? 1 : options.io_chunk_bytes;
+  std::vector<char> buf(std::max<size_t>(options.io_chunk_bytes, 1));
   Ingester ingester(std::move(options));
-  std::vector<char> buf(stride);
-  FAMTREE_RETURN_NOT_OK(
-      ingester.Run([&in, &buf]() -> Result<std::string_view> {
-        in.read(buf.data(), static_cast<std::streamsize>(buf.size()));
-        if (in.bad()) return Status::IoError("read failed");
-        return std::string_view(buf.data(), static_cast<size_t>(in.gcount()));
-      }));
+  FAMTREE_RETURN_NOT_OK(ingester.Run(StreamChunks(in, &buf)));
   return ingester.Finish();
 }
 
 Status ShardedEncodedRelation::AppendCsv(const std::string& text,
                                          IngestOptions options) {
-  size_t stride = options.io_chunk_bytes < 1 ? 1 : options.io_chunk_bytes;
+  size_t stride = std::max<size_t>(options.io_chunk_bytes, 1);
   Ingester ingester(this, std::move(options));
-  size_t pos = 0;
-  FAMTREE_RETURN_NOT_OK(
-      ingester.Run([&text, &pos, stride]() -> Result<std::string_view> {
-        size_t take = std::min(text.size() - pos, stride);
-        std::string_view chunk(text.data() + pos, take);
-        pos += take;
-        return chunk;
-      }));
+  FAMTREE_RETURN_NOT_OK(ingester.Run(StringChunks(text, stride)));
   return ingester.FinishAppend();
 }
 

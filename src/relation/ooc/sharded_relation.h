@@ -53,12 +53,12 @@ struct IngestStats {
 /// A dictionary-encoded relation ingested in fixed-size row morsels and
 /// stored as row shards of per-column code arrays, each shard either
 /// memory-resident or spilled to an unlinked temp file. Dictionaries are
-/// built incrementally during the streaming parse with exactly
-/// EncodedRelation's discipline (bucket by Value::Hash, resolve by full
-/// comparison), so the codes — and therefore every partition and every
-/// discovered dependency — are bit-identical to encoding the materialized
-/// relation. The whole raw input is never resident: each parsed chunk is
-/// charged at "csv_rows", encoded, and released.
+/// built incrementally during the streaming parse by the ValueDictionary
+/// that EncodedRelation encodes with, so the codes — and therefore every
+/// partition and every discovered dependency — are bit-identical to
+/// encoding the materialized relation. The whole raw input is never
+/// resident: each parsed chunk is charged at "csv_rows", encoded, and
+/// released.
 ///
 /// The RunContext MemoryBudget acts as a *spill trigger*, not a kill
 /// switch: when a charge lacks headroom, resident shards spill (releasing
@@ -188,11 +188,10 @@ class ShardedEncodedRelation {
   std::string spill_dir_;
   uint64_t fingerprint_ = 0;
   /// Append-resume state: the row-major cell chain behind fingerprint_
-  /// (see RelationRowChain) and the raw per-column type-inference fold,
-  /// kept so AppendCsv can continue both instead of rescanning shards.
+  /// (see RelationRowChain) and the per-column type-inference fold, kept
+  /// so AppendCsv can continue both instead of rescanning shards.
   uint64_t chain_ = 0;
-  std::vector<ValueType> fold_types_;
-  std::vector<char> fold_mixed_;
+  std::vector<ColumnTypeFold> fold_;
   IngestStats stats_;
   /// The budget shard residency was charged to (may be null); spills
   /// release to it no matter which context triggers them.

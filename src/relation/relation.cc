@@ -24,6 +24,15 @@ Relation::Relation(Schema schema) : schema_(std::move(schema)) {
   columns_.resize(schema_.num_columns());
 }
 
+Relation::Relation(Schema schema, std::vector<std::vector<Value>> columns,
+                   uint64_t chain)
+    : schema_(std::move(schema)),
+      columns_(std::move(columns)),
+      num_rows_(columns_.empty() ? 0
+                                 : static_cast<int>(columns_[0].size())),
+      chain_(chain),
+      chain_rows_(num_rows_) {}
+
 Relation::Relation(Relation&& other) noexcept
     : schema_(std::exchange(other.schema_, Schema())),
       columns_(std::exchange(other.columns_, {})),
@@ -184,25 +193,11 @@ Relation Relation::ProjectColumns(AttrSet attrs) const {
 void Relation::InferTypes() {
   std::vector<Column> cols = schema_.columns();
   for (int c = 0; c < num_columns(); ++c) {
-    ValueType t = ValueType::kNull;
-    bool mixed = false;
-    for (const Value& v : columns_[c]) {
-      if (v.is_null()) continue;
-      ValueType vt = v.type();
-      // int and double merge to double.
-      if (t == ValueType::kNull) {
-        t = vt;
-      } else if (t != vt) {
-        if ((t == ValueType::kInt && vt == ValueType::kDouble) ||
-            (t == ValueType::kDouble && vt == ValueType::kInt)) {
-          t = ValueType::kDouble;
-        } else {
-          mixed = true;
-          break;
-        }
-      }
+    ColumnTypeFold fold;
+    for (size_t r = 0; r < columns_[c].size() && !fold.mixed; ++r) {
+      fold.Add(columns_[c][r].type());
     }
-    cols[c].type = mixed ? ValueType::kNull : t;
+    cols[c].type = fold.result();
   }
   schema_ = Schema(std::move(cols));
 }

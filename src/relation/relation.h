@@ -15,6 +15,27 @@ namespace famtree {
 /// Seed for the row-major cell chain of RelationFingerprint.
 inline constexpr uint64_t kRelationChainSeed = 0x72656c66;
 
+/// Per-column type inference as a fold over the cell types, in any order:
+/// the uniform non-null type wins, int and double merge to double, and
+/// anything else is mixed (kNull). Relation::InferTypes and the CSV
+/// decoder (and so the out-of-core ingester) fold with it.
+struct ColumnTypeFold {
+  ValueType type = ValueType::kNull;
+  bool mixed = false;
+
+  void Add(ValueType t) {
+    if (t == ValueType::kNull || mixed || t == type) return;
+    if (type == ValueType::kNull) {
+      type = t;
+    } else if (t != ValueType::kString && type != ValueType::kString) {
+      type = ValueType::kDouble;  // one int, one double
+    } else {
+      mixed = true;
+    }
+  }
+  ValueType result() const { return mixed ? ValueType::kNull : type; }
+};
+
 /// A relation instance: a schema plus column-major cell storage. Columns are
 /// stored as vectors of Value so the library can mix categorical,
 /// heterogeneous (string) and numerical data in one table — exactly the
@@ -23,6 +44,12 @@ class Relation {
  public:
   Relation() = default;
   explicit Relation(Schema schema);
+
+  /// Adopts column-major cells (one vector per schema column, of one
+  /// length) with `chain` = RelationRowChain over every row, which the
+  /// caller guarantees: the CSV decoder's one-pass RelationBuilder::Build.
+  Relation(Schema schema, std::vector<std::vector<Value>> columns,
+           uint64_t chain);
 
   /// A copy carries the fingerprint chain along; a moved-from relation is
   /// left empty with a reset chain.
@@ -61,8 +88,8 @@ class Relation {
   /// Folds every row past the fingerprint chain into it, after which
   /// RelationFingerprint costs O(schema) until the next mutation. One pass
   /// over the rows not yet folded; a no-op when the chain is current.
-  /// RelationBuilder::Build (and so ReadCsvString) calls it, so a built
-  /// relation starts with a current chain.
+  /// RelationBuilder::Build calls it (ReadCsvString folds the chain while
+  /// decoding), so a built relation starts with a current chain.
   void AdvanceFingerprintChain();
 
   /// Rows folded into the fingerprint chain; RelationFingerprint folds the

@@ -4,10 +4,16 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <limits>
 #include <numeric>
+#include <random>
+#include <unordered_map>
 
 #include "deps/sd.h"
 #include "discovery/discovery_util.h"
+#include "relation/csv.h"
+#include "relation/ooc/sharded_relation.h"
 #include "relation/relation.h"
 
 namespace famtree {
@@ -176,6 +182,220 @@ TEST(CodeRanksTest, NanHeavyColumnsSortTheSameWayEveryTime) {
   EXPECT_FALSE(SortsBefore(Value(nan), Value(nan)));
   EXPECT_TRUE(SortsBefore(Value("z"), Value(nan)));
   EXPECT_FALSE(SortsBefore(Value(nan), Value()));
+}
+
+/// The per-hash bucket encoder that EncodedRelation's constructor,
+/// Appended and the out-of-core ingester each carried before
+/// ValueDictionary: bucket by Value::Hash, scan a bucket in code order, and
+/// the first equal value's code wins.
+struct OracleColumn {
+  std::vector<uint32_t> codes;
+  std::vector<Value> dict;
+};
+
+OracleColumn OracleEncode(const std::vector<Value>& cells) {
+  OracleColumn out;
+  std::unordered_map<size_t, std::vector<uint32_t>> buckets;
+  for (const Value& v : cells) {
+    std::vector<uint32_t>& candidates = buckets[v.Hash()];
+    auto hit = std::find_if(candidates.begin(), candidates.end(),
+                            [&](uint32_t code) { return out.dict[code] == v; });
+    if (hit != candidates.end()) {
+      out.codes.push_back(*hit);
+      continue;
+    }
+    uint32_t code = static_cast<uint32_t>(out.dict.size());
+    out.dict.push_back(v);
+    candidates.push_back(code);
+    out.codes.push_back(code);
+  }
+  return out;
+}
+
+/// Same type and the same bits (a NaN matches a NaN, -0.0 only -0.0).
+bool Identical(const Value& a, const Value& b) {
+  if (a.type() != b.type()) return false;
+  if (a.type() != ValueType::kDouble) return a == b;
+  double x = a.as_double(), y = b.as_double();
+  if (std::isnan(x)) return std::isnan(y);
+  return std::memcmp(&x, &y, sizeof x) == 0;
+}
+
+void ExpectMatchesOracle(const std::vector<uint32_t>& codes,
+                         const std::vector<Value>& dict,
+                         const std::vector<Value>& cells,
+                         const std::string& where) {
+  OracleColumn oracle = OracleEncode(cells);
+  ASSERT_EQ(codes, oracle.codes) << where;
+  ASSERT_EQ(dict.size(), oracle.dict.size()) << where;
+  for (size_t k = 0; k < dict.size(); ++k) {
+    ASSERT_TRUE(Identical(dict[k], oracle.dict[k])) << where << " code " << k;
+  }
+}
+
+void ExpectEncodingMatchesOracle(const EncodedRelation& enc,
+                                 const Relation& r, const std::string& where) {
+  for (int c = 0; c < r.num_columns(); ++c) {
+    std::vector<Value> dict;
+    for (int k = 0; k < enc.dict_size(c); ++k) dict.push_back(enc.Decode(c, k));
+    ExpectMatchesOracle(enc.codes(c), dict, r.column(c),
+                        where + " col " + std::to_string(c));
+  }
+}
+
+/// Cells that stress the equality contract: ints beside equal doubles,
+/// NaN, +/-0.0, +/-inf, 2^53 and 2^53+1 beside 2^53.0, strings, nulls.
+/// Column 0 stays int-only (wide, so the table grows); column 1 turns
+/// mixed part-way through, after an int-only prefix.
+Value RandomCell(std::mt19937_64& rng, int col, int row) {
+  const int64_t p53 = int64_t{1} << 53;
+  const double inf = std::numeric_limits<double>::infinity();
+  if (col == 0 || (col == 1 && row < 40)) {
+    return Value(static_cast<int64_t>(rng() % 300) - 100);
+  }
+  switch (rng() % 13) {
+    case 0: return Value(static_cast<int64_t>(rng() % 8));
+    case 1: return Value(static_cast<double>(rng() % 8));
+    case 2: return Value(static_cast<double>(rng() % 16) / 4);
+    case 3: return Value(std::nan(""));
+    case 4: return Value(0.0);
+    case 5: return Value(-0.0);
+    case 6: return Value(inf);
+    case 7: return Value(-inf);
+    case 8: return Value(p53);
+    case 9: return Value(p53 + 1);
+    case 10: return Value(static_cast<double>(p53));
+    case 11: return Value("s" + std::to_string(rng() % 6));
+    default: return Value::Null();
+  }
+}
+
+std::vector<std::vector<Value>> RandomRows(std::mt19937_64& rng, int rows,
+                                           int first_row) {
+  std::vector<std::vector<Value>> out(rows);
+  for (int i = 0; i < rows; ++i) {
+    for (int c = 0; c < 3; ++c) {
+      out[i].push_back(RandomCell(rng, c, first_row + i));
+    }
+  }
+  return out;
+}
+
+TEST(ValueDictionaryTest, ConstructorMatchesBucketOracle) {
+  std::mt19937_64 rng(11);
+  for (int round = 0; round < 40; ++round) {
+    RelationBuilder b({"a", "b", "c"});
+    for (auto& row : RandomRows(rng, static_cast<int>(rng() % 300), 0)) {
+      b.AddRow(std::move(row));
+    }
+    Relation r = std::move(b.Build()).value();
+    ExpectEncodingMatchesOracle(EncodedRelation(r), r,
+                                "round " + std::to_string(round));
+  }
+}
+
+TEST(ValueDictionaryTest, AppendedMatchesBucketOracle) {
+  std::mt19937_64 rng(12);
+  for (int round = 0; round < 10; ++round) {
+    RelationBuilder b({"a", "b", "c"});
+    int rows = static_cast<int>(rng() % 30);
+    for (auto& row : RandomRows(rng, rows, 0)) b.AddRow(std::move(row));
+    Relation r = std::move(b.Build()).value();
+    EncodedRelation enc(r);
+    for (int batch = 0; batch < 8; ++batch) {
+      int n = static_cast<int>(rng() % 25);
+      ASSERT_TRUE(r.AppendRows(RandomRows(rng, n, rows)).ok());
+      rows += n;
+      auto appended = EncodedRelation::Appended(enc, r);
+      ASSERT_TRUE(appended.ok());
+      enc = std::move(appended).value();
+      ExpectEncodingMatchesOracle(
+          enc, r, "round " + std::to_string(round) + " batch " +
+                      std::to_string(batch));
+    }
+  }
+}
+
+/// CSV text over number forms whose cells are equal across types.
+std::string RandomCsv(std::mt19937_64& rng, int rows, bool header) {
+  static const char* kTokens[] = {
+      "1",   "1.0",  "nan", "-0.0", "0",  "0.0", "inf", "-inf",
+      "9007199254740992", "9007199254740993", "9007199254740992.0",
+      "abc", "", "NULL", "\"1\"", "7", "2.5", "-3"};
+  const int num_tokens = sizeof(kTokens) / sizeof(kTokens[0]);
+  std::string text = header ? "a,b,c\n" : "";
+  for (int i = 0; i < rows; ++i) {
+    text += std::to_string(rng() % 500) + ",";  // an int-only column
+    text += kTokens[rng() % num_tokens];
+    text += ",";
+    text += kTokens[rng() % num_tokens];
+    text += "\n";
+  }
+  return text;
+}
+
+void ExpectShardsMatchOracle(const ShardedEncodedRelation& sharded,
+                             const Relation& r, const std::string& where) {
+  auto enc = sharded.MaterializeEncoded(nullptr);
+  ASSERT_TRUE(enc.ok());
+  ASSERT_EQ(sharded.num_rows(), r.num_rows()) << where;
+  for (int c = 0; c < r.num_columns(); ++c) {
+    std::vector<Value> dict;
+    for (int k = 0; k < sharded.dict_size(c); ++k) {
+      dict.push_back(sharded.Decode(c, k));
+    }
+    ExpectMatchesOracle((*enc)->codes(c), dict, r.column(c),
+                        where + " col " + std::to_string(c));
+  }
+}
+
+TEST(ValueDictionaryTest, IngesterShardsMatchBucketOracle) {
+  std::mt19937_64 rng(13);
+  for (int round = 0; round < 20; ++round) {
+    std::string base = RandomCsv(rng, static_cast<int>(rng() % 200), true);
+    IngestOptions options;
+    options.shard_rows = 16;
+    options.io_chunk_bytes = 1 + rng() % 64;
+    auto sharded = ShardedEncodedRelation::IngestCsvString(base, options);
+    ASSERT_TRUE(sharded.ok());
+    auto r = ReadCsvString(base);
+    ASSERT_TRUE(r.ok());
+    std::string where = "round " + std::to_string(round);
+    ExpectShardsMatchOracle(**sharded, *r, where);
+    // Appends resume the dictionaries where the ingest left them.
+    std::string all = base;
+    for (int batch = 0; batch < 3; ++batch) {
+      std::string delta = RandomCsv(rng, static_cast<int>(rng() % 40), true);
+      ASSERT_TRUE((*sharded)->AppendCsv(delta, options).ok());
+      all += delta.substr(delta.find('\n') + 1);
+      auto grown = ReadCsvString(all);
+      ASSERT_TRUE(grown.ok());
+      ExpectShardsMatchOracle(**sharded, *grown,
+                              where + " batch " + std::to_string(batch));
+    }
+  }
+}
+
+TEST(ValueDictionaryTest, PinnedEqualityCases) {
+  const double nan = std::nan("");
+  const int64_t p53 = int64_t{1} << 53;
+  RelationBuilder b({"nan", "zero", "one", "giant"});
+  b.AddRow({Value(nan), Value(0.0), Value(1), Value(p53)});
+  b.AddRow({Value(nan), Value(-0.0), Value(1.0), Value(p53 + 1)});
+  b.AddRow({Value(nan), Value(0), Value(1), Value(static_cast<double>(p53))});
+  Relation r = std::move(b.Build()).value();
+  EncodedRelation enc(r);
+  // Every NaN cell is its own value.
+  EXPECT_EQ(enc.codes(0), (std::vector<uint32_t>{0, 1, 2}));
+  // +0.0, -0.0 and 0 are one value, represented by the first.
+  EXPECT_EQ(enc.codes(1), (std::vector<uint32_t>{0, 0, 0}));
+  EXPECT_FALSE(std::signbit(enc.Decode(1, 0).as_double()));
+  // 1 and 1.0 are one value.
+  EXPECT_EQ(enc.codes(2), (std::vector<uint32_t>{0, 0, 0}));
+  // 2^53 != 2^53+1 as ints, but 2^53.0 equals both: it takes the lowest
+  // equal code.
+  EXPECT_EQ(enc.codes(3), (std::vector<uint32_t>{0, 1, 0}));
+  ExpectEncodingMatchesOracle(enc, r, "pinned");
 }
 
 }  // namespace
