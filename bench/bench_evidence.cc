@@ -5,7 +5,9 @@
 //   hotels    750 rows x 5 columns, the Mds config (edit/abs-diff buckets
 //             on name, address, star, price; region an equality facet):
 //             the bucket-table fill (PairComparator::Make) against the
-//             whole BuildEvidence, so walk = build - fill.
+//             whole BuildEvidence, so walk = build - fill, and the name
+//             and address edit-distance bucket fills (CodeBucketTable)
+//             on their own.
 //   pairs     1M random ordered pairs over bookings, as FastDC's sampled
 //             path draws them: BuildEvidenceForPairs, almost every strip
 //             a single pair.
@@ -13,7 +15,8 @@
 // The relations are generated as perfbench's pairwise-rules workload does
 // at seed 1. Each timing is the median (with quartiles) of 25 runs. Exits
 // nonzero when a built multiset differs from a fold of the one-pair
-// PairComparator::Word over every pair.
+// PairComparator::Word over every pair, or when a memoized name or
+// address bucket differs from the band of a plain Levenshtein DP.
 //
 //   build/bench/bench_evidence
 
@@ -21,6 +24,7 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
+#include <limits>
 #include <map>
 #include <memory>
 #include <string>
@@ -28,6 +32,7 @@
 #include <vector>
 
 #include "engine/evidence.h"
+#include "metric/code_distance.h"
 #include "metric/metric.h"
 #include "relation/encoded_relation.h"
 #include "relation/relation.h"
@@ -167,6 +172,44 @@ bool SameMultiset(const EvidenceSet& set,
   return true;
 }
 
+/// The textbook O(nm) Levenshtein DP, independent of the library's kernel.
+int PlainLevenshtein(const std::string& a, const std::string& b) {
+  std::vector<int> prev(b.size() + 1), cur(b.size() + 1);
+  for (size_t j = 0; j <= b.size(); ++j) prev[j] = static_cast<int>(j);
+  for (size_t i = 1; i <= a.size(); ++i) {
+    cur[0] = static_cast<int>(i);
+    for (size_t j = 1; j <= b.size(); ++j) {
+      int cost = a[i - 1] == b[j - 1] ? 0 : 1;
+      cur[j] = std::min({prev[j] + 1, cur[j - 1] + 1, prev[j - 1] + cost});
+    }
+    std::swap(prev, cur);
+  }
+  return prev[b.size()];
+}
+
+/// Code pairs (a <= b) whose memoized bucket differs from the band of the
+/// plain DP's distance between the decoded values.
+int64_t BucketMismatches(const EncodedRelation& enc, int attr,
+                         const std::vector<double>& thresholds) {
+  CodeBucketTable table(enc, attr, GetEditDistanceMetric(), thresholds);
+  if (!table.memoized()) return 1;
+  int64_t bad = 0;
+  const uint32_t k = static_cast<uint32_t>(enc.dict_size(attr));
+  for (uint32_t b = 0; b < k; ++b) {
+    const Value& vb = enc.Decode(attr, b);
+    for (uint32_t a = 0; a <= b; ++a) {
+      const Value& va = enc.Decode(attr, a);
+      double d = va.is_null() || vb.is_null()
+                     ? (va.is_null() && vb.is_null()
+                            ? 0.0
+                            : std::numeric_limits<double>::infinity())
+                     : PlainLevenshtein(va.ToString(), vb.ToString());
+      if (table.Bucket(a, b) != table.BucketOf(d)) ++bad;
+    }
+  }
+  return bad;
+}
+
 void Print(const char* label, const Quartiles& q) {
   std::printf("%-34s %8.2f %8.2f %8.2f\n", label, q.q1, q.median, q.q3);
 }
@@ -214,6 +257,10 @@ int Main() {
         PairComparator::Make(henc, hcfg, nullptr).value();
   });
   Quartiles build_h = TimeMs([&] { hset = BuildEvidence(henc, hcfg, {}).value(); });
+  Quartiles fill_name = TimeMs(
+      [&] { CodeBucketTable t(henc, 0, GetEditDistanceMetric(), kString); });
+  Quartiles fill_address = TimeMs(
+      [&] { CodeBucketTable t(henc, 1, GetEditDistanceMetric(), kString); });
 
   std::printf("# 1 thread, %d runs each; ms q1 / median / q3\n", kRuns);
   std::printf("bookings: %d rows, %lld pairs, %zu distinct words\n",
@@ -228,6 +275,10 @@ int Main() {
               hotels.num_rows(), static_cast<long long>(hset->total_pairs()),
               hset->words().size());
   Print("  bucket fill (PairComparator::Make)", fill_h);
+  std::printf("  name: %d codes\n", henc.dict_size(0));
+  Print("    edit bucket fill", fill_name);
+  std::printf("  address: %d codes\n", henc.dict_size(1));
+  Print("    edit bucket fill", fill_address);
   Print("  BuildEvidence (fill + walk)", build_h);
   std::printf("  walk (median build - median fill) %8.2f\n",
               build_h.median - fill_h.median);
@@ -237,7 +288,11 @@ int Main() {
             SameMultiset(*hset, PairFold(henc, hcfg));
   std::printf("multisets equal the one-pair Word fold: %s\n",
               ok ? "yes" : "NO");
-  return ok ? 0 : 1;
+  int64_t bad = BucketMismatches(henc, 0, kString) +
+                BucketMismatches(henc, 1, kString);
+  std::printf("name/address buckets equal the plain DP's: %s\n",
+              bad == 0 ? "yes" : "NO");
+  return ok && bad == 0 ? 0 : 1;
 }
 
 }  // namespace

@@ -134,6 +134,25 @@ if [ -n "$DICT_HITS" ]; then
   exit 1
 fi
 
+echo "=== [0/5] lint: one edit-distance kernel ==="
+# Every edit distance in src/ (LevenshteinDistance, EditDistanceMetric,
+# EditResemblance, the code-table fills) runs the bit-parallel
+# EditDistanceKernel in src/metric/metric.cc, and the table fills bound a
+# pair before scanning it. A banded second kernel or a cell-by-cell DP row
+# elsewhere would be a second edit-distance path with its own cost and
+# its own chance to disagree; the plain DP lives in tests as the oracle.
+# Comment-only lines are ignored.
+EDIT_HITS="$( { grep -rnE 'LevenshteinDistanceBounded' src || true; \
+  grep -rnE 'prev\[j - 1\] \+ cost' src \
+    | grep -vE '^src/metric/metric\.cc:' || true; } \
+  | grep -vE ':[0-9]+:[[:space:]]*(//|\*)' || true)"
+if [ -n "$EDIT_HITS" ]; then
+  echo "lint: second edit-distance kernel in src/; compute distances with" >&2
+  echo "LevenshteinDistance or EditDistanceKernel (src/metric/metric.h):" >&2
+  echo "$EDIT_HITS" >&2
+  exit 1
+fi
+
 echo "=== [1/5] Release: ctest -L tier1 ==="
 run cmake -B "$PREFIX" >/dev/null
 run cmake --build "$PREFIX" -j "$JOBS"

@@ -20,7 +20,9 @@ namespace famtree {
 /// pair. Because the encoded backend guarantees code equality ⇔ value
 /// equality, every distance is a pure function of the (code, code) pair, so
 /// a k×k table (k = dictionary size) computed once replaces millions of
-/// Levenshtein calls with array lookups. Distances are stored as the exact
+/// Levenshtein calls with array lookups. The edit-distance fill sets each
+/// triangle row's anchor code as an EditDistanceKernel pattern once and
+/// scans the row's other codes against it. Distances are stored as the exact
 /// doubles the metric returned, so encoded results stay bit-identical to
 /// calling the metric on the Values.
 ///
@@ -87,9 +89,15 @@ class CodeDistanceTable {
 /// predicates, dedup rules, the evidence kernel's distance-bucket facets)
 /// never need the distance itself — only which band of a sorted threshold
 /// list it falls in. Storing one byte per code pair instead of a double
-/// quarters the footprint, and for edit distance the fill runs the banded
-/// Levenshtein bounded by the largest threshold, which is several times
-/// cheaper than the full DP on long strings.
+/// quarters the footprint. For edit distance the fill first bounds each
+/// code pair from below by its length gap and by its byte-presence
+/// signatures (64 bits per code; an edit adds and removes at most one
+/// byte value, so the bound is at least ceil(popcount(sig_a ^ sig_b) / 2));
+/// a pair whose bound exceeds the largest finite threshold falls past every
+/// finite threshold without a scan. Every other pair gets its exact
+/// distance from the bit-parallel EditDistanceKernel (metric.h), whose
+/// pattern masks are built once per triangle row, so no threshold limits
+/// the fill and no pair ever reads an approximate distance.
 ///
 /// Bucket(a, b) returns the smallest index j with distance <= thresholds[j],
 /// or thresholds.size() when the distance (finite or not) exceeds every

@@ -27,7 +27,7 @@ double EditResemblance::Equal(const Value& a, const Value& b) const {
   if (a.is_null() || b.is_null()) {
     return (a.is_null() && b.is_null()) ? 1.0 : 0.0;
   }
-  double d = LevenshteinDistance(a.ToString(), b.ToString());
+  double d = EditDistanceMetric().Distance(a, b);
   return std::max(0.0, 1.0 - d / scale_);
 }
 

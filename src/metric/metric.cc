@@ -10,6 +10,7 @@ namespace famtree {
 
 namespace {
 constexpr double kInf = std::numeric_limits<double>::infinity();
+constexpr uint64_t kHighBit = 0x8000000000000000ull;
 
 /// Nulls: distance 0 to null, +inf to anything else. Returns true when the
 /// null rule applies and sets *out.
@@ -22,57 +23,78 @@ bool NullRule(const Value& a, const Value& b, double* out) {
 }
 }  // namespace
 
-int LevenshteinDistance(const std::string& a, const std::string& b) {
-  const size_t n = a.size(), m = b.size();
-  if (n == 0) return static_cast<int>(m);
-  if (m == 0) return static_cast<int>(n);
-  std::vector<int> prev(m + 1), cur(m + 1);
-  for (size_t j = 0; j <= m; ++j) prev[j] = static_cast<int>(j);
-  for (size_t i = 1; i <= n; ++i) {
-    cur[0] = static_cast<int>(i);
-    for (size_t j = 1; j <= m; ++j) {
-      int cost = (a[i - 1] == b[j - 1]) ? 0 : 1;
-      cur[j] = std::min({prev[j] + 1, cur[j - 1] + 1, prev[j - 1] + cost});
-    }
-    std::swap(prev, cur);
+void EditDistanceKernel::SetPattern(std::string_view pattern) {
+  size_t words = (pattern.size() + 63) / 64;
+  if (words != words_) {
+    // Fresh vectors rather than assign(): a per-thread kernel must not
+    // keep the storage of the longest pattern it ever saw.
+    words_ = words;
+    peq_ = std::vector<uint64_t>(256 * words_);
+    pv_ = std::vector<uint64_t>(words_);
+    mv_ = std::vector<uint64_t>(words_);
+  } else {
+    std::fill(peq_.begin(), peq_.end(), 0);
   }
-  return prev[m];
+  m_ = static_cast<int>(pattern.size());
+  for (int i = 0; i < m_; ++i) {
+    peq_[static_cast<unsigned char>(pattern[i]) * words_ + i / 64] |=
+        kHighBit >> (63 - i % 64);
+  }
 }
 
-int LevenshteinDistanceBounded(const std::string& a, const std::string& b,
-                               int limit) {
-  const int n = static_cast<int>(a.size()), m = static_cast<int>(b.size());
-  if (limit < 0) return 1;  // anything positive is "> limit"
-  if ((n > m ? n - m : m - n) > limit) return limit + 1;
-  if (n == 0) return m;
-  if (m == 0) return n;
-  // One DP row, restricted to the diagonal band [j-limit, j+limit]; cells
-  // outside the band can never reach a distance <= limit.
-  const int kBig = limit + 1;
-  std::vector<int> prev(m + 1, kBig), cur(m + 1, kBig);
-  for (int j = 0; j <= std::min(m, limit); ++j) prev[j] = j;
-  for (int i = 1; i <= n; ++i) {
-    int lo = std::max(1, i - limit), hi = std::min(m, i + limit);
-    cur[lo - 1] = (i - (lo - 1) <= limit && lo == 1) ? i : kBig;
-    int best = cur[lo - 1];
-    for (int j = lo; j <= hi; ++j) {
-      int cost = (a[i - 1] == b[j - 1]) ? 0 : 1;
-      int d = prev[j - 1] + cost;
-      if (prev[j] + 1 < d) d = prev[j] + 1;
-      if (cur[j - 1] + 1 < d) d = cur[j - 1] + 1;
-      cur[j] = d > kBig ? kBig : d;
-      if (cur[j] < best) best = cur[j];
+int EditDistanceKernel::Distance(std::string_view text) {
+  if (m_ == 0) return static_cast<int>(text.size());
+  // Column j of the DP is D[.][j] as vertical deltas: bit i of word w of
+  // pv (mv) is set when D[64w+i+1][j] - D[64w+i][j] is +1 (-1). Row 0 is
+  // D[0][j] = j, so the horizontal delta entering the first word is +1;
+  // each later word takes the delta leaving the top bit of the word
+  // before it, a -1 also standing in for the carry of the addition. The
+  // score follows D[m][j] through the delta at the pattern's last row.
+  const uint64_t last = kHighBit >> (63 - (m_ - 1) % 64);
+  std::fill(pv_.begin(), pv_.end(), ~uint64_t{0});
+  std::fill(mv_.begin(), mv_.end(), 0);
+  int score = m_;
+  for (char ch : text) {
+    const uint64_t* eqs = &peq_[static_cast<unsigned char>(ch) * words_];
+    int hin = 1;
+    for (size_t w = 0; w < words_; ++w) {
+      uint64_t pv = pv_[w], mv = mv_[w];
+      uint64_t neg = hin < 0 ? 1 : 0;
+      uint64_t eq = eqs[w];
+      uint64_t xv = eq | mv;
+      eq |= neg;
+      uint64_t xh = (((eq & pv) + pv) ^ pv) | eq;
+      uint64_t ph = mv | ~(xh | pv);
+      uint64_t mh = pv & xh;
+      uint64_t top = w + 1 == words_ ? last : kHighBit;
+      int hout = static_cast<int>((ph & top) != 0) -
+                 static_cast<int>((mh & top) != 0);
+      ph = (ph << 1) | (hin > 0 ? 1 : 0);
+      mh = (mh << 1) | neg;
+      pv_[w] = mh | ~(xv | ph);
+      mv_[w] = ph & xv;
+      hin = hout;
     }
-    if (best > limit) return limit + 1;  // band exhausted: early abandon
-    if (hi < m) cur[hi + 1] = kBig;
-    std::swap(prev, cur);
+    score += hin;
   }
-  return prev[m];
+  return score;
+}
+
+int LevenshteinDistance(std::string_view a, std::string_view b) {
+  if (a.size() > b.size()) std::swap(a, b);
+  if (a.empty()) return static_cast<int>(b.size());
+  thread_local EditDistanceKernel kernel;
+  kernel.SetPattern(a);
+  return kernel.Distance(b);
 }
 
 double EditDistanceMetric::Distance(const Value& a, const Value& b) const {
   double nd;
   if (NullRule(a, b, &nd)) return nd;
+  // Strings are read in place; only a number is formatted.
+  if (a.is_string() && b.is_string()) {
+    return LevenshteinDistance(a.as_string(), b.as_string());
+  }
   return LevenshteinDistance(a.ToString(), b.ToString());
 }
 

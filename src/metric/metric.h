@@ -1,8 +1,11 @@
 #ifndef FAMTREE_METRIC_METRIC_H_
 #define FAMTREE_METRIC_METRIC_H_
 
+#include <cstdint>
 #include <memory>
 #include <string>
+#include <string_view>
+#include <vector>
 
 #include "relation/value.h"
 
@@ -69,15 +72,35 @@ class JaccardQGramMetric : public Metric {
   int q_;
 };
 
-/// Raw Levenshtein distance between two strings.
-int LevenshteinDistance(const std::string& a, const std::string& b);
+/// Levenshtein distance between two byte strings: the shorter one becomes
+/// an EditDistanceKernel pattern (per-thread scratch) and the longer one
+/// is scanned against it.
+int LevenshteinDistance(std::string_view a, std::string_view b);
 
-/// Banded Levenshtein (Ukkonen): returns the exact distance when it is
-/// <= limit, and any value > limit otherwise. With a small limit this is
-/// O(max(n,m) * limit) instead of O(n*m) — the bucket tables use it when a
-/// consumer only needs to know which threshold band a distance falls in.
-int LevenshteinDistanceBounded(const std::string& a, const std::string& b,
-                               int limit);
+/// The one edit-distance kernel: Myers' bit-parallel Levenshtein (1999) in
+/// Hyyro's global-distance form (2003). SetPattern builds the pattern's
+/// byte-keyed match masks once, ceil(m/64) words per byte value; Distance
+/// then scans a text one byte at a time, advancing a whole column of the
+/// DP as vertical-delta bit vectors in O(ceil(m/64)) word operations, so
+/// a pair costs O(n * ceil(m/64)) instead of the O(n * m) cell DP. Every
+/// pattern length takes the same scan (past 64 bytes the words form a
+/// carry chain), and the result is always the exact distance.
+/// The code-table fills set the anchor code's pattern once per triangle
+/// row; scratch is O(256 * ceil(m/64)) words per kernel.
+class EditDistanceKernel {
+ public:
+  void SetPattern(std::string_view pattern);
+
+  /// Exact Levenshtein distance between the pattern and `text`.
+  int Distance(std::string_view text);
+
+ private:
+  int m_ = 0;
+  size_t words_ = 0;
+  std::vector<uint64_t> peq_;  // 256 rows of words_: bit i of row c is
+                               // set when pattern[i] == c
+  std::vector<uint64_t> pv_, mv_;  // per-word vertical deltas
+};
 
 /// Shared default instances (metrics are stateless).
 MetricPtr GetEditDistanceMetric();

@@ -80,8 +80,8 @@ Result<MatchResult> MdMatcher::Match(const Relation& relation,
       ResolveEncoding(relation, options.cache, &local_encoding));
   // Kernel path: the rules' predicates compile onto one threshold-bucket
   // facet per distinct (attr, metric) of a PairComparator word — for edit
-  // distance a byte-wide banded-Levenshtein bucket table instead of a full
-  // distance table — and a rule matches a pair exactly when every predicate
+  // distance a byte-wide bucket table instead of a full distance table —
+  // and a rule matches a pair exactly when every predicate
   // reads "bucket <= its threshold's index". Buckets are "d <= threshold",
   // the plain overload's similarity test, so NaN distances are dissimilar
   // on both paths. A rule with a NaN threshold matches no pair (`d <= NaN`

@@ -33,6 +33,8 @@ TEST(EditDistanceMetricTest, StringifiesValues) {
   EditDistanceMetric m;
   EXPECT_DOUBLE_EQ(m.Distance(Value("abc"), Value("abd")), 1.0);
   EXPECT_DOUBLE_EQ(m.Distance(Value(12), Value(13)), 1.0);  // "12" vs "13"
+  EXPECT_DOUBLE_EQ(m.Distance(Value("12"), Value(13)), 1.0);
+  EXPECT_DOUBLE_EQ(m.Distance(Value(2.5), Value("2.5")), 0.0);
 }
 
 TEST(AbsDiffMetricTest, NumericAndFallback) {
@@ -143,6 +145,7 @@ TEST(FuzzyTest, EditResemblance) {
   EXPECT_DOUBLE_EQ(r.Equal(Value("abc"), Value("abc")), 1.0);
   EXPECT_DOUBLE_EQ(r.Equal(Value("abcd"), Value("abce")), 0.75);
   EXPECT_DOUBLE_EQ(r.Equal(Value("aaaa"), Value("bbbbbbbb")), 0.0);
+  EXPECT_DOUBLE_EQ(r.Equal(Value(1234), Value("1235")), 0.75);
 }
 
 TEST(FuzzyTest, ResemblanceAxioms) {
