@@ -153,6 +153,22 @@ if [ -n "$EDIT_HITS" ]; then
   exit 1
 fi
 
+echo "=== [0/5] lint: the pool runs ParallelFor calls only ==="
+# ThreadPool (src/common/thread_pool.{h,cc}) keeps one list of posted
+# ParallelFor calls: each call waits only for the helpers that joined it,
+# and idle workers block until a call is posted. A Submit/Wait task API
+# would bring back a pool-wide join (one request waiting on another's
+# work, a nested call waiting on itself); a timed wait would bring back
+# the idle poll.
+POOL_HITS="$(grep -nE 'wait_for\(|void Submit\(|void Wait\(' \
+  src/common/thread_pool.h src/common/thread_pool.cc || true)"
+if [ -n "$POOL_HITS" ]; then
+  echo "lint: task API or timed wait in the thread pool; run parallel work" >&2
+  echo "through ParallelFor and block idle workers without a timeout:" >&2
+  echo "$POOL_HITS" >&2
+  exit 1
+fi
+
 echo "=== [1/5] Release: ctest -L tier1 ==="
 run cmake -B "$PREFIX" >/dev/null
 run cmake --build "$PREFIX" -j "$JOBS"

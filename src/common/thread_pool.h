@@ -3,7 +3,6 @@
 
 #include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <mutex>
 #include <thread>
@@ -13,11 +12,16 @@
 
 namespace famtree {
 
-/// A small work-stealing thread pool for the discovery engine. Tasks are
-/// plain std::function<void()> callables distributed round-robin over
-/// per-worker deques; an idle worker steals from the back of its siblings'
-/// deques before sleeping. The pool never throws across its API — fallible
-/// parallel work goes through ParallelFor, which collects Status values.
+/// The discovery engine's thread pool. It runs one kind of work: a
+/// ParallelFor call posts its index range on the pool's job list, idle
+/// workers join it as helpers and claim indices from the call's cursor next
+/// to the calling thread, and the call returns once its range is drained
+/// and the helpers that joined it have left. A call never waits for
+/// another call's work, so concurrent callers (the service's requests) do
+/// not convoy behind each other, and a ParallelFor made from inside an
+/// iteration is an ordinary call that completes. Idle workers block
+/// without a timeout until a call is posted. The pool never throws across
+/// its API — failures come back as the Status of the lowest failing index.
 ///
 /// Determinism contract: the pool schedules work in an arbitrary order, so
 /// callers that need reproducible output must write results into
@@ -29,18 +33,13 @@ class ThreadPool {
  public:
   /// Spawns `num_threads` workers; 0 means std::thread::hardware_concurrency.
   explicit ThreadPool(int num_threads = 0);
+  /// Joins the workers. No ParallelFor call may be in flight.
   ~ThreadPool();
 
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
   int num_threads() const { return static_cast<int>(workers_.size()); }
-
-  /// Enqueues one task. Tasks must not throw.
-  void Submit(std::function<void()> task);
-
-  /// Blocks until every submitted task has finished.
-  void Wait();
 
   /// Runs fn(i) for every i in [0, n), spreading iterations over the
   /// workers (the calling thread participates). Returns the Status of the
@@ -50,26 +49,21 @@ class ThreadPool {
   /// those that ran. Run-control failures (RunContext::IsStop) short-circuit
   /// harder: every worker drops out at its next claim regardless of index,
   /// so a cancelled run drains within one in-flight iteration per worker.
+  /// fn may itself call ParallelFor on this pool.
   Status ParallelFor(int64_t n, const std::function<Status(int64_t)>& fn);
 
  private:
-  struct Queue {
-    std::mutex mu;
-    std::deque<std::function<void()>> tasks;
-  };
+  struct Job;
 
-  void WorkerLoop(int self);
-  /// Pops one task, preferring worker `self`'s own deque, else stealing.
-  bool TryPop(int self, std::function<void()>* task);
+  void WorkerLoop();
+  /// The claim loop the caller and every helper of `job` run.
+  void Drain(Job& job);
 
-  std::vector<std::unique_ptr<Queue>> queues_;
   std::vector<std::thread> workers_;
 
-  std::mutex mu_;                  // guards sleeping workers + bookkeeping
-  std::condition_variable wake_;   // signalled on Submit and shutdown
-  std::condition_variable idle_;   // signalled when outstanding_ hits zero
-  int64_t outstanding_ = 0;        // submitted but not finished tasks
-  size_t next_queue_ = 0;          // round-robin submission cursor
+  std::mutex mu_;                  // guards jobs_, shutdown_, job bookkeeping
+  std::condition_variable wake_;   // signalled on a posted job and shutdown
+  std::vector<Job*> jobs_;         // posted calls, oldest first
   bool shutdown_ = false;
 };
 

@@ -76,6 +76,21 @@ void DiscoveryEngine::ForgetSharded(const ShardedEncodedRelation& sharded) {
   evidence_.EraseFingerprint(owned->fingerprint());
 }
 
+template <typename Options>
+Status DiscoveryEngine::Wire(const Relation* relation, Options* options) {
+  options->pool = &pool_;
+  if constexpr (requires { options->evidence; }) {
+    options->evidence = &evidence_;
+  }
+  if (options->context == nullptr) options->context = default_context();
+  if constexpr (requires { options->cache; }) {
+    if (relation != nullptr) {
+      FAMTREE_ASSIGN_OR_RETURN(options->cache, CacheFor(*relation));
+    }
+  }
+  return Status::OK();
+}
+
 Status DiscoveryEngine::AppendRows(Relation& relation,
                                    std::vector<std::vector<Value>> rows,
                                    RunContext* ctx) {
@@ -155,185 +170,140 @@ Status DiscoveryEngine::AppendCsv(ShardedEncodedRelation& sharded,
 Result<std::vector<DiscoveredFd>> DiscoveryEngine::RepairFdCover(
     const Relation& relation, const std::vector<DiscoveredFd>& cover,
     HybridFdOptions options) {
-  options.pool = &pool_;
-  if (options.context == nullptr) options.context = default_context();
-  FAMTREE_ASSIGN_OR_RETURN(options.cache, CacheFor(relation));
+  FAMTREE_RETURN_NOT_OK(Wire(&relation, &options));
   return famtree::RepairFdCover(relation, cover, options);
 }
 
 Result<std::vector<DiscoveredFd>> DiscoveryEngine::RepairFdCoverOutOfCore(
     const ShardedEncodedRelation& sharded,
     const std::vector<DiscoveredFd>& cover, HybridFdOptions options) {
-  options.pool = &pool_;
-  if (options.context == nullptr) options.context = default_context();
+  FAMTREE_RETURN_NOT_OK(Wire(nullptr, &options));
   FAMTREE_ASSIGN_OR_RETURN(PliCache * cache, OocCacheFor(sharded));
   return famtree::RepairFdCover(cache, cover, options);
 }
 
 Result<std::vector<DiscoveredFd>> DiscoveryEngine::Tane(
     const Relation& relation, TaneOptions options) {
-  options.pool = &pool_;
-  if (options.context == nullptr) options.context = default_context();
-  FAMTREE_ASSIGN_OR_RETURN(options.cache, CacheFor(relation));
+  FAMTREE_RETURN_NOT_OK(Wire(&relation, &options));
   return DiscoverFdsTane(relation, options);
 }
 
 Result<std::vector<DiscoveredFd>> DiscoveryEngine::FastFd(
     const Relation& relation, FastFdOptions options) {
-  options.pool = &pool_;
-  if (options.context == nullptr) options.context = default_context();
+  FAMTREE_RETURN_NOT_OK(Wire(&relation, &options));
   return DiscoverFdsFastFd(relation, options);
 }
 
 Result<std::vector<DiscoveredFd>> DiscoveryEngine::HybridFds(
     const Relation& relation, HybridFdOptions options) {
-  options.pool = &pool_;
-  if (options.context == nullptr) options.context = default_context();
-  FAMTREE_ASSIGN_OR_RETURN(options.cache, CacheFor(relation));
+  FAMTREE_RETURN_NOT_OK(Wire(&relation, &options));
   return DiscoverFdsHybrid(relation, options);
 }
 
 Result<std::vector<DiscoveredFd>> DiscoveryEngine::TaneOutOfCore(
     const ShardedEncodedRelation& sharded, TaneOptions options) {
-  options.pool = &pool_;
-  if (options.context == nullptr) options.context = default_context();
+  FAMTREE_RETURN_NOT_OK(Wire(nullptr, &options));
   FAMTREE_ASSIGN_OR_RETURN(PliCache * cache, OocCacheFor(sharded));
   return DiscoverFdsTane(cache, options);
 }
 
 Result<std::vector<DiscoveredFd>> DiscoveryEngine::HybridFdsOutOfCore(
     const ShardedEncodedRelation& sharded, HybridFdOptions options) {
-  options.pool = &pool_;
-  if (options.context == nullptr) options.context = default_context();
+  FAMTREE_RETURN_NOT_OK(Wire(nullptr, &options));
   FAMTREE_ASSIGN_OR_RETURN(PliCache * cache, OocCacheFor(sharded));
   return DiscoverFdsHybrid(cache, options);
 }
 
 Result<std::vector<DiscoveredMd>> DiscoveryEngine::HybridMds(
     const Relation& relation, AttrSet rhs, MdDiscoveryOptions options) {
-  options.pool = &pool_;
-  options.evidence = &evidence_;
-  if (options.context == nullptr) options.context = default_context();
-  FAMTREE_ASSIGN_OR_RETURN(options.cache, CacheFor(relation));
+  FAMTREE_RETURN_NOT_OK(Wire(&relation, &options));
   return DiscoverMdsHybrid(relation, rhs, options);
 }
 
 Result<std::vector<DiscoveredDc>> DiscoveryEngine::FastDc(
     const Relation& relation, FastDcOptions options) {
-  options.pool = &pool_;
-  options.evidence = &evidence_;
-  if (options.context == nullptr) options.context = default_context();
-  FAMTREE_ASSIGN_OR_RETURN(options.cache, CacheFor(relation));
+  FAMTREE_RETURN_NOT_OK(Wire(&relation, &options));
   return DiscoverDcs(relation, options);
 }
 
 Result<std::vector<DiscoveredSfd>> DiscoveryEngine::Cords(
     const Relation& relation, CordsOptions options) {
-  options.pool = &pool_;
-  if (options.context == nullptr) options.context = default_context();
+  FAMTREE_RETURN_NOT_OK(Wire(&relation, &options));
   return DiscoverSfdsCords(relation, options);
 }
 
 Result<std::vector<DiscoveredCfd>> DiscoveryEngine::ConstantCfds(
     const Relation& relation, CfdDiscoveryOptions options) {
-  options.pool = &pool_;
-  if (options.context == nullptr) options.context = default_context();
-  FAMTREE_ASSIGN_OR_RETURN(options.cache, CacheFor(relation));
+  FAMTREE_RETURN_NOT_OK(Wire(&relation, &options));
   return DiscoverConstantCfds(relation, options);
 }
 
 Result<std::vector<DiscoveredCfd>> DiscoveryEngine::GeneralCfds(
     const Relation& relation, CfdDiscoveryOptions options) {
-  options.pool = &pool_;
-  if (options.context == nullptr) options.context = default_context();
-  FAMTREE_ASSIGN_OR_RETURN(options.cache, CacheFor(relation));
+  FAMTREE_RETURN_NOT_OK(Wire(&relation, &options));
   return DiscoverGeneralCfds(relation, options);
 }
 
 Result<std::vector<DiscoveredCfd>> DiscoveryEngine::GreedyTableau(
     const Relation& relation, AttrSet lhs, int rhs, int condition_attr,
     TableauOptions options) {
-  options.pool = &pool_;
-  if (options.context == nullptr) options.context = default_context();
-  FAMTREE_ASSIGN_OR_RETURN(options.cache, CacheFor(relation));
+  FAMTREE_RETURN_NOT_OK(Wire(&relation, &options));
   return BuildGreedyTableau(relation, lhs, rhs, condition_attr, options);
 }
 
 Result<std::vector<DiscoveredOd>> DiscoveryEngine::UnaryOds(
     const Relation& relation, OdDiscoveryOptions options) {
-  options.pool = &pool_;
-  if (options.context == nullptr) options.context = default_context();
-  FAMTREE_ASSIGN_OR_RETURN(options.cache, CacheFor(relation));
+  FAMTREE_RETURN_NOT_OK(Wire(&relation, &options));
   return DiscoverUnaryOds(relation, options);
 }
 
 Result<std::vector<DiscoveredMvd>> DiscoveryEngine::Mvds(
     const Relation& relation, MvdDiscoveryOptions options) {
-  options.pool = &pool_;
-  if (options.context == nullptr) options.context = default_context();
-  FAMTREE_ASSIGN_OR_RETURN(options.cache, CacheFor(relation));
+  FAMTREE_RETURN_NOT_OK(Wire(&relation, &options));
   return DiscoverMvds(relation, options);
 }
 
 Result<std::vector<DiscoveredFhd>> DiscoveryEngine::Fhds(
     const Relation& relation, MvdDiscoveryOptions options) {
-  options.pool = &pool_;
-  if (options.context == nullptr) options.context = default_context();
-  FAMTREE_ASSIGN_OR_RETURN(options.cache, CacheFor(relation));
+  FAMTREE_RETURN_NOT_OK(Wire(&relation, &options));
   return DiscoverFhds(relation, options);
 }
 
 Result<std::vector<DiscoveredPfd>> DiscoveryEngine::Pfds(
     const Relation& relation, PfdDiscoveryOptions options) {
-  options.pool = &pool_;
-  if (options.context == nullptr) options.context = default_context();
-  FAMTREE_ASSIGN_OR_RETURN(options.cache, CacheFor(relation));
+  FAMTREE_RETURN_NOT_OK(Wire(&relation, &options));
   return DiscoverPfds(relation, options);
 }
 
 Result<std::vector<DiscoveredDd>> DiscoveryEngine::Dds(
     const Relation& relation, DdDiscoveryOptions options) {
-  options.pool = &pool_;
-  options.evidence = &evidence_;
-  if (options.context == nullptr) options.context = default_context();
-  FAMTREE_ASSIGN_OR_RETURN(options.cache, CacheFor(relation));
+  FAMTREE_RETURN_NOT_OK(Wire(&relation, &options));
   return DiscoverDds(relation, options);
 }
 
 Result<std::vector<DiscoveredNed>> DiscoveryEngine::Neds(
     const Relation& relation, const Ned::Predicate& target,
     NedDiscoveryOptions options) {
-  options.pool = &pool_;
-  options.evidence = &evidence_;
-  if (options.context == nullptr) options.context = default_context();
-  FAMTREE_ASSIGN_OR_RETURN(options.cache, CacheFor(relation));
+  FAMTREE_RETURN_NOT_OK(Wire(&relation, &options));
   return DiscoverNeds(relation, target, options);
 }
 
 Result<std::vector<DiscoveredMd>> DiscoveryEngine::Mds(
     const Relation& relation, AttrSet rhs, MdDiscoveryOptions options) {
-  options.pool = &pool_;
-  options.evidence = &evidence_;
-  if (options.context == nullptr) options.context = default_context();
-  FAMTREE_ASSIGN_OR_RETURN(options.cache, CacheFor(relation));
+  FAMTREE_RETURN_NOT_OK(Wire(&relation, &options));
   return DiscoverMds(relation, rhs, options);
 }
 
 Result<std::vector<DiscoveredMfd>> DiscoveryEngine::Mfds(
     const Relation& relation, MfdDiscoveryOptions options) {
-  options.pool = &pool_;
-  options.evidence = &evidence_;
-  if (options.context == nullptr) options.context = default_context();
-  FAMTREE_ASSIGN_OR_RETURN(options.cache, CacheFor(relation));
+  FAMTREE_RETURN_NOT_OK(Wire(&relation, &options));
   return DiscoverMfds(relation, options);
 }
 
 Result<DiscoveredSd> DiscoveryEngine::Sd(const Relation& relation,
                                          int order_attr, int target_attr,
                                          SdDiscoveryOptions options) {
-  options.pool = &pool_;
-  if (options.context == nullptr) options.context = default_context();
-  FAMTREE_ASSIGN_OR_RETURN(options.cache, CacheFor(relation));
+  FAMTREE_RETURN_NOT_OK(Wire(&relation, &options));
   return DiscoverSd(relation, order_attr, target_attr, options);
 }
 
@@ -341,93 +311,79 @@ Result<DiscoveredCsd> DiscoveryEngine::CsdTableau(const Relation& relation,
                                                   int order_attr,
                                                   int target_attr,
                                                   CsdDiscoveryOptions options) {
-  options.pool = &pool_;
-  if (options.context == nullptr) options.context = default_context();
-  FAMTREE_ASSIGN_OR_RETURN(options.cache, CacheFor(relation));
+  FAMTREE_RETURN_NOT_OK(Wire(&relation, &options));
   return DiscoverCsdTableau(relation, order_attr, target_attr, options);
 }
-
-namespace {
-
-QualityOptions WireQuality(ThreadPool* pool, PliCache* cache,
-                           RunContext* context) {
-  QualityOptions options;
-  options.pool = pool;
-  options.cache = cache;
-  options.context = context;
-  return options;
-}
-
-}  // namespace
 
 Result<RepairResult> DiscoveryEngine::RepairFds(const Relation& relation,
                                                 const std::vector<Fd>& fds,
                                                 int max_passes) {
-  FAMTREE_ASSIGN_OR_RETURN(PliCache * cache, CacheFor(relation));
-  return RepairWithFds(relation, fds, max_passes,
-                       WireQuality(&pool_, cache, default_context()));
+  QualityOptions options;
+  FAMTREE_RETURN_NOT_OK(Wire(&relation, &options));
+  return RepairWithFds(relation, fds, max_passes, options);
 }
 
 Result<RepairResult> DiscoveryEngine::RepairCfds(const Relation& relation,
                                                  const std::vector<Cfd>& cfds,
                                                  int max_passes) {
-  FAMTREE_ASSIGN_OR_RETURN(PliCache * cache, CacheFor(relation));
-  return RepairWithCfds(relation, cfds, max_passes,
-                        WireQuality(&pool_, cache, default_context()));
+  QualityOptions options;
+  FAMTREE_RETURN_NOT_OK(Wire(&relation, &options));
+  return RepairWithCfds(relation, cfds, max_passes, options);
 }
 
 Result<RepairResult> DiscoveryEngine::RepairHolistic(
     const Relation& relation, const std::vector<Dc>& dcs, int max_changes) {
-  FAMTREE_ASSIGN_OR_RETURN(PliCache * cache, CacheFor(relation));
-  return RepairWithDcsHolistic(relation, dcs, max_changes,
-                               WireQuality(&pool_, cache, default_context()));
+  QualityOptions options;
+  FAMTREE_RETURN_NOT_OK(Wire(&relation, &options));
+  return RepairWithDcsHolistic(relation, dcs, max_changes, options);
 }
 
 Result<MatchResult> DiscoveryEngine::Match(const Relation& relation,
                                            std::vector<Md> rules) {
-  FAMTREE_ASSIGN_OR_RETURN(PliCache * cache, CacheFor(relation));
+  QualityOptions options;
+  FAMTREE_RETURN_NOT_OK(Wire(&relation, &options));
   MdMatcher matcher(std::move(rules));
-  return matcher.Match(relation,
-                       WireQuality(&pool_, cache, default_context()));
+  return matcher.Match(relation, options);
 }
 
 Result<ImputeResult> DiscoveryEngine::Impute(const Relation& relation,
                                              const Ned& rule) {
-  FAMTREE_ASSIGN_OR_RETURN(PliCache * cache, CacheFor(relation));
-  return ImputeWithNed(relation, rule,
-                       WireQuality(&pool_, cache, default_context()));
+  QualityOptions options;
+  FAMTREE_RETURN_NOT_OK(Wire(&relation, &options));
+  return ImputeWithNed(relation, rule, options);
 }
 
 Result<Relation> DiscoveryEngine::CertainAnswers(const Relation& relation,
                                                  const Fd& fd,
                                                  const SelectionQuery& query) {
-  FAMTREE_ASSIGN_OR_RETURN(PliCache * cache, CacheFor(relation));
-  return famtree::CertainAnswers(relation, fd, query,
-                                 WireQuality(&pool_, cache, default_context()));
+  QualityOptions options;
+  FAMTREE_RETURN_NOT_OK(Wire(&relation, &options));
+  return famtree::CertainAnswers(relation, fd, query, options);
 }
 
 Result<Relation> DiscoveryEngine::PossibleAnswers(
     const Relation& relation, const Fd& fd, const SelectionQuery& query) {
-  FAMTREE_ASSIGN_OR_RETURN(PliCache * cache, CacheFor(relation));
-  return famtree::PossibleAnswers(
-      relation, fd, query, WireQuality(&pool_, cache, default_context()));
+  QualityOptions options;
+  FAMTREE_RETURN_NOT_OK(Wire(&relation, &options));
+  return famtree::PossibleAnswers(relation, fd, query, options);
 }
 
 Result<std::vector<Violation>> DiscoveryEngine::DetectSpeed(
     const Relation& relation, int time_attr, int value_attr,
     const SpeedConstraint& constraint) {
-  FAMTREE_ASSIGN_OR_RETURN(PliCache * cache, CacheFor(relation));
+  QualityOptions options;
+  FAMTREE_RETURN_NOT_OK(Wire(&relation, &options));
   return DetectSpeedViolations(relation, time_attr, value_attr, constraint,
-                               WireQuality(&pool_, cache, default_context()));
+                               options);
 }
 
 Result<RepairResult> DiscoveryEngine::RepairSpeed(
     const Relation& relation, int time_attr, int value_attr,
     const SpeedConstraint& constraint) {
-  FAMTREE_ASSIGN_OR_RETURN(PliCache * cache, CacheFor(relation));
-  return RepairWithSpeedConstraint(
-      relation, time_attr, value_attr, constraint,
-      WireQuality(&pool_, cache, default_context()));
+  QualityOptions options;
+  FAMTREE_RETURN_NOT_OK(Wire(&relation, &options));
+  return RepairWithSpeedConstraint(relation, time_attr, value_attr,
+                                   constraint, options);
 }
 
 Result<DetectionSummary> DiscoveryEngine::Detect(

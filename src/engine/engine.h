@@ -323,6 +323,14 @@ class DiscoveryEngine {
 
   /// The engine-wide default when per-call options carry no context.
   RunContext* default_context() const { return options_.context; }
+
+  /// Points a per-call options struct at this engine: its pool, the
+  /// evidence store where the struct has one, the default context when the
+  /// call set none, and `relation`'s PLI store where the struct has a slot
+  /// (skipped when `relation` is null: the out-of-core drivers pass their
+  /// store separately).
+  template <typename Options>
+  Status Wire(const Relation* relation, Options* options);
 };
 
 }  // namespace famtree
