@@ -11,9 +11,14 @@
 //   pairs     1M random ordered pairs over bookings, as FastDC's sampled
 //             path draws them: BuildEvidenceForPairs, almost every strip
 //             a single pair.
+//   wide      600 rows x 8 double columns under an exact-DD config with
+//             300 thresholds per column (absdiff buckets of 9 bits and a
+//             tracked max per column): 72 bits, so every word takes two
+//             lanes and the multiset is hashed lane tuple by lane tuple.
 //
-// The relations are generated as perfbench's pairwise-rules workload does
-// at seed 1. Each timing is the median (with quartiles) of 25 runs. Exits
+// The bookings and hotels relations are generated as perfbench's
+// pairwise-rules workload does at seed 1. Each timing is the median (with
+// quartiles) of 25 runs. Exits
 // nonzero when a built multiset differs from a fold of the one-pair
 // PairComparator::Word over every pair, or when a memoized name or
 // address bucket differs from the band of a plain Levenshtein DP.
@@ -137,39 +142,79 @@ Quartiles TimeMs(F&& run) {
   return {ms[kRuns / 4], ms[kRuns / 2], ms[3 * kRuns / 4]};
 }
 
-/// The multiset as a fold of one-pair words over every unordered pair.
-std::map<uint64_t, int64_t> PairFold(const EncodedRelation& enc,
-                                     const std::vector<EvidenceColumn>& cfg) {
-  std::unique_ptr<PairComparator> pc =
-      PairComparator::Make(enc, cfg, nullptr).value();
-  std::map<uint64_t, int64_t> out;
-  for (int i = 0; i < enc.num_rows(); ++i) {
-    for (int j = i + 1; j < enc.num_rows(); ++j) ++out[pc->Word(i, j)];
-  }
-  return out;
-}
+/// A word's lanes, lane 0 first: std::map orders them as the kernel sorts.
+using Lanes = std::vector<uint64_t>;
 
-std::map<uint64_t, int64_t> PairListFold(
+/// The multiset as a fold of one-pair words over the given ordered pairs.
+std::map<Lanes, int64_t> PairListFold(
     const EncodedRelation& enc, const std::vector<EvidenceColumn>& cfg,
     const std::vector<std::pair<int, int>>& pairs) {
   std::unique_ptr<PairComparator> pc =
       PairComparator::Make(enc, cfg, nullptr).value();
-  std::map<uint64_t, int64_t> out;
-  for (const auto& [i, j] : pairs) ++out[pc->Word(i, j)];
+  std::map<Lanes, int64_t> out;
+  Lanes word(pc->num_lanes());
+  for (const auto& [i, j] : pairs) {
+    pc->Word(i, j, word.data());
+    ++out[word];
+  }
   return out;
 }
 
+/// The same fold over every unordered pair.
+std::map<Lanes, int64_t> PairFold(const EncodedRelation& enc,
+                                  const std::vector<EvidenceColumn>& cfg) {
+  std::vector<std::pair<int, int>> pairs;
+  for (int i = 0; i < enc.num_rows(); ++i) {
+    for (int j = i + 1; j < enc.num_rows(); ++j) pairs.push_back({i, j});
+  }
+  return PairListFold(enc, cfg, pairs);
+}
+
 bool SameMultiset(const EvidenceSet& set,
-                  const std::map<uint64_t, int64_t>& expected) {
-  if (set.words().size() != expected.size()) return false;
+                  const std::map<Lanes, int64_t>& expected) {
+  if (set.num_words() != expected.size()) return false;
   size_t k = 0;
-  for (const auto& [bits, count] : expected) {
-    if (set.words()[k].bits != bits || set.words()[k].count != count) {
+  for (const auto& [lanes, count] : expected) {
+    if (Lanes(set.lanes(k), set.lanes(k) + set.num_lanes()) != lanes ||
+        set.count(k) != count) {
       return false;
     }
     ++k;
   }
   return true;
+}
+
+/// `rows` random doubles per column, and the exact-DD config over them:
+/// `quantiles` evenly spaced thresholds up to each column's range (the
+/// widest distance), buckets and a tracked max per column.
+Relation MakeWideDoubles(int rows, int cols, uint64_t seed) {
+  uint64_t state = seed;
+  std::vector<std::string> names;
+  for (int c = 0; c < cols; ++c) names.push_back("d" + std::to_string(c));
+  RelationBuilder b(names);
+  for (int i = 0; i < rows; ++i) {
+    std::vector<Value> row;
+    for (int c = 0; c < cols; ++c) {
+      row.push_back(Value(static_cast<double>(SplitMix(&state) % 100000) /
+                          8.0));
+    }
+    b.AddRow(std::move(row));
+  }
+  return std::move(b.Build()).value();
+}
+
+std::vector<EvidenceColumn> WideDdConfig(int cols, int quantiles) {
+  std::vector<EvidenceColumn> cfg(cols);
+  for (int c = 0; c < cols; ++c) {
+    cfg[c].attr = c;
+    cfg[c].cmp = EvidenceColumn::Cmp::kNone;
+    cfg[c].metric = GetAbsDiffMetric();
+    cfg[c].track_max = true;
+    for (int q = 0; q < quantiles; ++q) {
+      cfg[c].thresholds.push_back(12500.0 * q / quantiles);
+    }
+  }
+  return cfg;
 }
 
 /// The textbook O(nm) Levenshtein DP, independent of the library's kernel.
@@ -248,7 +293,11 @@ int Main() {
     if (i != j) pairs.push_back({i, j});
   }
 
-  std::shared_ptr<const EvidenceSet> bset, hset, pset;
+  Relation wide = MakeWideDoubles(600, 8, 3);
+  EncodedRelation wenc(wide);
+  std::vector<EvidenceColumn> wcfg = WideDdConfig(8, 300);
+
+  std::shared_ptr<const EvidenceSet> bset, hset, pset, wset;
   Quartiles build_b = TimeMs([&] { bset = BuildEvidence(benc, bcfg, {}).value(); });
   Quartiles build_p = TimeMs(
       [&] { pset = BuildEvidenceForPairs(benc, bcfg, pairs, {}).value(); });
@@ -261,19 +310,20 @@ int Main() {
       [&] { CodeBucketTable t(henc, 0, GetEditDistanceMetric(), kString); });
   Quartiles fill_address = TimeMs(
       [&] { CodeBucketTable t(henc, 1, GetEditDistanceMetric(), kString); });
+  Quartiles build_w = TimeMs([&] { wset = BuildEvidence(wenc, wcfg, {}).value(); });
 
   std::printf("# 1 thread, %d runs each; ms q1 / median / q3\n", kRuns);
   std::printf("bookings: %d rows, %lld pairs, %zu distinct words\n",
               bookings.num_rows(),
               static_cast<long long>(bset->total_pairs()),
-              bset->words().size());
+              bset->num_words());
   Print("  BuildEvidence", build_b);
   std::printf("bookings random pairs: %zu pairs, %zu distinct words\n",
-              pairs.size(), pset->words().size());
+              pairs.size(), pset->num_words());
   Print("  BuildEvidenceForPairs", build_p);
   std::printf("hotels: %d rows, %lld pairs, %zu distinct words\n",
               hotels.num_rows(), static_cast<long long>(hset->total_pairs()),
-              hset->words().size());
+              hset->num_words());
   Print("  bucket fill (PairComparator::Make)", fill_h);
   std::printf("  name: %d codes\n", henc.dict_size(0));
   Print("    edit bucket fill", fill_name);
@@ -282,10 +332,15 @@ int Main() {
   Print("  BuildEvidence (fill + walk)", build_h);
   std::printf("  walk (median build - median fill) %8.2f\n",
               build_h.median - fill_h.median);
+  std::printf("wide: %d rows, %lld pairs, %d lanes, %zu distinct words\n",
+              wide.num_rows(), static_cast<long long>(wset->total_pairs()),
+              wset->num_lanes(), wset->num_words());
+  Print("  BuildEvidence", build_w);
 
   bool ok = SameMultiset(*bset, PairFold(benc, bcfg)) &&
             SameMultiset(*pset, PairListFold(benc, bcfg, pairs)) &&
-            SameMultiset(*hset, PairFold(henc, hcfg));
+            SameMultiset(*hset, PairFold(henc, hcfg)) &&
+            SameMultiset(*wset, PairFold(wenc, wcfg));
   std::printf("multisets equal the one-pair Word fold: %s\n",
               ok ? "yes" : "NO");
   int64_t bad = BucketMismatches(henc, 0, kString) +

@@ -55,9 +55,10 @@ echo "=== [0/5] lint: no raw single-word attribute masks ==="
 # Attribute-index bit arithmetic lives in the multi-word AttrSet; a raw
 # `1ULL << n` over an attribute count reintroduces the pre-widening UB the
 # moment n reaches 64. The allowlist is the AttrSet implementation itself
-# plus the evidence kernel, whose shifts pack facet bits into a 64-bit
-# word (a per-pair budget checked via EvidenceWordBits, not an attribute
-# index). Comment-only lines are ignored.
+# plus the evidence kernel, whose shifts place facet bits within one 64-bit
+# lane of the comparison word (a facet never straddles two lanes; the
+# shift is a lane offset, not an attribute index). Comment-only lines are
+# ignored.
 LINT_ALLOW='^src/(common/attr_set\.(h|cc)|engine/evidence\.(h|cc)):'
 LINT_HITS="$(grep -rnE '1ULL? <<|1ull <<|uint64_t[{(]1[})] <<' src \
   | grep -vE "$LINT_ALLOW" \
@@ -71,7 +72,7 @@ fi
 
 echo "=== [0/5] lint: no path-selecting flags or second content address in src/ ==="
 # Every miner and quality application has one production path (the
-# encoded one, with the evidence kernel where the input allows it);
+# encoded one, with the evidence kernel behind every pairwise miner);
 # reference implementations live in tests/ as brute-force oracles. A
 # use_encoding / use_evidence / use_hybrid knob would bring back a second
 # path that only tests reach. Every engine store is keyed by the one
@@ -100,6 +101,23 @@ if [ -n "$PACK_HITS" ]; then
   echo "lint: comparison-word packing outside src/engine/evidence.cc;" >&2
   echo "compute words with PairComparator::Strip / Word instead:" >&2
   echo "$PACK_HITS" >&2
+  exit 1
+fi
+
+echo "=== [0/5] lint: no consumer branches on the comparison word's width ==="
+# PairComparator and the evidence builds take a word of any width (as many
+# 64-bit lanes as the config needs), so every pairwise miner and quality
+# application runs the kernel on every input. A consumer that measures the
+# word (EvidenceWordBits, a facet-set packable() check) or tests for a
+# width error would bring back the second, pre-kernel path it chose
+# between. Comment-only lines are ignored.
+WIDTH_HITS="$(grep -rnE 'EvidenceWordBits\(|packable\(|"evidence word exceeds' src \
+  | grep -vE '^src/engine/evidence\.(h|cc):' \
+  | grep -vE ':[0-9]+:[[:space:]]*(//|\*)' || true)"
+if [ -n "$WIDTH_HITS" ]; then
+  echo "lint: comparison-word width test outside src/engine/evidence.*;" >&2
+  echo "build the evidence (or the PairComparator) for every config:" >&2
+  echo "$WIDTH_HITS" >&2
   exit 1
 fi
 

@@ -21,19 +21,6 @@ double Mfd::MaxGroupDiameter(const Relation& relation, AttrSet lhs, int attr,
   return diameter;
 }
 
-double Mfd::MaxGroupDiameter(const EncodedRelation& encoded, AttrSet lhs,
-                             const CodeDistanceTable& table) {
-  double diameter = 0.0;
-  for (const auto& group : encoded.GroupBy(lhs)) {
-    for (size_t i = 0; i + 1 < group.size(); ++i) {
-      for (size_t j = i + 1; j < group.size(); ++j) {
-        diameter = std::max(diameter, table.RowDistance(group[i], group[j]));
-      }
-    }
-  }
-  return diameter;
-}
-
 std::string Mfd::ToString(const Schema* schema) const {
   std::string out = internal::AttrNames(schema, lhs_) + " ->^d ";
   for (size_t i = 0; i < rhs_.size(); ++i) {

@@ -6,8 +6,6 @@
 
 #include "deps/dependency.h"
 #include "deps/differential.h"
-#include "metric/code_distance.h"
-#include "relation/encoded_relation.h"
 
 namespace famtree {
 
@@ -34,13 +32,6 @@ class Mfd : public Dependency {
   /// delta for which the MFD holds (the verification primitive of [64]).
   static double MaxGroupDiameter(const Relation& relation, AttrSet lhs,
                                  int attr, const Metric& metric);
-
-  /// Encoded fast path: the same diameter over dictionary-encoded groups
-  /// with the metric memoized per code pair; bit-identical to the Value
-  /// overload (max is order-insensitive and the table stores the exact
-  /// doubles the metric returned).
-  static double MaxGroupDiameter(const EncodedRelation& encoded, AttrSet lhs,
-                                 const CodeDistanceTable& table);
 
   DependencyClass cls() const override { return DependencyClass::kMfd; }
   std::string ToString(const Schema* schema = nullptr) const override;

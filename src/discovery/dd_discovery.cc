@@ -181,27 +181,23 @@ Result<std::vector<DiscoveredDd>> DiscoverDds(
     }
   }
 
-  // Each candidate's pair scan is independent: one pass over all row pairs
-  // accumulates the LHS support and, for every RHS attribute, the running
-  // max distance (max and the all-finite flag are order-insensitive). The
-  // support / vacuity / subsumption / max_results filters replay serially
-  // below in candidate order, so the output is bit-identical at any thread
-  // count.
+  // Each candidate's fold is independent: it accumulates the LHS support
+  // and, for every RHS attribute, the running max distance (max and the
+  // all-finite flag are order-insensitive). The support / vacuity /
+  // subsumption / max_results filters replay serially below in candidate
+  // order, so the output is bit-identical at any thread count.
   struct CandidateStats {
     int64_t support = 0;
     std::vector<double> bound;
     std::vector<char> finite;
   };
   std::vector<CandidateStats> stats(lhs_candidates.size());
-  // Evidence path: one kernel build packs every attribute's bucket index
-  // (against its candidate threshold list) into a word per pair and tracks
-  // per-word distance maxima; each candidate then folds over the
-  // deduplicated words instead of all row pairs. d <= thresholds[a][ti]
-  // exactly when the bucket index is <= ti, and max/or folds over word
-  // groups equal the pairwise folds, so the stats are bit-identical. A
-  // threshold grid too wide for one packed word falls back to the direct
-  // pair scan below.
-  int64_t candidates_done = 0;
+  // One kernel build packs every attribute's bucket index (against its
+  // candidate threshold list) into a word per pair and tracks per-word
+  // distance maxima; each candidate then folds over the deduplicated words
+  // instead of all row pairs. d <= thresholds[a][ti] exactly when the
+  // bucket index is <= ti, and max/or folds over word groups equal the
+  // pairwise folds, so the stats are bit-identical to a pair scan.
   std::vector<EvidenceColumn> config(nc);
   for (int a = 0; a < nc; ++a) {
     config[a].attr = a;
@@ -211,96 +207,56 @@ Result<std::vector<DiscoveredDd>> DiscoverDds(
     config[a].track_max = true;
     config[a].table = tables[a].get();
   }
-  if (EvidenceWordBits(config) <= 64) {
-    EvidenceOptions eopts;
-    eopts.pool = pool;
-    eopts.context = ctx;
-    Result<std::shared_ptr<const EvidenceSet>> set_result = GetOrBuildEvidence(
-        options.evidence, *encoded,
-        EvidenceKeyFingerprint(options.evidence, relation, cache), config,
-        eopts);
-    if (!set_result.ok() && RunContext::IsStop(set_result.status())) {
-      return exhausted_early(
-          set_result.status(),
-          static_cast<int64_t>(lhs_candidates.size()));
+  EvidenceOptions eopts;
+  eopts.pool = pool;
+  eopts.context = ctx;
+  Result<std::shared_ptr<const EvidenceSet>> set_result = GetOrBuildEvidence(
+      options.evidence, *encoded,
+      EvidenceKeyFingerprint(options.evidence, relation, cache), config, eopts);
+  if (!set_result.ok() && RunContext::IsStop(set_result.status())) {
+    return exhausted_early(set_result.status(),
+                           static_cast<int64_t>(lhs_candidates.size()));
+  }
+  FAMTREE_ASSIGN_OR_RETURN(std::shared_ptr<const EvidenceSet> set,
+                           std::move(set_result));
+  // Each LHS function's threshold as its index in the attribute's sorted
+  // list (the exact doubles the config was built from).
+  std::vector<std::vector<std::pair<int, int>>> lhs_buckets(
+      lhs_candidates.size());
+  for (size_t c = 0; c < lhs_candidates.size(); ++c) {
+    for (const auto& fn : lhs_candidates[c]) {
+      const std::vector<double>& th = thresholds[fn.attr];
+      int ti = static_cast<int>(
+          std::find(th.begin(), th.end(), fn.range.max) - th.begin());
+      lhs_buckets[c].push_back({fn.attr, ti});
     }
-    FAMTREE_ASSIGN_OR_RETURN(std::shared_ptr<const EvidenceSet> set,
-                             std::move(set_result));
-    // Each LHS function's threshold as its index in the attribute's
-    // sorted list (the exact doubles the config was built from).
-    std::vector<std::vector<std::pair<int, int>>> lhs_buckets(
-        lhs_candidates.size());
-    for (size_t c = 0; c < lhs_candidates.size(); ++c) {
-      for (const auto& fn : lhs_candidates[c]) {
-        const std::vector<double>& th = thresholds[fn.attr];
-        int ti = static_cast<int>(
-            std::find(th.begin(), th.end(), fn.range.max) - th.begin());
-        lhs_buckets[c].push_back({fn.attr, ti});
-      }
-    }
-    const std::vector<EvidenceSet::Word>& words = set->words();
-    FAMTREE_ASSIGN_OR_RETURN(
-        candidates_done,
-        AnytimeParallelFor(
-            ctx, pool, static_cast<int64_t>(lhs_candidates.size()),
-            [&](int64_t c) {
-          CandidateStats& st = stats[c];
-          st.bound.assign(nc, 0.0);
-          st.finite.assign(nc, 1);
-          for (size_t wi = 0; wi < words.size(); ++wi) {
-            bool ok = true;
-            for (const auto& [a, ti] : lhs_buckets[c]) {
-              if (set->BucketOf(words[wi].bits, a) > ti) {
-                ok = false;
-                break;
-              }
-            }
-            if (!ok) continue;
-            st.support += words[wi].count;
-            for (int b = 0; b < nc; ++b) {
-              const EvidenceSet::Aggregate& agg = set->agg(wi, b);
-              if (agg.saw_nonfinite) st.finite[b] = 0;
-              st.bound[b] = std::max(st.bound[b], agg.max_finite);
-            }
-          }
-          return Status::OK();
-            }));
-  } else {
-    FAMTREE_ASSIGN_OR_RETURN(
-        candidates_done,
-        AnytimeParallelFor(
-            ctx, pool, static_cast<int64_t>(lhs_candidates.size()),
-            [&](int64_t c) {
-          const auto& lhs = lhs_candidates[c];
-          CandidateStats& st = stats[c];
-          st.bound.assign(nc, 0.0);
-          st.finite.assign(nc, 1);
-          for (int i = 0; i + 1 < n; ++i) {
-            for (int j = i + 1; j < n; ++j) {
+  }
+  FAMTREE_ASSIGN_OR_RETURN(
+      int64_t candidates_done,
+      AnytimeParallelFor(
+          ctx, pool, static_cast<int64_t>(lhs_candidates.size()),
+          [&](int64_t c) {
+            CandidateStats& st = stats[c];
+            st.bound.assign(nc, 0.0);
+            st.finite.assign(nc, 1);
+            for (size_t wi = 0; wi < set->num_words(); ++wi) {
               bool ok = true;
-              for (const auto& fn : lhs) {
-                double d = tables[fn.attr]->RowDistance(i, j);
-                if (!fn.range.Contains(d)) {
+              for (const auto& [a, ti] : lhs_buckets[c]) {
+                if (set->BucketOf(wi, a) > ti) {
                   ok = false;
                   break;
                 }
               }
               if (!ok) continue;
-              ++st.support;
+              st.support += set->count(wi);
               for (int b = 0; b < nc; ++b) {
-                if (!st.finite[b]) continue;
-                double d = tables[b]->RowDistance(i, j);
-                if (!std::isfinite(d)) {
-                  st.finite[b] = 0;
-                } else {
-                  st.bound[b] = std::max(st.bound[b], d);
-                }
+                const EvidenceSet::Aggregate& agg = set->agg(wi, b);
+                if (agg.saw_nonfinite) st.finite[b] = 0;
+                st.bound[b] = std::max(st.bound[b], agg.max_finite);
               }
             }
-          }
-          return Status::OK();
-            }));
-  }
+            return Status::OK();
+          }));
 
   std::vector<DiscoveredDd> out;
   // The support / vacuity / subsumption filters replay the completed

@@ -24,12 +24,13 @@ struct DdDiscoveryOptions {
   /// Number of LHS attributes (1 or 2).
   int max_lhs_attrs = 2;
   /// Relations larger than this are uniformly row-sampled down before the
-  /// pairwise scans (0 disables sampling and large inputs are rejected).
+  /// pairwise evidence build (0 disables sampling and large inputs are
+  /// rejected).
   int sample_rows = 0;
   uint64_t seed = 42;
   int max_results = 10000;
   /// Optional engine hooks: when `pool` is set the distance tables, the
-  /// per-attribute threshold scans and the per-LHS-candidate pair scans run
+  /// per-attribute threshold scans and the per-LHS-candidate word folds run
   /// in parallel; the min-support / vacuity / subsumption / max_results
   /// filters replay the serial walk's candidate order, so the output is
   /// bit-identical at any thread count. `cache` lends its encoding (ignored
@@ -47,9 +48,8 @@ struct DdDiscoveryOptions {
   /// candidate thresholds and vacuity bounds come from code-pair distance
   /// histograms, and one evidence build (engine/evidence.h) packs every
   /// attribute's threshold bucket into a word per pair, so each LHS
-  /// candidate folds over the deduplicated words. A threshold grid whose
-  /// packed word exceeds 64 bits falls back to a direct pair scan with
-  /// identical output.
+  /// candidate folds over the deduplicated words, however wide the
+  /// threshold grid makes the word.
   EvidenceCache* evidence = nullptr;
 };
 

@@ -60,21 +60,6 @@ inline bool DictHasNonFiniteDouble(const EncodedRelation& enc, int attr) {
   return false;
 }
 
-/// True when any dictionary entry of `attr` is a NaN. Under Value's
-/// comparison a NaN is neither less than, greater than nor equal to any
-/// numeric, which an order facet's rank trit cannot represent (distinct
-/// codes always read < or >), so the kernel paths that read order facets
-/// (FASTDC, the violation detector) step aside for such columns.
-inline bool DictHasNan(const EncodedRelation& enc, int attr) {
-  for (int code = 0; code < enc.dict_size(attr); ++code) {
-    const Value& v = enc.Decode(attr, code);
-    if (v.type() == ValueType::kDouble && std::isnan(v.as_double())) {
-      return true;
-    }
-  }
-  return false;
-}
-
 /// Counting sort of the rows by a column's rank (CodeRanks) — stable, so it
 /// matches Sd::SortedOrder's std::stable_sort of the rows by SortsBefore.
 inline std::vector<int> SortedRowOrder(const EncodedRelation& enc, int col,

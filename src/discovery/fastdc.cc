@@ -3,8 +3,8 @@
 #include <algorithm>
 #include <bitset>
 #include <cmath>
-#include <map>
 #include <memory>
+#include <utility>
 
 #include "common/rng.h"
 #include "common/run_context.h"
@@ -20,68 +20,6 @@ namespace {
 
 constexpr int kMaxPredicates = 256;
 using Bits = std::bitset<kMaxPredicates>;
-
-/// One dictionary entry pre-lowered for order comparisons. `rank` mirrors
-/// Value::operator<'s type ranking (null < numeric < string); numeric cells
-/// carry both the exact int64 (when integral) and the double image.
-struct OrderCell {
-  int8_t rank = 0;  // 0 null, 1 numeric, 2 string
-  bool is_int = false;
-  int64_t i = 0;
-  double num = 0.0;
-};
-
-/// Exactly Value::operator< for non-string cells: rank order first, then
-/// exact int-int, then the double image (how AsNumeric compares).
-inline bool CellLess(const OrderCell& x, const OrderCell& y) {
-  if (x.rank != y.rank) return x.rank < y.rank;
-  if (x.rank != 1) return false;  // null == null; strings never reach here
-  if (x.is_int && y.is_int) return x.i < y.i;
-  return x.num < y.num;
-}
-
-/// Exactly Value::operator== for non-string cells (NaN equals nothing).
-inline bool CellEqual(const OrderCell& x, const OrderCell& y) {
-  if (x.rank != y.rank) return false;
-  if (x.rank != 1) return true;  // null == null
-  if (x.is_int && y.is_int) return x.i == y.i;
-  return x.num == y.num;
-}
-
-/// A predicate lowered onto the encoded backend. Anything the lowering does
-/// not cover exactly keeps the Value evaluator (kFallback).
-struct CompiledPred {
-  enum class Kind { kSameColEq, kSameColNeq, kOrder, kFallback };
-  Kind kind = Kind::kFallback;
-  int col_a = 0;  // tuple-a operand's column
-  int col_b = 0;  // tuple-b operand's column
-  CmpOp op = CmpOp::kEq;
-};
-
-CompiledPred CompilePred(const DcPredicate& p) {
-  CompiledPred out;
-  if (p.lhs.kind != DcOperand::Kind::kTupleA ||
-      p.rhs.kind != DcOperand::Kind::kTupleB) {
-    return out;  // constants / other shapes: fallback
-  }
-  out.col_a = p.lhs.attr;
-  out.col_b = p.rhs.attr;
-  out.op = p.op;
-  switch (p.op) {
-    case CmpOp::kEq:
-      out.kind = p.lhs.attr == p.rhs.attr ? CompiledPred::Kind::kSameColEq
-                                          : CompiledPred::Kind::kFallback;
-      break;
-    case CmpOp::kNeq:
-      out.kind = p.lhs.attr == p.rhs.attr ? CompiledPred::Kind::kSameColNeq
-                                          : CompiledPred::Kind::kFallback;
-      break;
-    default:
-      out.kind = CompiledPred::Kind::kOrder;
-      break;
-  }
-  return out;
-}
 
 /// Is pred `p` the negation of pred `q` (same operands, negated op)?
 bool AreNegations(const DcPredicate& p, const DcPredicate& q) {
@@ -243,23 +181,25 @@ bool IsNumericColumn(const Relation& relation, int a) {
   return t == ValueType::kInt || t == ValueType::kDouble;
 }
 
-/// Decodes one packed comparison word into the satisfied-predicate bitset.
-/// Each same-column predicate reads its column's facet: equality bit for
-/// categorical columns, order trit (0 equal / 1 less / 2 greater) for
-/// numeric ones.
-Bits WordToBits(const EvidenceSet& set, uint64_t word,
-                const std::vector<DcPredicate>& preds) {
+/// Decodes one comparison word into the satisfied-predicate bitset.
+/// Predicate p reads the comparison field of config column pred_col[p]:
+/// the equality bit of a categorical column, or the order field (0 equal,
+/// 1 less, 2 greater, 3 unordered) of a numeric column or column pair.
+/// Value's <= is (< or ==), so an unordered field satisfies only !=.
+Bits WordToBits(const EvidenceSet& set, const uint64_t* lanes,
+                const std::vector<DcPredicate>& preds,
+                const std::vector<int>& pred_col) {
   Bits bits;
   for (size_t p = 0; p < preds.size(); ++p) {
-    int t = set.CmpOf(word, preds[p].lhs.attr);
+    int t = set.layout()[pred_col[p]].CmpOf(lanes);
     bool sat = false;
     switch (preds[p].op) {
       case CmpOp::kEq: sat = t == 0; break;
       case CmpOp::kNeq: sat = t != 0; break;
       case CmpOp::kLt: sat = t == 1; break;
-      case CmpOp::kLe: sat = t != 2; break;
+      case CmpOp::kLe: sat = (t & 2) == 0; break;
       case CmpOp::kGt: sat = t == 2; break;
-      case CmpOp::kGe: sat = t != 1; break;
+      case CmpOp::kGe: sat = (t & 1) == 0; break;
     }
     if (sat) bits[p] = true;
   }
@@ -323,217 +263,100 @@ Result<std::vector<DiscoveredDc>> DiscoverDcs(const Relation& relation,
     RunContext::MarkExhausted(ctx, stop, 0, 0);
     return std::vector<DiscoveredDc>{};
   };
-  // Kernel path: one packed word per unordered pair from the shared
-  // comparison engine, decoded into predicate bitsets once per distinct
-  // word. The ordered-pair evidence FASTDC mines over is the unordered
-  // multiset plus its mirror (order trits swapped), so the cover search
-  // sees exactly the multiset the per-predicate path would produce.
-  // Cross-column predicates, NaN order ties and words wider than 64 bits
-  // take the per-predicate path below instead.
+  // One comparison word per unordered pair from the shared evidence
+  // kernel, decoded into predicate bitsets once per distinct word. The
+  // ordered-pair evidence FASTDC mines over is the unordered multiset plus
+  // its mirror, so the cover search sees exactly the multiset of all
+  // ordered pairs. The config holds one facet per attribute (order for
+  // numeric columns, equality otherwise) and, with cross-column
+  // predicates, the two-column order facets (a, b) and (b, a) of every
+  // numeric pair a < b: (a, b) answers ta.a op tb.b, and the two mirror
+  // into each other.
   std::unique_ptr<EncodedRelation> local;
   FAMTREE_ASSIGN_OR_RETURN(const EncodedRelation* resolved,
                            ResolveEncoding(relation, options.cache, &local));
   const EncodedRelation& encoded = *resolved;
-  if (!options.cross_column) {
-    std::vector<EvidenceColumn> config;
-    bool supported = true;
-    for (int a = 0; a < relation.num_columns(); ++a) {
-      EvidenceColumn c;
-      c.attr = a;
-      if (IsNumericColumn(relation, a)) {
-        c.cmp = EvidenceColumn::Cmp::kOrder;
-        if (DictHasNan(encoded, a)) {
-          supported = false;
-          break;
-        }
-      } else {
-        c.cmp = EvidenceColumn::Cmp::kEquality;
+  std::vector<EvidenceColumn> config;
+  for (int a = 0; a < relation.num_columns(); ++a) {
+    EvidenceColumn c;
+    c.attr = a;
+    c.cmp = IsNumericColumn(relation, a) ? EvidenceColumn::Cmp::kOrder
+                                         : EvidenceColumn::Cmp::kEquality;
+    config.push_back(c);
+  }
+  std::vector<int> pred_col(preds.size());
+  for (size_t p = 0; p < preds.size(); ++p) {
+    int a = preds[p].lhs.attr, b = preds[p].rhs.attr;
+    pred_col[p] = a;
+    if (a == b) continue;
+    for (size_t c = 0; c < config.size(); ++c) {
+      if (config[c].attr == a && config[c].b_attr == b) {
+        pred_col[p] = static_cast<int>(c);
       }
-      config.push_back(c);
     }
-    if (supported && EvidenceWordBits(config) <= 64) {
-      EvidenceOptions eopts;
-      eopts.pool = options.pool;
-      eopts.context = ctx;
-      std::shared_ptr<const EvidenceSet> set;
-      bool exact = n <= options.max_rows_exact;
-      if (exact) {
-        Result<std::shared_ptr<const EvidenceSet>> set_result =
-            GetOrBuildEvidence(
-                options.evidence, encoded,
-                EvidenceKeyFingerprint(options.evidence, relation,
-                                       options.cache),
-                config, eopts);
-        if (!set_result.ok() && RunContext::IsStop(set_result.status())) {
-          return exhausted_early(set_result.status());
-        }
-        FAMTREE_ASSIGN_OR_RETURN(set, std::move(set_result));
-      } else {
-        // The sampled pair stream stays on one serial Rng, so the sample —
-        // and everything mined from it — is identical to the fallback
-        // path's at any thread count.
-        Rng rng(options.seed);
-        int64_t samples = static_cast<int64_t>(options.max_rows_exact) *
-                          options.max_rows_exact;
-        std::vector<std::pair<int, int>> sampled;
-        sampled.reserve(samples);
-        for (int64_t s = 0; s < samples; ++s) {
-          int i = static_cast<int>(rng.Uniform(0, n - 1));
-          int j = static_cast<int>(rng.Uniform(0, n - 1));
-          if (i != j) sampled.push_back({i, j});
-        }
-        Result<std::shared_ptr<const EvidenceSet>> set_result =
-            BuildEvidenceForPairs(encoded, config, sampled, eopts);
-        if (!set_result.ok() && RunContext::IsStop(set_result.status())) {
-          return exhausted_early(set_result.status());
-        }
-        FAMTREE_ASSIGN_OR_RETURN(set, std::move(set_result));
+    if (pred_col[p] == a) {
+      pred_col[p] = static_cast<int>(config.size());
+      for (auto [x, y] : {std::pair{a, b}, std::pair{b, a}}) {
+        EvidenceColumn c;
+        c.attr = x;
+        c.b_attr = y;
+        c.cmp = EvidenceColumn::Cmp::kOrder;
+        config.push_back(c);
       }
-      std::vector<Evidence> evidence;
-      evidence.reserve(set->words().size() * (exact ? 2 : 1));
-      for (const EvidenceSet::Word& w : set->words()) {
-        evidence.push_back(Evidence{WordToBits(*set, w.bits, preds), w.count});
-        if (exact) {
-          // The opposite orientation of every unordered pair; symmetric
-          // words simply contribute their count twice, which sums to the
-          // ordered-pair total.
-          evidence.push_back(
-              Evidence{WordToBits(*set, set->MirrorOf(w.bits), preds),
-                       w.count});
-        }
-      }
-      int64_t total_pairs =
-          exact ? static_cast<int64_t>(n) * std::max(0, n - 1)
-                : set->total_pairs();
-      return MineCover(preds, evidence, total_pairs, options);
     }
   }
-  // Evidence sets, deduplicated with multiplicities. The ordered pairs are
-  // listed up front (sampling draws stay on one serial Rng stream), then
-  // evaluated in contiguous chunks — in parallel when a pool is given.
-  // Each chunk fills a private map; merging sums counts per evidence
-  // bitset, which is commutative, so the merged multiset (and everything
-  // derived from it) is independent of the chunk count.
-  std::vector<std::pair<int, int>> pairs;
-  if (n <= options.max_rows_exact) {
-    pairs.reserve(static_cast<size_t>(n) * std::max(0, n - 1));
-    for (int i = 0; i < n; ++i) {
-      for (int j = 0; j < n; ++j) {
-        if (i != j) pairs.push_back({i, j});
-      }
+  EvidenceOptions eopts;
+  eopts.pool = options.pool;
+  eopts.context = ctx;
+  std::shared_ptr<const EvidenceSet> set;
+  bool exact = n <= options.max_rows_exact;
+  if (exact) {
+    Result<std::shared_ptr<const EvidenceSet>> set_result = GetOrBuildEvidence(
+        options.evidence, encoded,
+        EvidenceKeyFingerprint(options.evidence, relation, options.cache),
+        config, eopts);
+    if (!set_result.ok() && RunContext::IsStop(set_result.status())) {
+      return exhausted_early(set_result.status());
     }
+    FAMTREE_ASSIGN_OR_RETURN(set, std::move(set_result));
   } else {
+    // The sampled pair stream stays on one serial Rng, so the sample — and
+    // everything mined from it — is identical at any thread count.
     Rng rng(options.seed);
     int64_t samples = static_cast<int64_t>(options.max_rows_exact) *
                       options.max_rows_exact;
-    pairs.reserve(samples);
+    std::vector<std::pair<int, int>> sampled;
+    sampled.reserve(samples);
     for (int64_t s = 0; s < samples; ++s) {
       int i = static_cast<int>(rng.Uniform(0, n - 1));
       int j = static_cast<int>(rng.Uniform(0, n - 1));
-      if (i != j) pairs.push_back({i, j});
+      if (i != j) sampled.push_back({i, j});
     }
-  }
-  // Lower the predicate space onto the encoded backend: codes for same-col
-  // =/!=, per-dictionary OrderCells for </<=/>/>=. Cells are materialized
-  // once per dictionary entry, not per pair, so the quadratic loop touches
-  // only flat arrays.
-  std::vector<CompiledPred> compiled;
-  compiled.reserve(preds.size());
-  for (const DcPredicate& p : preds) compiled.push_back(CompilePred(p));
-  std::vector<std::vector<OrderCell>> cells(relation.num_columns());
-  for (int a = 0; a < relation.num_columns(); ++a) {
-    cells[a].resize(encoded.dict_size(a));
-    for (int code = 0; code < encoded.dict_size(a); ++code) {
-      const Value& v = encoded.Decode(a, code);
-      OrderCell& c = cells[a][code];
-      switch (v.type()) {
-        case ValueType::kNull:
-          c.rank = 0;
-          break;
-        case ValueType::kInt:
-          c.rank = 1;
-          c.is_int = true;
-          c.i = v.as_int();
-          c.num = static_cast<double>(v.as_int());
-          break;
-        case ValueType::kDouble:
-          c.rank = 1;
-          c.num = v.as_double();
-          break;
-        case ValueType::kString:
-          c.rank = 2;
-          break;
-      }
+    Result<std::shared_ptr<const EvidenceSet>> set_result =
+        BuildEvidenceForPairs(encoded, config, sampled, eopts);
+    if (!set_result.ok() && RunContext::IsStop(set_result.status())) {
+      return exhausted_early(set_result.status());
     }
-  }
-  auto eval_pred = [&](size_t p, int i, int j) {
-    const CompiledPred& cp = compiled[p];
-    switch (cp.kind) {
-      case CompiledPred::Kind::kSameColEq:
-        return encoded.code(i, cp.col_a) == encoded.code(j, cp.col_a);
-      case CompiledPred::Kind::kSameColNeq:
-        return encoded.code(i, cp.col_a) != encoded.code(j, cp.col_a);
-      case CompiledPred::Kind::kOrder: {
-        const OrderCell& x = cells[cp.col_a][encoded.code(i, cp.col_a)];
-        const OrderCell& y = cells[cp.col_b][encoded.code(j, cp.col_b)];
-        if (x.rank == 2 || y.rank == 2) {
-          return preds[p].Eval(relation, i, j);  // string under order op
-        }
-        switch (cp.op) {
-          // Value's <= is (< or ==), not !(>): a NaN cell is neither.
-          case CmpOp::kLt: return CellLess(x, y);
-          case CmpOp::kLe: return CellLess(x, y) || CellEqual(x, y);
-          case CmpOp::kGt: return CellLess(y, x);
-          case CmpOp::kGe: return CellLess(y, x) || CellEqual(x, y);
-          default: return preds[p].Eval(relation, i, j);
-        }
-      }
-      case CompiledPred::Kind::kFallback:
-        return preds[p].Eval(relation, i, j);
-    }
-    return preds[p].Eval(relation, i, j);
-  };
-  auto bits_less = [](const Bits& a, const Bits& b) {
-    for (int w = kMaxPredicates - 1; w >= 0; --w) {
-      if (a[w] != b[w]) return b[w];
-    }
-    return false;
-  };
-  using EvidenceMap = std::map<Bits, int64_t, decltype(bits_less)>;
-  int num_chunks = options.pool == nullptr
-                       ? 1
-                       : std::max(1, options.pool->num_threads() * 4);
-  num_chunks = std::min<int64_t>(num_chunks,
-                                 std::max<int64_t>(1, pairs.size()));
-  std::vector<EvidenceMap> chunk_maps(num_chunks, EvidenceMap(bits_less));
-  Status chunk_status = ParallelFor(options.pool, num_chunks, [&](int64_t c) {
-    FAMTREE_RETURN_NOT_OK(RunContext::Poll(ctx));
-    size_t begin = pairs.size() * c / num_chunks;
-    size_t end = pairs.size() * (c + 1) / num_chunks;
-    EvidenceMap& local = chunk_maps[c];
-    for (size_t s = begin; s < end; ++s) {
-      auto [i, j] = pairs[s];
-      Bits bits;
-      for (size_t p = 0; p < preds.size(); ++p) {
-        if (eval_pred(p, i, j)) bits[p] = true;
-      }
-      ++local[bits];
-    }
-    return Status::OK();
-  });
-  if (RunContext::IsStop(chunk_status)) return exhausted_early(chunk_status);
-  FAMTREE_RETURN_NOT_OK(chunk_status);
-  int64_t total_pairs = static_cast<int64_t>(pairs.size());
-  EvidenceMap emap(bits_less);
-  for (EvidenceMap& local : chunk_maps) {
-    for (const auto& [bits, count] : local) emap[bits] += count;
+    FAMTREE_ASSIGN_OR_RETURN(set, std::move(set_result));
   }
   std::vector<Evidence> evidence;
-  evidence.reserve(emap.size());
-  for (const auto& [bits, count] : emap) {
-    evidence.push_back(Evidence{bits, count});
+  evidence.reserve(set->num_words() * (exact ? 2 : 1));
+  std::vector<uint64_t> mirror(set->num_lanes());
+  for (size_t w = 0; w < set->num_words(); ++w) {
+    evidence.push_back(
+        Evidence{WordToBits(*set, set->lanes(w), preds, pred_col),
+                 set->count(w)});
+    if (exact) {
+      // The opposite orientation of every unordered pair; symmetric words
+      // simply contribute their count twice, which sums to the ordered-pair
+      // total.
+      set->MirrorOf(set->lanes(w), mirror.data());
+      evidence.push_back(Evidence{
+          WordToBits(*set, mirror.data(), preds, pred_col), set->count(w)});
+    }
   }
-
+  int64_t total_pairs = exact ? static_cast<int64_t>(n) * std::max(0, n - 1)
+                              : set->total_pairs();
   return MineCover(preds, evidence, total_pairs, options);
 }
 

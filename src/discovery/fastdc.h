@@ -41,19 +41,15 @@ struct FastDcOptions {
   /// set. Null means unlimited.
   RunContext* context = nullptr;
   /// The evidence set is built on the dictionary-encoded backend through
-  /// the shared pairwise kernel (engine/evidence.h): one packed comparison
-  /// word per unordered pair — an equality bit per categorical column, an
-  /// order trit per numeric column — deduplicated into a multiset, and
-  /// each of the six predicate outcomes decoded from the word once per
-  /// distinct word instead of once per pair. Ordered-pair evidence is the
-  /// unordered multiset plus its mirror. The inputs the word cannot
-  /// represent — cross-column predicates, a word wider than 64 bits, or a
-  /// numeric dictionary holding NaN (which Value orders neither below,
-  /// above nor equal to anything, so it is not a rank trit) — take a
-  /// per-predicate pair scan instead: same-column =/!= as code compares,
-  /// order predicates on per-dictionary numeric cells with Value's exact
-  /// semantics, and string cells under an order operator through
-  /// DcPredicate::Eval.
+  /// the shared pairwise kernel (engine/evidence.h): one comparison word
+  /// per unordered pair — an equality bit per categorical column, an order
+  /// field per numeric column and, with cross_column, per ordered pair of
+  /// numeric columns — deduplicated into a multiset, and each of the six
+  /// predicate outcomes decoded from the word once per distinct word
+  /// instead of once per pair. Ordered-pair evidence is the unordered
+  /// multiset plus its mirror. An order field reads "unordered" for a NaN
+  /// against a number, which satisfies only !=, exactly as Value's
+  /// operators (and DcPredicate::Eval) decide.
   /// Optional shared store for kernel-built evidence multisets, keyed by
   /// relation content + column config; only the exact (all-pairs) build is
   /// cacheable.

@@ -34,10 +34,10 @@ Result<std::vector<DiscoveredMd>> DiscoverMdsHybrid(
     pbit_base[a] = pbits;
     pbits += static_cast<int>(setup.attr_th[a].size());
   }
-  // Evidence words wider than 64 bits, and predicate sets wider than the
-  // cover tree's AttrSet capacity, take the lattice miner's candidate
-  // evaluation on the same setup (identical output).
-  if (!setup.evidence_ok || pbits > kMaxAttrs) {
+  // Predicate sets wider than the cover tree's AttrSet capacity take the
+  // lattice miner's candidate evaluation on the same setup (identical
+  // output).
+  if (pbits > kMaxAttrs) {
     return md_internal::Mine(&setup, options);
   }
 
@@ -50,7 +50,7 @@ Result<std::vector<DiscoveredMd>> DiscoverMdsHybrid(
     return std::vector<DiscoveredMd>{};
   };
   // No borrowed distance table: a cache hit fills nothing, a miss lets the
-  // kernel fill its own byte-wide bucket tables.
+  // kernel fill its own bucket tables.
   EvidenceOptions eopts;
   eopts.pool = pool;
   eopts.context = ctx;
@@ -62,12 +62,12 @@ Result<std::vector<DiscoveredMd>> DiscoverMdsHybrid(
   }
   FAMTREE_ASSIGN_OR_RETURN(std::shared_ptr<const EvidenceSet> set,
                            std::move(set_result));
-  const std::vector<EvidenceSet::Word>& words = set->words();
-  std::vector<char> identified(words.size());
-  for (size_t wi = 0; wi < words.size(); ++wi) {
+  const size_t num_words = set->num_words();
+  std::vector<char> identified(num_words);
+  for (size_t wi = 0; wi < num_words; ++wi) {
     bool id = true;
     for (int col : setup.rhs_cols) {
-      if (!set->AgreesOn(words[wi].bits, col)) {
+      if (!set->AgreesOn(wi, col)) {
         id = false;
         break;
       }
@@ -85,7 +85,7 @@ Result<std::vector<DiscoveredMd>> DiscoverMdsHybrid(
   }
   FAMTREE_RETURN_NOT_OK(barrier);
   Status charged = RunContext::ChargeAlloc(
-      ctx, words.size() * sizeof(AttrSet), "hybrid_sample");
+      ctx, num_words * sizeof(AttrSet), "hybrid_sample");
   if (RunContext::IsStop(charged)) {
     return exhausted_early(charged, num_candidates);
   }
@@ -118,14 +118,14 @@ Result<std::vector<DiscoveredMd>> DiscoverMdsHybrid(
   Inductor inductor(&positive);
   std::vector<AttrSet> exts;
   int64_t violating_words = 0;
-  for (size_t wi = 0; wi < words.size(); ++wi) {
+  for (size_t wi = 0; wi < num_words; ++wi) {
     if (identified[wi]) continue;
     ++violating_words;
     AttrSet sat;
     exts.clear();
     for (int a = 0; a < nc; ++a) {
       if (cfg_of[a] < 0 || attr_th[a].empty()) continue;
-      int bucket = set->BucketOf(words[wi].bits, cfg_of[a]);
+      int bucket = set->BucketOf(wi, cfg_of[a]);
       int nth = static_cast<int>(attr_th[a].size());
       if (bucket < nth) sat = sat.Union(closure(a, bucket));
       // The loosest unsatisfied threshold is the minimal way to exclude
@@ -166,15 +166,15 @@ Result<std::vector<DiscoveredMd>> DiscoverMdsHybrid(
             positive.ContainsGeneralization(cand_bits[c], 0) ? 1 : 0;
         Md::Stats& st = cstats[c];
         st.total_pairs = set->total_pairs();
-        for (size_t wi = 0; wi < words.size(); ++wi) {
+        for (size_t wi = 0; wi < num_words; ++wi) {
           bool similar = true;
           for (const auto& [col, ti] : setup.lhs_buckets[c]) {
-            if (set->BucketOf(words[wi].bits, col) > ti) {
+            if (set->BucketOf(wi, col) > ti) {
               similar = false;
               break;
             }
           }
-          if (similar) st.similar_pairs += words[wi].count;
+          if (similar) st.similar_pairs += set->count(wi);
         }
         if (valid[c]) st.identified_pairs = st.similar_pairs;
         return Status::OK();
@@ -183,7 +183,7 @@ Result<std::vector<DiscoveredMd>> DiscoverMdsHybrid(
   if (stats != nullptr) {
     stats->used_cover_tree = true;
     stats->predicate_bits = pbits;
-    stats->evidence_words = static_cast<int64_t>(words.size());
+    stats->evidence_words = static_cast<int64_t>(num_words);
     stats->violating_words = violating_words;
     stats->negative_cover_size = negative.size();
     stats->positive_cover_size = positive.CountEntries();

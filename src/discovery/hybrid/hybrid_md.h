@@ -13,8 +13,7 @@ namespace famtree {
 
 /// Observability counters of one hybrid MD run. `used_cover_tree` is false
 /// when the run fell back to the lattice miner (approximate confidence
-/// bound, an evidence word wider than 64 bits, or more predicate bits than
-/// kMaxAttrs).
+/// bound, or more predicate bits than kMaxAttrs).
 struct HybridMdStats {
   bool used_cover_tree = false;
   int64_t predicate_bits = 0;

@@ -10,17 +10,15 @@ Result<std::unique_ptr<HybridSampler>> HybridSampler::Make(
     RunContext* ctx) {
   std::unique_ptr<HybridSampler> sampler(new HybridSampler(encoded, ctx));
   int nc = encoded.num_columns();
+  FAMTREE_RETURN_NOT_OK(CheckAttrCapacity(nc, "the hybrid sampler"));
   std::vector<EvidenceColumn> columns(nc);
   for (int a = 0; a < nc; ++a) {
     columns[a].attr = a;
     columns[a].cmp = EvidenceColumn::Cmp::kEquality;
   }
-  if (EvidenceWordBits(columns) <= 64) {
-    FAMTREE_ASSIGN_OR_RETURN(sampler->comparator_,
-                             PairComparator::Make(encoded, std::move(columns),
-                                                  pool));
-  }
-  // else: wide schema — AgreeSetOf uses the column-by-column code path.
+  FAMTREE_ASSIGN_OR_RETURN(
+      sampler->comparator_,
+      PairComparator::Make(encoded, std::move(columns), pool));
   sampler->plis_.resize(nc);
   for (int a = 0; a < nc; ++a) {
     if (cache != nullptr) {
@@ -41,29 +39,18 @@ Result<std::unique_ptr<HybridSampler>> HybridSampler::Make(
   return sampler;
 }
 
-AttrSet HybridSampler::AgreeFromWord(uint64_t word) const {
+AttrSet HybridSampler::AgreeFromWord(const Word& word) const {
   AttrSet agree;
-  const std::vector<EvidenceSet::ColumnLayout>& layout = comparator_->layout();
-  for (const EvidenceSet::ColumnLayout& col : layout) {
-    if (((word >> col.cmp_shift) & 1u) == 0) agree.Add(col.attr);
+  for (const EvidenceSet::ColumnLayout& col : comparator_->layout()) {
+    if (col.CmpOf(word.data()) == 0) agree.Add(col.attr);
   }
   return agree;
 }
 
 AttrSet HybridSampler::AgreeSetOf(int i, int j) const {
-  if (comparator_ != nullptr) {
-    return AgreeFromWord(comparator_->Word(i, j));
-  }
-  AttrSet agree;
-  // Wide schema: the packed word cannot carry one equality facet per
-  // column, so compare the dictionary codes directly (bit-identical to the
-  // comparator path — both test code equality per column).
-  int nc = encoded_.num_columns();
-  for (int a = 0; a < nc; ++a) {
-    const std::vector<uint32_t>& codes = encoded_.codes(a);
-    if (codes[i] == codes[j]) agree.Add(a);
-  }
-  return agree;
+  Word word;
+  comparator_->Word(i, j, word.data());
+  return AgreeFromWord(word);
 }
 
 bool HybridSampler::MarkSeen(AttrSet agree) {
@@ -73,6 +60,7 @@ bool HybridSampler::MarkSeen(AttrSet agree) {
 Result<int64_t> HybridSampler::RunPass(int attr, int window,
                                        std::vector<AttrSet>* out) {
   const StrippedPartition& pli = *plis_[attr];
+  const bool one_lane = comparator_->num_lanes() == 1;
   int64_t pairs = 0;
   for (int c = 0; c < pli.num_classes(); ++c) {
     const int* rows = pli.class_begin(c);
@@ -82,17 +70,14 @@ Result<int64_t> HybridSampler::RunPass(int attr, int window,
         FAMTREE_RETURN_NOT_OK(RunContext::Poll(ctx_));
       }
       ++pairs;
-      if (comparator_ != nullptr) {
-        // Word-level prefilter: a word seen before decodes to an agree set
-        // seen before, so only fresh words pay the unpack + set probe.
-        uint64_t word = comparator_->Word(rows[k], rows[k + window]);
-        if (!seen_words_.insert(word).second) continue;
-        AttrSet agree = AgreeFromWord(word);
-        if (MarkSeen(agree)) out->push_back(agree);
-      } else {
-        AttrSet agree = AgreeSetOf(rows[k], rows[k + window]);
-        if (MarkSeen(agree)) out->push_back(agree);
-      }
+      Word word;
+      comparator_->Word(rows[k], rows[k + window], word.data());
+      // Word-level prefilter on one-lane words: a word seen before decodes
+      // to an agree set seen before, so only fresh words pay the unpack +
+      // set probe.
+      if (one_lane && !seen_words_.insert(word[0]).second) continue;
+      AttrSet agree = AgreeFromWord(word);
+      if (MarkSeen(agree)) out->push_back(agree);
     }
   }
   return pairs;

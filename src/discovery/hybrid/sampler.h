@@ -1,6 +1,7 @@
 #ifndef FAMTREE_DISCOVERY_HYBRID_SAMPLER_H_
 #define FAMTREE_DISCOVERY_HYBRID_SAMPLER_H_
 
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <unordered_set>
@@ -78,24 +79,26 @@ class HybridSampler {
   /// Status from the per-pair Poll).
   Result<int64_t> RunPass(int attr, int window, std::vector<AttrSet>* out);
 
-  /// Unpacks one comparator word into the agree set (comparator path only).
-  AttrSet AgreeFromWord(uint64_t word) const;
+  /// One comparison word: an equality bit per column, so at most
+  /// kMaxAttrs / 64 lanes.
+  using Word = std::array<uint64_t, kMaxAttrs / 64>;
+
+  /// Unpacks one comparator word into the agree set.
+  AttrSet AgreeFromWord(const Word& word) const;
 
   const EncodedRelation& encoded_;
   RunContext* ctx_;
-  /// Narrow fast path: one packed comparison word per pair. Null for wide
-  /// schemas (more equality facets than a 64-bit word holds); AgreeSetOf
-  /// then compares the dictionary codes column by column, which produces
-  /// the identical agree set.
+  /// One comparison word per pair, an equality facet per column.
   std::unique_ptr<PairComparator> comparator_;
   std::vector<std::shared_ptr<const StrippedPartition>> plis_;
   std::vector<int> window_;
   std::vector<double> efficiency_;
   std::unordered_set<AttrSet, AttrSetHash> seen_;
-  /// Comparator-path prefilter in front of `seen_`: the packed word
-  /// determines the agree set, so a repeated word can never produce a fresh
-  /// set. Probing 8-byte words first keeps the multi-word AttrSet hash and
-  /// compare off the per-pair path (the overwhelmingly common repeat case).
+  /// Prefilter in front of `seen_` for schemas of at most 64 columns: the
+  /// one-lane word determines the agree set, so a repeated word can never
+  /// produce a fresh set. Probing 8-byte words first keeps the multi-word
+  /// AttrSet hash and compare off the per-pair path (the overwhelmingly
+  /// common repeat case).
   std::unordered_set<uint64_t> seen_words_;
 };
 

@@ -11,42 +11,9 @@
 #include "discovery/md_setup.h"
 #include "engine/evidence.h"
 #include "engine/evidence_cache.h"
-#include "metric/code_distance.h"
 #include "metric/metric.h"
 
 namespace famtree {
-
-namespace {
-
-/// Md::ComputeStats over code-pair distance tables + dense RHS row keys:
-/// the LHS distances are the exact doubles the metrics return and key
-/// equality is value-tuple equality, so the counts match it exactly.
-Md::Stats PairScanStats(
-    const std::vector<SimilarityPredicate>& lhs, int n,
-    const std::vector<std::unique_ptr<CodeDistanceTable>>& tables,
-    const std::vector<uint32_t>& rhs_keys) {
-  Md::Stats stats;
-  for (int i = 0; i + 1 < n; ++i) {
-    for (int j = i + 1; j < n; ++j) {
-      ++stats.total_pairs;
-      bool similar = true;
-      for (const auto& p : lhs) {
-        // SimilarityPredicate::Similar's "d <= threshold": a NaN distance
-        // is dissimilar, exactly as the evidence bucket index reads it.
-        if (!(tables[p.attr]->RowDistance(i, j) <= p.threshold)) {
-          similar = false;
-          break;
-        }
-      }
-      if (!similar) continue;
-      ++stats.similar_pairs;
-      if (rhs_keys[i] == rhs_keys[j]) ++stats.identified_pairs;
-    }
-  }
-  return stats;
-}
-
-}  // namespace
 
 namespace md_internal {
 
@@ -112,7 +79,6 @@ Status Prepare(const Relation& relation, AttrSet rhs,
     setup->rhs_cols.push_back(static_cast<int>(setup->config.size()));
     setup->config.push_back(std::move(col));
   }
-  setup->evidence_ok = EvidenceWordBits(setup->config) <= 64;
 
   // LHS candidate sets: one or two predicates on distinct attributes.
   std::vector<std::vector<SimilarityPredicate>>& lhs_sets = setup->lhs_sets;
@@ -153,81 +119,56 @@ Result<std::vector<DiscoveredMd>> Mine(MdSetup* setup,
   // RCK-minimality filters replay the candidate order, so the output is
   // bit-identical at any thread count.
   std::vector<Md::Stats> stats(num_candidates);
-  int64_t candidates_done = 0;
-  if (setup->evidence_ok) {
-    // One kernel build packs, per pair, each LHS attribute's
-    // threshold-bucket index and each RHS attribute's equality bit; a
-    // candidate's counts are then folds over the deduplicated words.
-    // d <= threshold exactly when the bucket index is at or below the
-    // threshold's index, and the RHS row keys agree exactly when every RHS
-    // attribute's codes do, so the stats match the pair scans bit for bit.
-    // The config lends no distance table: a cache hit fills nothing.
-    EvidenceOptions eopts;
-    eopts.pool = pool;
-    eopts.context = ctx;
-    Result<std::shared_ptr<const EvidenceSet>> set_result =
-        GetOrBuildEvidence(options.evidence, *setup->encoded,
-                           setup->fingerprint, setup->config, eopts);
-    if (!set_result.ok() && RunContext::IsStop(set_result.status())) {
-      return exhausted_early(set_result.status(), num_candidates);
-    }
-    FAMTREE_ASSIGN_OR_RETURN(std::shared_ptr<const EvidenceSet> set,
-                             std::move(set_result));
-    const std::vector<EvidenceSet::Word>& words = set->words();
-    // Per-word RHS identification, shared by every candidate.
-    std::vector<char> identified(words.size());
-    for (size_t wi = 0; wi < words.size(); ++wi) {
-      bool id = true;
-      for (int col : setup->rhs_cols) {
-        if (!set->AgreesOn(words[wi].bits, col)) {
-          id = false;
-          break;
-        }
-      }
-      identified[wi] = id ? 1 : 0;
-    }
-    FAMTREE_ASSIGN_OR_RETURN(
-        candidates_done,
-        AnytimeParallelFor(ctx, pool, num_candidates, [&](int64_t c) {
-          Md::Stats& st = stats[c];
-          st.total_pairs = set->total_pairs();
-          for (size_t wi = 0; wi < words.size(); ++wi) {
-            bool similar = true;
-            for (const auto& [col, ti] : setup->lhs_buckets[c]) {
-              if (set->BucketOf(words[wi].bits, col) > ti) {
-                similar = false;
-                break;
-              }
-            }
-            if (!similar) continue;
-            st.similar_pairs += words[wi].count;
-            if (identified[wi]) st.identified_pairs += words[wi].count;
-          }
-          return Status::OK();
-        }));
-  } else {
-    // Code-pair distance tables of the non-RHS attributes, filled only
-    // here: the evidence path lends the kernel none.
-    int nc = setup->sample->num_columns();
-    std::vector<std::unique_ptr<CodeDistanceTable>> tables(nc);
-    for (int a = 0; a < nc; ++a) {
-      if (setup->rhs.Contains(a)) continue;
-      Status st = RunContext::Poll(ctx);
-      if (RunContext::IsStop(st)) return exhausted_early(st, 0);
-      FAMTREE_RETURN_NOT_OK(st);
-      tables[a] = std::make_unique<CodeDistanceTable>(
-          *setup->encoded, a, setup->metrics[a], pool);
-    }
-    std::vector<uint32_t> rhs_keys;
-    setup->encoded->RowKeys(setup->rhs, &rhs_keys);
-    int n = setup->sample->num_rows();
-    FAMTREE_ASSIGN_OR_RETURN(
-        candidates_done,
-        AnytimeParallelFor(ctx, pool, num_candidates, [&](int64_t c) {
-          stats[c] = PairScanStats(setup->lhs_sets[c], n, tables, rhs_keys);
-          return Status::OK();
-        }));
+  // One kernel build packs, per pair, each LHS attribute's threshold-bucket
+  // index and each RHS attribute's equality bit; a candidate's counts are
+  // then folds over the deduplicated words. d <= threshold exactly when the
+  // bucket index is at or below the threshold's index, and the RHS row keys
+  // agree exactly when every RHS attribute's codes do, so the stats match
+  // Md::ComputeStats bit for bit. The config lends no distance table: a
+  // cache hit fills nothing.
+  EvidenceOptions eopts;
+  eopts.pool = pool;
+  eopts.context = ctx;
+  Result<std::shared_ptr<const EvidenceSet>> set_result =
+      GetOrBuildEvidence(options.evidence, *setup->encoded,
+                         setup->fingerprint, setup->config, eopts);
+  if (!set_result.ok() && RunContext::IsStop(set_result.status())) {
+    return exhausted_early(set_result.status(), num_candidates);
   }
+  FAMTREE_ASSIGN_OR_RETURN(std::shared_ptr<const EvidenceSet> set,
+                           std::move(set_result));
+  const size_t num_words = set->num_words();
+  // Per-word RHS identification, shared by every candidate.
+  std::vector<char> identified(num_words);
+  for (size_t wi = 0; wi < num_words; ++wi) {
+    bool id = true;
+    for (int col : setup->rhs_cols) {
+      if (!set->AgreesOn(wi, col)) {
+        id = false;
+        break;
+      }
+    }
+    identified[wi] = id ? 1 : 0;
+  }
+  FAMTREE_ASSIGN_OR_RETURN(
+      int64_t candidates_done,
+      AnytimeParallelFor(ctx, pool, num_candidates, [&](int64_t c) {
+        Md::Stats& st = stats[c];
+        st.total_pairs = set->total_pairs();
+        for (size_t wi = 0; wi < num_words; ++wi) {
+          bool similar = true;
+          for (const auto& [col, ti] : setup->lhs_buckets[c]) {
+            if (set->BucketOf(wi, col) > ti) {
+              similar = false;
+              break;
+            }
+          }
+          if (!similar) continue;
+          st.similar_pairs += set->count(wi);
+          if (identified[wi]) st.identified_pairs += set->count(wi);
+        }
+        return Status::OK();
+      }));
   return Replay(setup, stats, candidates_done, options);
 }
 

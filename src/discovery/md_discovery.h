@@ -29,8 +29,8 @@ struct MdDiscoveryOptions {
   /// order — the approximation algorithm of [85], [87].
   int sample_rows = 0;  // 0 = all rows
   int max_results = 10000;
-  /// Optional engine hooks: when `pool` is set the per-candidate pair
-  /// scans run in parallel and the support / confidence / RCK-minimality
+  /// Optional engine hooks: when `pool` is set the per-candidate word
+  /// folds run in parallel and the support / confidence / RCK-minimality
   /// filters replay the serial candidate order (bit-identical at any
   /// thread count); `cache` lends its encoding (ignored when sampling
   /// re-materializes the input).
@@ -47,11 +47,9 @@ struct MdDiscoveryOptions {
   /// (engine/evidence.h): one kernel build packs each LHS attribute's
   /// threshold-bucket index and each RHS attribute's equality bit into a
   /// word per pair, and each candidate's support / confidence counts are
-  /// folds over the deduplicated words. When the word exceeds 64 bits the
-  /// counts come from row-pair scans over code-pair distance tables
-  /// instead, with identical output: both read similarity as
-  /// SimilarityPredicate::Similar does (d <= threshold, so a NaN distance
-  /// is dissimilar).
+  /// folds over the deduplicated words. The bucket index reads similarity
+  /// as SimilarityPredicate::Similar does (d <= threshold, so a NaN
+  /// distance is dissimilar).
   EvidenceCache* evidence = nullptr;
 };
 

@@ -51,9 +51,6 @@ struct MdSetup {
   std::vector<EvidenceColumn> config;
   std::vector<int> cfg_of;
   std::vector<int> rhs_cols;
-  /// False when the packed evidence word exceeds 64 bits; candidate stats
-  /// then come from direct pair scans.
-  bool evidence_ok = false;
 };
 
 /// Validates the RHS, takes the sample, resolves its encoding (the cache's
@@ -62,8 +59,7 @@ Status Prepare(const Relation& relation, AttrSet rhs,
                const MdDiscoveryOptions& options, MdSetup* setup);
 
 /// DiscoverMds on a prepared setup: begins the "mds" run, then folds each
-/// candidate's stats over the evidence words (or fills the tables and scans
-/// the row pairs when !evidence_ok) and replays the filters.
+/// candidate's stats over the evidence words and replays the filters.
 Result<std::vector<DiscoveredMd>> Mine(MdSetup* setup,
                                        const MdDiscoveryOptions& options);
 

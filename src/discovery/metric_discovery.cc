@@ -105,16 +105,13 @@ Result<std::vector<DiscoveredMfd>> DiscoverMfds(
       }
     }
   }
-  // Evidence path: one PLI-pruned kernel build (equality bit + tracked
-  // distance max per attribute); a candidate's diameter is then the max of
-  // its attribute's per-word maxima over the words whose LHS bits all
-  // agree. Those words cover exactly the within-group pairs, and a max of
-  // group maxes is the group-pair max, so the diameters are bit-identical
-  // to the per-candidate GroupBy scans. The synthesized all-unequal word
-  // disagrees with every (non-empty) LHS, so its zeroed aggregates are
-  // never read. Schemas wider than the 64-bit word fall back to the
-  // per-candidate GroupBy scans below.
-  int64_t candidates_done = 0;
+  // One PLI-pruned kernel build (equality bit + tracked distance max per
+  // attribute); a candidate's diameter is then the max of its attribute's
+  // per-word maxima over the words whose LHS bits all agree. Those words
+  // cover exactly the within-group pairs, and a max of group maxes is the
+  // group-pair max, so the diameters are bit-identical to per-candidate
+  // GroupBy scans. The synthesized all-unequal word disagrees with every
+  // (non-empty) LHS, so its zeroed aggregates are never read.
   std::vector<EvidenceColumn> config(nc);
   for (int a = 0; a < nc; ++a) {
     config[a].attr = a;
@@ -123,58 +120,42 @@ Result<std::vector<DiscoveredMfd>> DiscoverMfds(
     config[a].track_max = true;
     config[a].table = tables[a].get();
   }
-  if (EvidenceWordBits(config) <= 64) {
-    EvidenceOptions eopts;
-    eopts.pool = pool;
-    eopts.pli = options.cache;
-    eopts.prune_all_unequal = true;
-    eopts.context = ctx;
-    Result<std::shared_ptr<const EvidenceSet>> set_result = GetOrBuildEvidence(
-        options.evidence, *encoded,
-        EvidenceKeyFingerprint(options.evidence, relation, options.cache),
-        config, eopts);
-    if (!set_result.ok() && RunContext::IsStop(set_result.status())) {
-      return exhausted_early(set_result.status(),
-                             static_cast<int64_t>(candidates.size()));
-    }
-    FAMTREE_ASSIGN_OR_RETURN(std::shared_ptr<const EvidenceSet> set,
-                             std::move(set_result));
-    const std::vector<EvidenceSet::Word>& words = set->words();
-    // Per-word attribute-agreement masks, shared by every candidate:
-    // the word's pairs lie in one LHS group exactly when the mask covers
-    // the LHS.
-    std::vector<AttrSet> agree(words.size());
-    for (size_t wi = 0; wi < words.size(); ++wi) {
-      for (int a = 0; a < nc; ++a) {
-        if (set->AgreesOn(words[wi].bits, a)) agree[wi].Add(a);
-      }
-    }
-    FAMTREE_ASSIGN_OR_RETURN(
-        candidates_done,
-        AnytimeParallelFor(
-            ctx, pool, static_cast<int64_t>(candidates.size()),
-            [&](int64_t i) {
-              Candidate& c = candidates[i];
-              double diameter = 0.0;
-              for (size_t wi = 0; wi < words.size(); ++wi) {
-                if (!agree[wi].ContainsAll(c.lhs)) continue;
-                diameter = std::max(diameter, set->agg(wi, c.attr).max_all);
-              }
-              c.diameter = diameter;
-              return Status::OK();
-            }));
-  } else {
-    FAMTREE_ASSIGN_OR_RETURN(
-        candidates_done,
-        AnytimeParallelFor(
-            ctx, pool, static_cast<int64_t>(candidates.size()),
-            [&](int64_t i) {
-              Candidate& c = candidates[i];
-              c.diameter =
-                  Mfd::MaxGroupDiameter(*encoded, c.lhs, *tables[c.attr]);
-              return Status::OK();
-            }));
+  EvidenceOptions eopts;
+  eopts.pool = pool;
+  eopts.pli = options.cache;
+  eopts.prune_all_unequal = true;
+  eopts.context = ctx;
+  Result<std::shared_ptr<const EvidenceSet>> set_result = GetOrBuildEvidence(
+      options.evidence, *encoded,
+      EvidenceKeyFingerprint(options.evidence, relation, options.cache),
+      config, eopts);
+  if (!set_result.ok() && RunContext::IsStop(set_result.status())) {
+    return exhausted_early(set_result.status(),
+                           static_cast<int64_t>(candidates.size()));
   }
+  FAMTREE_ASSIGN_OR_RETURN(std::shared_ptr<const EvidenceSet> set,
+                           std::move(set_result));
+  // Per-word attribute-agreement masks, shared by every candidate: the
+  // word's pairs lie in one LHS group exactly when the mask covers the LHS.
+  std::vector<AttrSet> agree(set->num_words());
+  for (size_t wi = 0; wi < set->num_words(); ++wi) {
+    for (int a = 0; a < nc; ++a) {
+      if (set->AgreesOn(wi, a)) agree[wi].Add(a);
+    }
+  }
+  FAMTREE_ASSIGN_OR_RETURN(
+      int64_t candidates_done,
+      AnytimeParallelFor(
+          ctx, pool, static_cast<int64_t>(candidates.size()), [&](int64_t i) {
+            Candidate& c = candidates[i];
+            double diameter = 0.0;
+            for (size_t wi = 0; wi < set->num_words(); ++wi) {
+              if (!agree[wi].ContainsAll(c.lhs)) continue;
+              diameter = std::max(diameter, set->agg(wi, c.attr).max_all);
+            }
+            c.diameter = diameter;
+            return Status::OK();
+          }));
   std::vector<DiscoveredMfd> out;
   // The vacuity / max_results filters replay the completed candidate prefix
   // only, so a cut run emits the same MFDs at any thread count.

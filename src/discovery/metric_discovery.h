@@ -44,9 +44,7 @@ struct MfdDiscoveryOptions {
   /// PLI-pruned kernel build packs an equality bit per attribute and folds
   /// each attribute's per-word distance maxima, so a candidate's group
   /// diameter is a max over the words whose LHS bits agree. Global
-  /// diameters come from code-pair histograms. Schemas wider than the
-  /// 64-bit word measure each candidate by integer GroupBy instead, with
-  /// identical output.
+  /// diameters come from code-pair histograms.
   EvidenceCache* evidence = nullptr;
 };
 

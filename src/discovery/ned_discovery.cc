@@ -100,8 +100,8 @@ Result<std::vector<DiscoveredNed>> DiscoverNeds(
   // or below the threshold's index, so the stats match the pair scans bit
   // for bit. The target metric is caller-supplied, so the path is gated to
   // the built-in metrics whose NaN behavior the non-finite-dictionary
-  // guard covers; other metrics, non-finite dictionaries and words wider
-  // than 64 bits take the pair scans below.
+  // guard covers; other metrics and non-finite dictionaries take the pair
+  // scans below (see NedDiscoveryOptions::evidence).
   const std::string& tname = target.metric->name();
   bool supported =
       tname == "edit" || tname == "absdiff" || tname == "discrete";
@@ -128,7 +128,7 @@ Result<std::vector<DiscoveredNed>> DiscoverNeds(
       DictHasNonFiniteDouble(*encoded, target.attr)) {
     supported = false;
   }
-  if (supported && EvidenceWordBits(config) <= 64) {
+  if (supported) {
     EvidenceOptions eopts;
     eopts.pool = pool;
     eopts.context = ctx;
@@ -142,13 +142,11 @@ Result<std::vector<DiscoveredNed>> DiscoverNeds(
     }
     FAMTREE_ASSIGN_OR_RETURN(std::shared_ptr<const EvidenceSet> set,
                              std::move(set_result));
-    const std::vector<EvidenceSet::Word>& words = set->words();
     // Per-word target satisfaction (bucket 0 of the single-threshold
     // facet), shared by every candidate.
-    std::vector<char> target_ok(words.size());
-    for (size_t wi = 0; wi < words.size(); ++wi) {
-      target_ok[wi] =
-          set->BucketOf(words[wi].bits, cfg_of[target.attr]) == 0 ? 1 : 0;
+    std::vector<char> target_ok(set->num_words());
+    for (size_t wi = 0; wi < set->num_words(); ++wi) {
+      target_ok[wi] = set->BucketOf(wi, cfg_of[target.attr]) == 0 ? 1 : 0;
     }
     std::vector<std::vector<std::pair<int, int>>> lhs_buckets(
         lhs_sets.size());
@@ -167,17 +165,17 @@ Result<std::vector<DiscoveredNed>> DiscoverNeds(
             [&](int64_t c) {
           Ned::PairStats& st = stats[c];
           st.total_pairs = set->total_pairs();
-          for (size_t wi = 0; wi < words.size(); ++wi) {
+          for (size_t wi = 0; wi < set->num_words(); ++wi) {
             bool agrees = true;
             for (const auto& [col, ti] : lhs_buckets[c]) {
-              if (set->BucketOf(words[wi].bits, col) > ti) {
+              if (set->BucketOf(wi, col) > ti) {
                 agrees = false;
                 break;
               }
             }
             if (!agrees) continue;
-            st.lhs_pairs += words[wi].count;
-            if (target_ok[wi]) st.satisfying_pairs += words[wi].count;
+            st.lhs_pairs += set->count(wi);
+            if (target_ok[wi]) st.satisfying_pairs += set->count(wi);
           }
           return Status::OK();
             }));

@@ -41,11 +41,14 @@ struct NedDiscoveryOptions {
   /// (engine/evidence.h): one kernel build packs each attribute's
   /// threshold-bucket index (the target's single threshold included) into
   /// a word per pair, and each candidate's support / confidence counts are
-  /// folds over the deduplicated words. When the word exceeds 64 bits, a
-  /// dictionary holds a non-finite double, or the target metric is not one
-  /// of the built-ins (whose NaN behavior the bucket index mirrors under
-  /// that guard), the counts come from row-pair scans instead, with
-  /// identical output.
+  /// folds over the deduplicated words. NED keeps row-pair scans for a
+  /// dictionary holding a non-finite double and for a target metric
+  /// outside the built-ins, because the two read a NaN distance
+  /// differently: Ned's validator tests `d > threshold`, which is false
+  /// for NaN, so a NaN distance agrees; the bucket facet tests
+  /// `d <= threshold` and puts it past every threshold, dissimilar. The
+  /// guard keeps NaN distances out of the kernel path, which therefore
+  /// gives the scans' output.
   EvidenceCache* evidence = nullptr;
 };
 

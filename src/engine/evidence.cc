@@ -3,16 +3,15 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
-#include <map>
-#include <unordered_map>
+#include <limits>
 #include <utility>
 
 namespace famtree {
 
 namespace {
 
-/// Dense per-chunk accumulation up to this word width; wider configs fall
-/// back to hashed accumulation. 2^16 slots keep a chunk's count array
+/// Dense per-chunk accumulation for one-lane words up to this width; wider
+/// configs hash whole lane tuples. 2^16 slots keep a chunk's count array
 /// L2-sized while covering every paper-scale configuration.
 constexpr int kDenseBits = 16;
 
@@ -27,22 +26,101 @@ int NumChunks(ThreadPool* pool, int64_t pairs, int bits) {
       std::clamp<int64_t>(pairs >> std::min(bits, kDenseBits), 1, 8));
 }
 
-uint8_t BucketFromDistance(double d, const std::vector<double>& thresholds) {
-  uint8_t j = 0;
-  for (double t : thresholds) {
-    if (d <= t) return j;
-    ++j;
-  }
-  return j;
+/// The smallest j with d <= thresholds[j] (ascending), else
+/// thresholds.size(); a NaN distance passes no threshold.
+uint32_t BucketFromDistance(double d, const std::vector<double>& thresholds) {
+  if (std::isnan(d)) return static_cast<uint32_t>(thresholds.size());
+  return static_cast<uint32_t>(
+      std::lower_bound(thresholds.begin(), thresholds.end(), d) -
+      thresholds.begin());
 }
 
-/// One chunk's evidence accumulator. All folds (count sum, max, flag or)
-/// are commutative, so any pair-to-chunk assignment yields the same merged
-/// multiset.
+/// Word order: lexicographic over the lanes, lane 0 first.
+int CompareLanes(const uint64_t* a, const uint64_t* b, int lanes) {
+  for (int l = 0; l < lanes; ++l) {
+    if (a[l] != b[l]) return a[l] < b[l] ? -1 : 1;
+  }
+  return 0;
+}
+
+int ColumnBits(const EvidenceColumn& c) {
+  int bits = c.cmp == EvidenceColumn::Cmp::kEquality ? 1
+             : c.cmp == EvidenceColumn::Cmp::kOrder  ? 2
+                                                     : 0;
+  if (c.metric != nullptr && !c.thresholds.empty()) {
+    bits += std::bit_width(c.thresholds.size());
+  }
+  return bits;
+}
+
+bool IsNan(const Value& v) {
+  return v.type() == ValueType::kDouble && std::isnan(v.as_double());
+}
+
+/// Value's order with NaN placed: a NaN sorts after every other number and
+/// before every string (where operator< ranks it by type), and NaNs tie.
+bool RankLess(const Value& x, const Value& y) {
+  const bool nx = IsNan(x), ny = IsNan(y);
+  if (!nx && !ny) return x < y;
+  auto band = [](const Value& v) {
+    return v.is_null() ? 0 : v.is_numeric() ? 1 : 2;
+  };
+  if (band(x) != band(y)) return band(x) < band(y);
+  return !nx && ny;
+}
+
+/// Per-code ranks of columns `a` and `b` on one scale: ascending under
+/// RankLess, values neither before the other tied. With b == a only
+/// `rank_a` is filled. When a NaN is present, `nan_rank` is its rank and
+/// `numeric_lo` the lowest numeric rank: a NaN against a rank in
+/// [numeric_lo, nan_rank] is a NaN against a number, which Value leaves
+/// unordered. Returns whether a NaN is present.
+bool OrderRanks(const EncodedRelation& enc, int a, int b,
+                std::vector<uint32_t>* rank_a, std::vector<uint32_t>* rank_b,
+                uint32_t* nan_rank, uint32_t* numeric_lo) {
+  std::vector<std::pair<const Value*, uint32_t*>> entries;
+  auto add = [&](int col, std::vector<uint32_t>* ranks) {
+    ranks->assign(enc.dict_size(col), 0);
+    for (int code = 0; code < enc.dict_size(col); ++code) {
+      entries.emplace_back(&enc.Decode(col, static_cast<uint32_t>(code)),
+                           &(*ranks)[code]);
+    }
+  };
+  add(a, rank_a);
+  if (b != a) add(b, rank_b);
+  std::stable_sort(entries.begin(), entries.end(),
+                   [](const auto& x, const auto& y) {
+                     return RankLess(*x.first, *y.first);
+                   });
+  bool has_nan = false, seen_numeric = false;
+  uint32_t rank = 0;
+  for (size_t k = 0; k < entries.size(); ++k) {
+    const Value& v = *entries[k].first;
+    if (k > 0 && RankLess(*entries[k - 1].first, v)) ++rank;
+    *entries[k].second = rank;
+    if (v.is_numeric() && !seen_numeric) {
+      seen_numeric = true;
+      *numeric_lo = rank;
+    }
+    if (IsNan(v)) {
+      has_nan = true;
+      *nan_rank = rank;
+    }
+  }
+  return has_nan;
+}
+
+/// One chunk's evidence accumulator: a dense count array indexed by the
+/// word for narrow one-lane configs, else an open-addressing table over
+/// whole lane tuples. All folds (count sum, max, flag or) are commutative,
+/// so any pair-to-chunk assignment yields the same merged multiset.
 class Accumulator {
  public:
-  Accumulator(int bits, int tracked) : tracked_(tracked) {
-    dense_ = bits <= kDenseBits;
+  Accumulator(int lanes, int bits, int tracked)
+      : lanes_(lanes),
+        tracked_(tracked),
+        dense_(lanes == 1 && bits <= kDenseBits),
+        key_(lanes) {
     if (dense_) {
       counts_.assign(size_t{1} << bits, 0);
       if (tracked_ > 0) {
@@ -51,59 +129,79 @@ class Accumulator {
     }
   }
 
-  /// Adds a strip of `count` words; `td` holds their tracked distances in
-  /// the kernel's per-slot layout (td[slot * count + k]).
+  /// Adds a strip of `count` lane-major words; `td` holds their tracked
+  /// distances in the kernel's per-slot layout (td[slot * count + k]).
   void AddStrip(const uint64_t* words, const double* td, int count) {
-    if (tracked_ == 0 && dense_) {
+    if (dense_ && tracked_ == 0) {
       for (int k = 0; k < count; ++k) ++counts_[words[k]];
       return;
     }
     for (int k = 0; k < count; ++k) {
       size_t slot = words[k];
       if (!dense_) {
-        auto [it, inserted] = index_.try_emplace(words[k], counts_.size());
-        if (inserted) {
-          counts_.push_back(0);
-          aggs_.resize(aggs_.size() + tracked_);
-        }
-        slot = it->second;
+        for (int l = 0; l < lanes_; ++l) key_[l] = words[l * count + k];
+        slot = SlotOf(key_.data());
       }
       ++counts_[slot];
       if (tracked_ > 0) Fold(&aggs_[slot * tracked_], td + k, count);
     }
   }
 
-  /// Merges this chunk into the global word map.
-  void MergeInto(
-      std::map<uint64_t, std::pair<int64_t, std::vector<EvidenceSet::Aggregate>>>*
-          merged) const {
-    auto fold_entry = [&](uint64_t w, int64_t count,
-                          const EvidenceSet::Aggregate* aggs) {
-      auto [it, inserted] = merged->try_emplace(
-          w, 0, std::vector<EvidenceSet::Aggregate>(tracked_));
-      it->second.first += count;
+  /// Adds `count` pairs of one word with zero aggregates (the pruned
+  /// build's synthesized word).
+  void Add(const uint64_t* word, int64_t count) {
+    counts_[dense_ ? word[0] : SlotOf(word)] += count;
+  }
+
+  /// Folds another chunk (same config) into this one.
+  void Absorb(const Accumulator& other) {
+    for (size_t e = 0; e < other.counts_.size(); ++e) {
+      if (other.counts_[e] == 0) continue;
+      size_t slot = dense_ ? e : SlotOf(&other.keys_[e * lanes_]);
+      counts_[slot] += other.counts_[e];
       for (int t = 0; t < tracked_; ++t) {
-        EvidenceSet::Aggregate& dst = it->second.second[t];
-        const EvidenceSet::Aggregate& src = aggs[t];
+        EvidenceSet::Aggregate& dst = aggs_[slot * tracked_ + t];
+        const EvidenceSet::Aggregate& src = other.aggs_[e * tracked_ + t];
         dst.max_all = std::max(dst.max_all, src.max_all);
         dst.max_finite = std::max(dst.max_finite, src.max_finite);
         dst.saw_nonfinite = dst.saw_nonfinite || src.saw_nonfinite;
       }
-    };
-    static const EvidenceSet::Aggregate kEmpty[1] = {};
-    if (dense_) {
-      for (size_t w = 0; w < counts_.size(); ++w) {
-        if (counts_[w] == 0) continue;
-        fold_entry(w, counts_[w],
-                   tracked_ > 0 ? &aggs_[w * tracked_] : kEmpty);
-      }
-      return;
     }
-    // Hash iteration order is arbitrary, but the target std::map sorts and
-    // every fold is commutative, so the merge is order-independent.
-    for (const auto& [w, idx] : index_) {
-      fold_entry(w, counts_[idx],
-                 tracked_ > 0 ? &aggs_[idx * tracked_] : kEmpty);
+  }
+
+  int64_t total() const {
+    int64_t sum = 0;
+    for (int64_t c : counts_) sum += c;
+    return sum;
+  }
+
+  /// The distinct words in ascending order, with their counts and
+  /// aggregates.
+  void Export(std::vector<uint64_t>* lanes, std::vector<int64_t>* counts,
+              std::vector<EvidenceSet::Aggregate>* aggs) const {
+    std::vector<size_t> order;
+    for (size_t e = 0; e < counts_.size(); ++e) {
+      if (counts_[e] != 0) order.push_back(e);
+    }
+    if (!dense_) {
+      std::sort(order.begin(), order.end(), [&](size_t x, size_t y) {
+        return CompareLanes(&keys_[x * lanes_], &keys_[y * lanes_], lanes_) <
+               0;
+      });
+    }
+    lanes->reserve(order.size() * lanes_);
+    counts->reserve(order.size());
+    aggs->reserve(order.size() * tracked_);
+    for (size_t e : order) {
+      if (dense_) {
+        lanes->push_back(e);
+      } else {
+        lanes->insert(lanes->end(), &keys_[e * lanes_],
+                      &keys_[e * lanes_] + lanes_);
+      }
+      counts->push_back(counts_[e]);
+      aggs->insert(aggs->end(), aggs_.begin() + e * tracked_,
+                   aggs_.begin() + (e + 1) * tracked_);
     }
   }
 
@@ -123,37 +221,73 @@ class Accumulator {
     }
   }
 
+  size_t Hash(const uint64_t* key) const {
+    uint64_t h = 0;
+    for (int l = 0; l < lanes_; ++l) {
+      h = (h ^ key[l]) * 0x9e3779b97f4a7c15ULL;
+      h ^= h >> 29;
+    }
+    return static_cast<size_t>(h);
+  }
+
+  /// Entry of `key` in the sparse table, appended when new.
+  size_t SlotOf(const uint64_t* key) {
+    if (2 * (counts_.size() + 1) > index_.size()) Rehash();
+    const size_t mask = index_.size() - 1;
+    for (size_t h = Hash(key) & mask;; h = (h + 1) & mask) {
+      const size_t e = index_[h];
+      if (e == 0) {
+        index_[h] = counts_.size() + 1;
+        keys_.insert(keys_.end(), key, key + lanes_);
+        counts_.push_back(0);
+        aggs_.resize(aggs_.size() + tracked_);
+        return counts_.size() - 1;
+      }
+      if (std::equal(key, key + lanes_, &keys_[(e - 1) * lanes_])) {
+        return e - 1;
+      }
+    }
+  }
+
+  void Rehash() {
+    std::vector<size_t> index(std::max<size_t>(64, 2 * index_.size()), 0);
+    const size_t mask = index.size() - 1;
+    for (size_t e = 0; e < counts_.size(); ++e) {
+      size_t h = Hash(&keys_[e * lanes_]) & mask;
+      while (index[h] != 0) h = (h + 1) & mask;
+      index[h] = e + 1;
+    }
+    index_.swap(index);
+  }
+
+  int lanes_;
   int tracked_;
   bool dense_;
+  std::vector<uint64_t> key_;  // one word's lanes, gathered from a strip
   std::vector<int64_t> counts_;
   std::vector<EvidenceSet::Aggregate> aggs_;
-  std::unordered_map<uint64_t, size_t> index_;  // sparse only
+  // Sparse only: entry e's lanes at keys_[e * lanes_], and the
+  // open-addressing index (entry + 1, 0 empty).
+  std::vector<uint64_t> keys_;
+  std::vector<size_t> index_;
 };
 
 }  // namespace
 
 int EvidenceWordBits(const std::vector<EvidenceColumn>& columns) {
   int bits = 0;
-  for (const EvidenceColumn& c : columns) {
-    if (c.cmp == EvidenceColumn::Cmp::kEquality) bits += 1;
-    if (c.cmp == EvidenceColumn::Cmp::kOrder) bits += 2;
-    if (c.metric != nullptr && !c.thresholds.empty()) {
-      bits += std::bit_width(c.thresholds.size());
-    }
-  }
+  for (const EvidenceColumn& c : columns) bits += ColumnBits(c);
   return bits;
 }
 
 Result<std::unique_ptr<PairComparator>> PairComparator::Make(
     const EncodedRelation& encoded, std::vector<EvidenceColumn> columns,
     ThreadPool* pool, int64_t max_table_entries) {
-  int bits = EvidenceWordBits(columns);
-  if (bits > 64) {
-    return Status::Invalid("evidence word exceeds 64 bits");
-  }
   std::unique_ptr<PairComparator> pc(new PairComparator());
-  pc->num_bits_ = bits;
-  int shift = 0;
+  pc->num_bits_ = EvidenceWordBits(columns);
+  pc->base_lanes_.assign(1, 0);
+  const int n = encoded.num_rows();
+  int lane = 0, shift = 0;
   for (const EvidenceColumn& spec : columns) {
     if (spec.attr < 0 || spec.attr >= encoded.num_columns()) {
       return Status::Invalid("evidence column out of schema");
@@ -161,10 +295,25 @@ Result<std::unique_ptr<PairComparator>> PairComparator::Make(
     if (spec.track_max && spec.metric == nullptr) {
       return Status::Invalid("track_max requires a metric");
     }
+    if (spec.b_attr >= 0 && (spec.cmp != EvidenceColumn::Cmp::kOrder ||
+                             spec.b_attr >= encoded.num_columns())) {
+      return Status::Invalid(
+          "a second evidence column needs an order facet in schema");
+    }
+    // The column's facets stay together in one lane.
+    const int width = ColumnBits(spec);
+    if (width > 64) return Status::Invalid("evidence facet exceeds a lane");
+    if (shift + width > 64) {
+      ++lane;
+      shift = 0;
+      pc->base_lanes_.push_back(0);
+    }
     Col col;
     EvidenceSet::ColumnLayout lay;
     lay.attr = spec.attr;
+    lay.b_attr = spec.b_attr;
     lay.cmp = spec.cmp;
+    col.lane = lay.lane = lane;
     col.codes = encoded.codes(spec.attr).data();
     col.cmp = spec.cmp;
     if (spec.cmp == EvidenceColumn::Cmp::kEquality) {
@@ -172,17 +321,25 @@ Result<std::unique_ptr<PairComparator>> PairComparator::Make(
       shift += 1;
       // All-distinct column: every pair is unequal, the facet is a
       // constant bit.
-      col.const_unequal = encoded.num_rows() > 1 &&
-                          encoded.dict_size(spec.attr) == encoded.num_rows();
-      if (col.const_unequal) pc->base_word_ |= uint64_t{1} << col.cmp_shift;
+      col.const_unequal = n > 1 && encoded.dict_size(spec.attr) == n;
+      if (col.const_unequal) {
+        pc->base_lanes_[lane] |= uint64_t{1} << col.cmp_shift;
+      }
     } else if (spec.cmp == EvidenceColumn::Cmp::kOrder) {
       col.cmp_shift = lay.cmp_shift = shift;
       shift += 2;
-      std::vector<uint32_t> ranks = CodeRanks(encoded, spec.attr);
-      col.row_ranks.resize(encoded.num_rows());
-      for (int r = 0; r < encoded.num_rows(); ++r) {
-        col.row_ranks[r] = ranks[col.codes[r]];
-      }
+      const int b = spec.b_attr >= 0 ? spec.b_attr : spec.attr;
+      std::vector<uint32_t> rank_a, rank_b;
+      col.unordered = OrderRanks(encoded, spec.attr, b, &rank_a, &rank_b,
+                                 &col.nan_rank, &col.numeric_lo);
+      auto per_row = [&](int attr, const std::vector<uint32_t>& ranks,
+                         std::vector<uint32_t>* out) {
+        const std::vector<uint32_t>& codes = encoded.codes(attr);
+        out->resize(n);
+        for (int r = 0; r < n; ++r) (*out)[r] = ranks[codes[r]];
+      };
+      per_row(spec.attr, rank_a, &col.row_ranks);
+      if (b != spec.attr) per_row(b, rank_b, &col.b_row_ranks);
     }
     bool bucketed = spec.metric != nullptr && !spec.thresholds.empty();
     if (spec.track_max) {
@@ -216,19 +373,40 @@ Result<std::unique_ptr<PairComparator>> PairComparator::Make(
     pc->cols_.push_back(std::move(col));
     pc->layout_.push_back(lay);
   }
+  // Each order facet's mirror: the facet comparing the same columns the
+  // other way round.
+  for (EvidenceSet::ColumnLayout& c : pc->layout_) {
+    if (c.cmp != EvidenceColumn::Cmp::kOrder) continue;
+    const int b = c.b_attr >= 0 ? c.b_attr : c.attr;
+    for (size_t m = 0; m < pc->layout_.size() && c.mirror < 0; ++m) {
+      const EvidenceSet::ColumnLayout& o = pc->layout_[m];
+      if (o.cmp == EvidenceColumn::Cmp::kOrder && o.attr == b &&
+          (o.b_attr >= 0 ? o.b_attr : o.attr) == c.attr) {
+        c.mirror = static_cast<int>(m);
+      }
+    }
+    if (c.mirror < 0) {
+      return Status::Invalid(
+          "a two-column order facet needs its mirror facet");
+    }
+  }
   return pc;
 }
 
+template <bool kOneLane>
 [[gnu::always_inline]] inline void PairComparator::Fill(
     int i, int j0, const int* partners, int count, uint64_t* words,
     double* tracked_dists) const {
   uint32_t gathered[kStripRows];
-  uint8_t buckets[kStripRows];
+  uint32_t buckets[kStripRows];
   double dists[kStripRows];
+  const int lanes = kOneLane ? 1 : static_cast<int>(base_lanes_.size());
   for (int k0 = 0; k0 < count; k0 += kStripRows) {
     const int m = std::min(kStripRows, count - k0);
-    uint64_t* w = words + k0;
-    std::fill(w, w + m, base_word_);
+    for (int l = 0; l < lanes; ++l) {
+      uint64_t* w = words + l * count + k0;
+      std::fill(w, w + m, base_lanes_[l]);
+    }
     // The partners' entries of one per-row array: a slice of it, or
     // gathered from the partner list.
     auto partner_values = [&](const uint32_t* per_row) -> const uint32_t* {
@@ -237,6 +415,7 @@ Result<std::unique_ptr<PairComparator>> PairComparator::Make(
       return gathered;
     };
     for (const Col& c : cols_) {
+      uint64_t* w = words + (kOneLane ? 0 : c.lane * count) + k0;
       const uint32_t a = c.codes[i];
       const uint32_t* b = nullptr;
       if (c.cmp == EvidenceColumn::Cmp::kEquality && !c.const_unequal) {
@@ -245,13 +424,25 @@ Result<std::unique_ptr<PairComparator>> PairComparator::Make(
           w[k] |= static_cast<uint64_t>(b[k] != a) << c.cmp_shift;
         }
       } else if (c.cmp == EvidenceColumn::Cmp::kOrder) {
-        // Distinct codes have distinct ranks: 0 equal, 1 less, 2 greater.
+        // Both sides rank on one scale, equal values tied: 0 equal, 1 less,
+        // 2 greater; a NaN against a number (or a NaN) reads 3.
         const uint32_t ra = c.row_ranks[i];
-        const uint32_t* rb = partner_values(c.row_ranks.data());
+        const uint32_t* rb = partner_values(
+            c.b_row_ranks.empty() ? c.row_ranks.data() : c.b_row_ranks.data());
         for (int k = 0; k < m; ++k) {
           w[k] |= (static_cast<uint64_t>(ra < rb[k]) |
                    static_cast<uint64_t>(ra > rb[k]) << 1)
                   << c.cmp_shift;
+        }
+        if (c.unordered) {
+          const uint32_t nan = c.nan_rank, lo = c.numeric_lo;
+          const uint32_t span = nan - lo;
+          const bool a_numeric = ra - lo <= span;
+          for (int k = 0; k < m; ++k) {
+            const bool unordered =
+                (ra == nan || rb[k] == nan) && a_numeric && rb[k] - lo <= span;
+            w[k] |= static_cast<uint64_t>(unordered) * 3 << c.cmp_shift;
+          }
         }
       }
       double* d = c.track_slot >= 0 && tracked_dists != nullptr
@@ -279,16 +470,25 @@ Result<std::unique_ptr<PairComparator>> PairComparator::Make(
   }
 }
 
-// The one-partner case gets its own inlined copy of the kernel: with
-// count fixed at 1 its block and column loops fold to straight-line code,
-// which one-partner strips (Word, two-row clusters, a delta's last
-// anchors) would otherwise pay loop setup for in every column.
+[[gnu::noinline]] void PairComparator::FillLanes(
+    int i, int j0, const int* partners, int count, uint64_t* words,
+    double* tracked_dists) const {
+  Fill<false>(i, j0, partners, count, words, tracked_dists);
+}
+
+// One-lane words get their own inlined copies of the kernel, and the
+// one-partner case one more: with count fixed at 1 its block and column
+// loops fold to straight-line code, which one-partner strips (Word,
+// two-row clusters, a delta's last anchors) would otherwise pay loop setup
+// for in every column.
 void PairComparator::Strip(int i, int j0, int count, uint64_t* words,
                            double* tracked_dists) const {
-  if (count == 1) {
-    Fill(i, j0, nullptr, 1, words, tracked_dists);
+  if (base_lanes_.size() > 1) {
+    FillLanes(i, j0, nullptr, count, words, tracked_dists);
+  } else if (count == 1) {
+    Fill<true>(i, j0, nullptr, 1, words, tracked_dists);
   } else {
-    Fill(i, j0, nullptr, count, words, tracked_dists);
+    Fill<true>(i, j0, nullptr, count, words, tracked_dists);
   }
 }
 
@@ -296,53 +496,45 @@ void PairComparator::Strip(int i, const int* partners, int count,
                            uint64_t* words, double* tracked_dists) const {
   if (count == 1) {
     Strip(i, partners[0], 1, words, tracked_dists);
+  } else if (base_lanes_.size() > 1) {
+    FillLanes(i, 0, partners, count, words, tracked_dists);
   } else {
-    Fill(i, 0, partners, count, words, tracked_dists);
+    Fill<true>(i, 0, partners, count, words, tracked_dists);
   }
 }
 
-uint64_t PairComparator::Word(int i, int j, double* tracked_dists) const {
-  uint64_t w = 0;
-  Strip(i, j, 1, &w, tracked_dists);
-  return w;
+void PairComparator::Word(int i, int j, uint64_t* lanes,
+                          double* tracked_dists) const {
+  Strip(i, j, 1, lanes, tracked_dists);
 }
 
-uint64_t EvidenceSet::MirrorOf(uint64_t word) const {
+void EvidenceSet::MirrorOf(const uint64_t* lanes, uint64_t* out) const {
+  std::copy(lanes, lanes + num_lanes_, out);
   for (const ColumnLayout& c : layout_) {
     if (c.cmp != EvidenceColumn::Cmp::kOrder) continue;
-    uint64_t v = (word >> c.cmp_shift) & 3u;
-    if (v != 0) {
-      word = (word & ~(uint64_t{3} << c.cmp_shift)) |
-             ((3 - v) << c.cmp_shift);
-    }
+    uint64_t v = static_cast<uint64_t>(layout_[c.mirror].CmpOf(lanes));
+    if (v == 1 || v == 2) v = 3 - v;
+    out[c.lane] = (out[c.lane] & ~c.cmp_mask()) | (v << c.cmp_shift);
   }
-  return word;
-}
-
-uint64_t EvidenceSet::AllUnequalWord() const {
-  uint64_t w = 0;
-  for (const ColumnLayout& c : layout_) {
-    if (c.cmp == EvidenceColumn::Cmp::kEquality) {
-      w |= uint64_t{1} << c.cmp_shift;
-    }
-  }
-  return w;
 }
 
 size_t EvidenceSet::footprint_bytes() const {
-  return sizeof(EvidenceSet) + words_.capacity() * sizeof(Word) +
+  return sizeof(EvidenceSet) + lanes_.capacity() * sizeof(uint64_t) +
+         counts_.capacity() * sizeof(int64_t) +
          aggs_.capacity() * sizeof(Aggregate) +
          layout_.capacity() * sizeof(ColumnLayout);
 }
 
 namespace {
 
-/// One chunk's strip output: the words of up to `strip` partners and, when
+/// One chunk's strip output: the lane-major words of up to `strip` partners
+/// and, when
 /// the config tracks distances, their per-slot distances.
 class StripBuffers {
  public:
   StripBuffers(const PairComparator& pc, int strip)
-      : words_(strip), dists_(static_cast<size_t>(strip) * pc.num_tracked()) {}
+      : words_(static_cast<size_t>(strip) * pc.num_lanes()),
+        dists_(static_cast<size_t>(strip) * pc.num_tracked()) {}
 
   uint64_t* words() { return words_.data(); }
   double* dists() { return dists_.empty() ? nullptr : dists_.data(); }
@@ -381,9 +573,12 @@ class EvidenceBuilder {
         PairComparator::Make(encoded, columns, options.pool, max_entries));
     int chunks = NumChunks(options.pool, walk_pairs, pc->num_bits());
     int tracked = pc->num_tracked();
+    int lanes = pc->num_lanes();
     std::vector<Accumulator> accs;
     accs.reserve(chunks);
-    for (int c = 0; c < chunks; ++c) accs.emplace_back(pc->num_bits(), tracked);
+    for (int c = 0; c < chunks; ++c) {
+      accs.emplace_back(lanes, pc->num_bits(), tracked);
+    }
 
     bool pruned = false;
     if (pairs != nullptr) {
@@ -398,35 +593,28 @@ class EvidenceBuilder {
           DenseWalk(*pc, n, delta_from_row, chunks, options, &accs));
     }
 
-    std::map<uint64_t,
-             std::pair<int64_t, std::vector<EvidenceSet::Aggregate>>>
-        merged;
-    for (const Accumulator& acc : accs) acc.MergeInto(&merged);
+    Accumulator& merged = accs[0];
+    for (int c = 1; c < chunks; ++c) merged.Absorb(accs[c]);
     FAMTREE_RETURN_NOT_OK(RunContext::Poll(options.context));
 
     auto set = std::make_shared<EvidenceSet>();
     set->layout_ = pc->layout();
+    set->num_lanes_ = lanes;
     set->num_tracked_ = tracked;
     set->total_pairs_ = walk_pairs;
     if (pruned) {
       // Pairs disagreeing everywhere were never enumerated: their count is
       // the remainder, their word all-unequal, their aggregates zero.
-      int64_t enumerated = 0;
-      for (const auto& [w, entry] : merged) enumerated += entry.first;
-      int64_t rest = set->total_pairs_ - enumerated;
+      int64_t rest = set->total_pairs_ - merged.total();
       if (rest > 0) {
-        auto [it, inserted] = merged.try_emplace(
-            set->AllUnequalWord(), 0,
-            std::vector<EvidenceSet::Aggregate>(tracked));
-        it->second.first += rest;
+        std::vector<uint64_t> all_unequal(lanes, 0);
+        for (const EvidenceSet::ColumnLayout& c : set->layout_) {
+          all_unequal[c.lane] |= c.cmp_mask();
+        }
+        merged.Add(all_unequal.data(), rest);
       }
     }
-    set->words_.reserve(merged.size());
-    set->aggs_.reserve(merged.size() * tracked);
-    for (const auto& [w, entry] : merged) {
-      set->words_.push_back(EvidenceSet::Word{w, entry.first});
-      for (int t = 0; t < tracked; ++t) set->aggs_.push_back(entry.second[t]);
-    }
+    merged.Export(&set->lanes_, &set->counts_, &set->aggs_);
     // Charged only once fully built: a failed charge discards the set whole,
     // so no cache downstream ever sees a partial multiset.
     FAMTREE_RETURN_NOT_OK(RunContext::ChargeAlloc(
@@ -442,56 +630,48 @@ class EvidenceBuilder {
   static Result<std::shared_ptr<const EvidenceSet>> Merge(
       const EvidenceSet& base, const EvidenceSet& delta,
       const EvidenceOptions& options) {
-    if (base.layout_.size() != delta.layout_.size() ||
+    if (base.layout_ != delta.layout_ ||
+        base.num_lanes_ != delta.num_lanes_ ||
         base.num_tracked_ != delta.num_tracked_) {
       return Status::Invalid("evidence merge: mismatched configs");
     }
-    for (size_t c = 0; c < base.layout_.size(); ++c) {
-      const EvidenceSet::ColumnLayout& a = base.layout_[c];
-      const EvidenceSet::ColumnLayout& b = delta.layout_[c];
-      if (a.attr != b.attr || a.cmp != b.cmp || a.cmp_shift != b.cmp_shift ||
-          a.bucket_shift != b.bucket_shift || a.bucket_bits != b.bucket_bits ||
-          a.num_thresholds != b.num_thresholds ||
-          a.track_slot != b.track_slot) {
-        return Status::Invalid("evidence merge: mismatched configs");
-      }
-    }
-    int tracked = base.num_tracked_;
+    const int lanes = base.num_lanes_;
+    const int tracked = base.num_tracked_;
     auto set = std::make_shared<EvidenceSet>();
     set->layout_ = base.layout_;
+    set->num_lanes_ = lanes;
     set->num_tracked_ = tracked;
     set->total_pairs_ = base.total_pairs_ + delta.total_pairs_;
-    set->words_.reserve(base.words_.size() + delta.words_.size());
-    set->aggs_.reserve((base.words_.size() + delta.words_.size()) * tracked);
-    size_t bi = 0, di = 0;
-    auto take = [&](const EvidenceSet& src, size_t i) {
-      set->words_.push_back(src.words_[i]);
-      for (int t = 0; t < tracked; ++t) {
-        set->aggs_.push_back(src.aggs_[i * tracked + t]);
-      }
+    const size_t nb = base.num_words(), nd = delta.num_words();
+    set->lanes_.reserve((nb + nd) * lanes);
+    set->counts_.reserve(nb + nd);
+    set->aggs_.reserve((nb + nd) * tracked);
+    auto take = [&](const EvidenceSet& src, size_t i, int64_t extra) {
+      set->lanes_.insert(set->lanes_.end(), src.lanes(i), src.lanes(i) + lanes);
+      set->counts_.push_back(src.counts_[i] + extra);
+      set->aggs_.insert(set->aggs_.end(), src.aggs_.begin() + i * tracked,
+                        src.aggs_.begin() + (i + 1) * tracked);
     };
-    while (bi < base.words_.size() || di < delta.words_.size()) {
-      bool from_base =
-          di >= delta.words_.size() ||
-          (bi < base.words_.size() &&
-           base.words_[bi].bits < delta.words_[di].bits);
-      if (from_base) {
-        take(base, bi++);
-      } else if (bi >= base.words_.size() ||
-                 delta.words_[di].bits < base.words_[bi].bits) {
-        take(delta, di++);
+    size_t bi = 0, di = 0;
+    while (bi < nb || di < nd) {
+      const int order = bi >= nb   ? 1
+                        : di >= nd ? -1
+                                   : CompareLanes(base.lanes(bi),
+                                                  delta.lanes(di), lanes);
+      if (order < 0) {
+        take(base, bi++, 0);
+      } else if (order > 0) {
+        take(delta, di++, 0);
       } else {
         // Same word on both sides: sum counts, fold aggregates.
-        EvidenceSet::Word w = base.words_[bi];
-        w.count += delta.words_[di].count;
-        set->words_.push_back(w);
+        take(base, bi, delta.counts_[di]);
+        EvidenceSet::Aggregate* a = set->aggs_.data() + set->aggs_.size() -
+                                    tracked;
         for (int t = 0; t < tracked; ++t) {
-          EvidenceSet::Aggregate a = base.aggs_[bi * tracked + t];
           const EvidenceSet::Aggregate& b = delta.aggs_[di * tracked + t];
-          a.max_all = std::max(a.max_all, b.max_all);
-          a.max_finite = std::max(a.max_finite, b.max_finite);
-          a.saw_nonfinite = a.saw_nonfinite || b.saw_nonfinite;
-          set->aggs_.push_back(a);
+          a[t].max_all = std::max(a[t].max_all, b.max_all);
+          a[t].max_finite = std::max(a[t].max_finite, b.max_finite);
+          a[t].saw_nonfinite = a[t].saw_nonfinite || b.saw_nonfinite;
         }
         ++bi;
         ++di;

@@ -19,19 +19,28 @@ namespace famtree {
 ///
 /// Every pairwise miner asks, per row pair, a small set of per-column
 /// questions: equal or not (FASTDC Eq/Neq, MD/MFD grouping, CFD support),
-/// how the values order (FASTDC Lt/Gt), and which threshold band the metric
-/// distance falls in (DD/MD/NED similarity predicates). An EvidenceColumn
-/// declares which facets a consumer needs; the kernel packs the answers
-/// into contiguous bit fields of a single uint64 word per pair.
+/// how the values order (FASTDC Lt/Gt, within a column or across two), and
+/// which threshold band the metric distance falls in (DD/MD/NED similarity
+/// predicates). An EvidenceColumn declares which facets a consumer needs;
+/// the kernel packs the answers into bit fields of a comparison word of one
+/// or more 64-bit lanes per pair.
 struct EvidenceColumn {
   enum class Cmp {
     kNone,      // no comparison facet (distance facets only)
     kEquality,  // 1 bit: 0 = equal, 1 = unequal
-    kOrder,     // 2 bits: 0 = equal, 1 = i's value < j's, 2 = >
+    kOrder,     // 2 bits: 0 = equal, 1 = a's value < b's, 2 = >,
+                // 3 = unordered (a NaN against a number or a NaN)
   };
 
   int attr = 0;
   Cmp cmp = Cmp::kEquality;
+
+  /// Order facets only: the column of the pair's second row (tuple b), so
+  /// the facet of pair (i, j) compares i's `attr` with j's `b_attr`; -1
+  /// compares `attr` on both rows. Both columns rank on one scale, equal
+  /// values tied. A config holding (a, b) must also hold (b, a): the two
+  /// mirror into each other (EvidenceSet::MirrorOf).
+  int b_attr = -1;
 
   /// Distance facet: with a metric and a sorted-ascending threshold list,
   /// the word carries the bucket index (smallest j with d <= thresholds[j],
@@ -44,14 +53,15 @@ struct EvidenceColumn {
 
   /// Optional borrowed exact-distance table for this (attr, metric); when
   /// null the kernel builds what it needs itself (an exact table when
-  /// track_max is set, a byte-wide CodeBucketTable otherwise). Lend one only
-  /// if the caller reads it anyway (DD, MFD): it costs a fill even on an
+  /// track_max is set, a CodeBucketTable otherwise). Lend one only if the
+  /// caller reads it anyway (DD, MFD): it costs a fill even on an
   /// evidence-cache hit. Must outlive the build call.
   const CodeDistanceTable* table = nullptr;
 };
 
-/// Total bits the packed comparison word needs; must be <= 64 to build
-/// (consumers with wider configs keep their pre-kernel paths).
+/// Total facet bits of a config. The word packs them column by column, in
+/// config order, into 64-bit lanes; a column whose facets do not fit in
+/// what is left of a lane starts the next one, so no facet straddles two.
 int EvidenceWordBits(const std::vector<EvidenceColumn>& columns);
 
 struct EvidenceOptions {
@@ -87,20 +97,17 @@ struct EvidenceOptions {
 /// threshold-mining consumers. Self-contained — safe to cache beyond the
 /// lifetime of the EncodedRelation it was built from.
 ///
-/// The multiset ranges over unordered pairs {i, j}; order facets are
-/// evaluated at the canonical orientation i < j, and MirrorOf converts a
-/// word to the opposite orientation for consumers (FASTDC) that mine over
-/// ordered pairs. Words are sorted ascending by bit pattern, and both the
-/// tiled and the pruned builds produce bit-identical sets at any thread
-/// count: every per-word fold (count sum, max, flag or) is commutative, so
-/// chunk merge order cannot show.
+/// A word is num_lanes() 64-bit lanes; word w's lanes are lanes(w), read
+/// through CmpOf / BucketOf / AgreesOn. The multiset ranges over unordered
+/// pairs {i, j}; order facets are evaluated at the canonical orientation
+/// i < j, and MirrorOf converts a word to the opposite orientation for
+/// consumers (FASTDC) that mine over ordered pairs. Words are sorted
+/// ascending by their lanes (lane 0 first), and both the tiled and the
+/// pruned builds produce bit-identical sets at any thread count: every
+/// per-word fold (count sum, max, flag or) is commutative, so chunk merge
+/// order cannot show.
 class EvidenceSet {
  public:
-  struct Word {
-    uint64_t bits = 0;
-    int64_t count = 0;
-  };
-
   /// Distance fold over one tracked column within one word's pairs,
   /// mirroring the row-pair scan folds exactly: max_finite starts at 0.0 and
   /// folds only finite distances (DD bound semantics), max_all is a plain
@@ -113,29 +120,51 @@ class EvidenceSet {
     bool saw_nonfinite = false;
   };
 
+  /// Where one config column's facets sit: all of them in lane `lane`, the
+  /// shifts and masks within it.
   struct ColumnLayout {
     int attr = 0;
+    int b_attr = -1;
     EvidenceColumn::Cmp cmp = EvidenceColumn::Cmp::kNone;
+    int lane = 0;
     int cmp_shift = 0;
     int bucket_shift = 0;
     int bucket_bits = 0;
     int num_thresholds = 0;
     int track_slot = -1;
+    /// Order facets: the config column holding the (b_attr, attr) facet
+    /// (itself for a one-column facet).
+    int mirror = -1;
 
-    /// Word bits of the comparison facet (0 without one).
+    bool operator==(const ColumnLayout&) const = default;
+
+    /// Lane bits of the comparison facet (0 without one).
     uint64_t cmp_mask() const {
       uint64_t field = cmp == EvidenceColumn::Cmp::kEquality ? 1u
                        : cmp == EvidenceColumn::Cmp::kOrder  ? 3u
                                                              : 0u;
       return field << cmp_shift;
     }
-    /// Word bits of the distance-bucket facet (0 without one).
+    /// Lane bits of the distance-bucket facet (0 without one).
     uint64_t bucket_mask() const {
       return ((uint64_t{1} << bucket_bits) - 1) << bucket_shift;
     }
+    /// Comparison facet of the word in `lanes`: 0 equal, 1 unequal/less,
+    /// 2 greater, 3 unordered. Columns without a facet read as 0.
+    int CmpOf(const uint64_t* lanes) const {
+      return static_cast<int>((lanes[lane] & cmp_mask()) >> cmp_shift);
+    }
+    int BucketOf(const uint64_t* lanes) const {
+      return static_cast<int>((lanes[lane] & bucket_mask()) >> bucket_shift);
+    }
   };
 
-  const std::vector<Word>& words() const { return words_; }
+  size_t num_words() const { return counts_.size(); }
+  int num_lanes() const { return num_lanes_; }
+  const uint64_t* lanes(size_t word_index) const {
+    return &lanes_[word_index * num_lanes_];
+  }
+  int64_t count(size_t word_index) const { return counts_[word_index]; }
   int64_t total_pairs() const { return total_pairs_; }
   int num_columns() const { return static_cast<int>(layout_.size()); }
   int num_tracked() const { return num_tracked_; }
@@ -145,36 +174,22 @@ class EvidenceSet {
     return aggs_[word_index * num_tracked_ + track_slot];
   }
 
-  /// Comparison facet of config column `col`: 0 equal, 1 unequal/less,
-  /// 2 greater. Columns without a facet read as 0.
-  int CmpOf(uint64_t word, size_t col) const {
-    const ColumnLayout& c = layout_[col];
-    if (c.cmp == EvidenceColumn::Cmp::kEquality) {
-      return static_cast<int>((word >> c.cmp_shift) & 1u);
-    }
-    if (c.cmp == EvidenceColumn::Cmp::kOrder) {
-      return static_cast<int>((word >> c.cmp_shift) & 3u);
-    }
-    return 0;
+  /// Facets of config column `col` in word `word_index`.
+  int CmpOf(size_t word_index, size_t col) const {
+    return layout_[col].CmpOf(lanes(word_index));
+  }
+  bool AgreesOn(size_t word_index, size_t col) const {
+    return CmpOf(word_index, col) == 0;
+  }
+  int BucketOf(size_t word_index, size_t col) const {
+    return layout_[col].BucketOf(lanes(word_index));
   }
 
-  bool AgreesOn(uint64_t word, size_t col) const {
-    return CmpOf(word, col) == 0;
-  }
-
-  int BucketOf(uint64_t word, size_t col) const {
-    const ColumnLayout& c = layout_[col];
-    return static_cast<int>((word >> c.bucket_shift) &
-                            ((uint64_t{1} << c.bucket_bits) - 1));
-  }
-
-  /// The same pair seen from the opposite orientation: order facets swap
-  /// less and greater, everything else is symmetric.
-  uint64_t MirrorOf(uint64_t word) const;
-
-  /// The word of a pair disagreeing on every equality facet (the pruned
-  /// build's synthesized word).
-  uint64_t AllUnequalWord() const;
+  /// The same pair seen from the opposite orientation, into `out`
+  /// (num_lanes() lanes): each order facet takes its mirror facet's value
+  /// with less and greater swapped (equal and unordered stay); everything
+  /// else is symmetric.
+  void MirrorOf(const uint64_t* lanes, uint64_t* out) const;
 
   size_t footprint_bytes() const;
 
@@ -182,8 +197,10 @@ class EvidenceSet {
   friend class EvidenceBuilder;
 
   std::vector<ColumnLayout> layout_;
-  std::vector<Word> words_;
-  std::vector<Aggregate> aggs_;  // words_.size() x num_tracked_
+  int num_lanes_ = 1;
+  std::vector<uint64_t> lanes_;  // num_words() x num_lanes_
+  std::vector<int64_t> counts_;
+  std::vector<Aggregate> aggs_;  // num_words() x num_tracked_
   int64_t total_pairs_ = 0;
   int num_tracked_ = 0;
 };
@@ -194,21 +211,23 @@ class EvidenceSet {
 /// Borrows the encoding and any tables it compiles; keep both alive while
 /// using it.
 ///
-/// Strip contract: for one anchor row i and a run of partner rows, `Strip`
-/// writes the word of every ordered pair (i, partner), one column at a
-/// time: the equality bit from a code compare, the order trit from
-/// per-row ranks (CodeRanks, materialized once per row in Make), the
-/// bucket from the column's CodeBucketTable or CodeDistanceTable strip
-/// lookup, each OR-ed into the word buffer. Partners are either a
-/// contiguous row range or an explicit row list (a PLI cluster, one
-/// anchor's pair-list partners); any partner may equal or precede i. `Word` is the
-/// one-partner strip, so the word layout is packed in exactly one place.
-/// Any strip length works; callers bound it (the dense walk's tile_rows,
-/// kStripRows elsewhere) so their word buffers stay cache-resident.
+/// Strip contract: for one anchor row i and a run of `count` partner rows,
+/// `Strip` writes the word of every ordered pair (i, partner) lane-major —
+/// lane l of partner k at words[l * count + k] — one column at a time: the
+/// equality bit from a code compare, the order field from per-row ranks
+/// (materialized once per row in Make), the bucket from the column's
+/// CodeBucketTable or CodeDistanceTable strip lookup, each OR-ed into its
+/// lane. Partners are either a contiguous row range or an explicit row list
+/// (a PLI cluster, one anchor's pair-list partners); any partner may equal
+/// or precede i. `Word` is the one-partner strip, so the word layout is
+/// packed in exactly one place. Any strip length works; callers bound it
+/// (the dense walk's tile_rows, kStripRows elsewhere) so their word buffers
+/// stay cache-resident.
 ///
-/// Memory: an order facet holds one 4-byte rank per row (O(rows), not
-/// O(dictionary)), so a comparator over n rows with o order columns adds
-/// 4·n·o bytes for its lifetime; the tables are O(dictionary²).
+/// Memory: an order facet holds one 4-byte rank per row and operand column
+/// (O(rows), not O(dictionary)), so a comparator over n rows with o order
+/// columns adds 4·n·o bytes (twice that for a two-column facet) for its
+/// lifetime; the tables are O(dictionary²).
 class PairComparator {
  public:
   /// Strip length of every caller but the dense walk (the pruned and
@@ -225,22 +244,25 @@ class PairComparator {
   }
 
   /// Words of the ordered pairs (i, j0 + k), k in [0, count), into
-  /// words[k]. `tracked_dists`, when non-null, receives the distances per
-  /// track slot: tracked_dists[slot * count + k].
+  /// words[0, num_lanes() * count) lane-major. `tracked_dists`, when
+  /// non-null, receives the distances per track slot:
+  /// tracked_dists[slot * count + k].
   void Strip(int i, int j0, int count, uint64_t* words,
              double* tracked_dists = nullptr) const;
 
   /// Words of the ordered pairs (i, partners[k]), k in [0, count); the
-  /// distance layout is as above.
+  /// layouts are as above.
   void Strip(int i, const int* partners, int count, uint64_t* words,
              double* tracked_dists = nullptr) const;
 
-  /// The comparison word of the ordered pair (i, j) — the one-partner
-  /// strip; `tracked_dists`, when non-null, receives num_tracked()
-  /// distances indexed by track slot.
-  uint64_t Word(int i, int j, double* tracked_dists = nullptr) const;
+  /// The comparison word of the ordered pair (i, j) into lanes[0,
+  /// num_lanes()) — the one-partner strip; `tracked_dists`, when non-null,
+  /// receives num_tracked() distances indexed by track slot.
+  void Word(int i, int j, uint64_t* lanes,
+            double* tracked_dists = nullptr) const;
 
   int num_bits() const { return num_bits_; }
+  int num_lanes() const { return static_cast<int>(base_lanes_.size()); }
   int num_tracked() const { return num_tracked_; }
   const std::vector<EvidenceSet::ColumnLayout>& layout() const {
     return layout_;
@@ -252,9 +274,18 @@ class PairComparator {
   struct Col {
     const uint32_t* codes = nullptr;
     EvidenceColumn::Cmp cmp = EvidenceColumn::Cmp::kNone;
+    int lane = 0;
     int cmp_shift = 0;
     bool const_unequal = false;  // all-distinct column: facet is constant
-    std::vector<uint32_t> row_ranks;  // order facet: CodeRanks per row
+    /// Order facet: per-row ranks of the i side and of the partner side
+    /// (empty for a one-column facet: the partner reads row_ranks). With a
+    /// NaN present (`unordered`), a pair with a side at `nan_rank` and both
+    /// in [numeric_lo, nan_rank] is a NaN against a number.
+    std::vector<uint32_t> row_ranks;
+    std::vector<uint32_t> b_row_ranks;
+    bool unordered = false;
+    uint32_t nan_rank = 0;
+    uint32_t numeric_lo = 0;
     const CodeDistanceTable* dist = nullptr;
     std::unique_ptr<CodeDistanceTable> owned_dist;
     std::unique_ptr<CodeBucketTable> owned_bucket;
@@ -274,13 +305,20 @@ class PairComparator {
 
   /// The strip kernel: partners are `partners[k]` when non-null, else
   /// j0 + k. Inlined into each entry point, so a one-partner call compiles
-  /// to straight-line code.
+  /// to straight-line code, and a one-lane word (kOneLane) to the loops of
+  /// a single 64-bit word, which every column ORs into in place.
+  template <bool kOneLane>
   void Fill(int i, int j0, const int* partners, int count, uint64_t* words,
             double* tracked_dists) const;
 
+  /// Fill<false>, out of line, so the one-lane copies inlined into Strip
+  /// keep the size (and the optimization) of a one-word kernel.
+  void FillLanes(int i, int j0, const int* partners, int count,
+                 uint64_t* words, double* tracked_dists) const;
+
   std::vector<Col> cols_;
   std::vector<EvidenceSet::ColumnLayout> layout_;
-  uint64_t base_word_ = 0;  // constant facet bits
+  std::vector<uint64_t> base_lanes_;  // constant facet bits, per lane
   int num_bits_ = 0;
   int num_tracked_ = 0;
 };

@@ -23,7 +23,7 @@ std::string EvidenceCache::KeyFor(uint64_t fp,
   key.reserve(32 + columns.size() * 32);
   char buf[32];
   for (const EvidenceColumn& c : columns) {
-    std::snprintf(buf, sizeof(buf), "|%d:%d:%d:", c.attr,
+    std::snprintf(buf, sizeof(buf), "|%d,%d:%d:%d:", c.attr, c.b_attr,
                   static_cast<int>(c.cmp), c.track_max ? 1 : 0);
     key += buf;
     if (c.metric != nullptr) key += c.metric->name();

@@ -49,8 +49,9 @@ class EvidenceCache {
   explicit EvidenceCache(Options options) : options_(options) {}
 
   /// Canonical cache key of a build request: the relation fingerprint plus
-  /// an exact serialization of the column config (attributes, comparison
-  /// modes, metric names, threshold bit patterns, track flags). The
+  /// an exact serialization of the column config (attributes and second
+  /// order columns, comparison modes, metric names, threshold bit
+  /// patterns, track flags). The
   /// enumeration strategy (dense / pruned / thread count) is deliberately
   /// not part of the key — every strategy produces the identical multiset.
   /// The fingerprint is always the first 16 hex characters of the key —

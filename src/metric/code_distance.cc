@@ -165,12 +165,13 @@ CodeBucketTable::CodeBucketTable(const EncodedRelation& encoded, int attr,
       for (int64_t a = 0; a <= b; ++a) {
         uint8_t bucket;
         if (forms.is_null[a] || forms.is_null[b]) {
-          bucket = BucketOf((forms.is_null[a] && forms.is_null[b]) ? 0.0
-                                                                   : kInf);
+          bucket = static_cast<uint8_t>(BucketOf(
+              (forms.is_null[a] && forms.is_null[b]) ? 0.0 : kInf));
         } else if (EditLowerBound(forms, a, b) > limit) {
           bucket = overflow;
         } else {
-          bucket = BucketOf(kernel.Distance(forms.text[a]));
+          bucket = static_cast<uint8_t>(
+              BucketOf(kernel.Distance(forms.text[a])));
         }
         table_[base + a] = bucket;
       }
@@ -184,8 +185,8 @@ CodeBucketTable::CodeBucketTable(const EncodedRelation& encoded, int attr,
     const Value& vb = encoded_->Decode(attr_, static_cast<uint32_t>(b));
     size_t base = TriIndex(0, static_cast<uint32_t>(b));
     for (int64_t a = 0; a <= b; ++a) {
-      table_[base + a] = BucketOf(metric_->Distance(
-          encoded_->Decode(attr_, static_cast<uint32_t>(a)), vb));
+      table_[base + a] = static_cast<uint8_t>(BucketOf(metric_->Distance(
+          encoded_->Decode(attr_, static_cast<uint32_t>(a)), vb)));
     }
     return Status::OK();
   });

@@ -109,30 +109,31 @@ class CodeDistanceTable {
 /// exact table (MD, NED), under the same cap as its CodeDistanceTables.
 class CodeBucketTable {
  public:
-  /// `thresholds` must be sorted ascending; at most 254 thresholds.
-  /// The encoding (and the metric) must outlive the table.
+  /// `thresholds` must be sorted ascending. The byte-wide memo holds at
+  /// most 254 thresholds; a longer list computes each pair's bucket on the
+  /// decoded values. The encoding (and the metric) must outlive the table.
   CodeBucketTable(const EncodedRelation& encoded, int attr, MetricPtr metric,
                   std::vector<double> thresholds, ThreadPool* pool = nullptr,
                   int64_t max_entries = CodeDistanceTable::kDefaultMaxEntries);
 
-  uint8_t Bucket(uint32_t a, uint32_t b) const {
+  uint32_t Bucket(uint32_t a, uint32_t b) const {
     if (memoized_) return table_[TriIndex(std::min(a, b), std::max(a, b))];
     return BucketOf(metric_->Distance(encoded_->Decode(attr_, a),
                                       encoded_->Decode(attr_, b)));
   }
 
   /// Bucket(a, b[k]) for k in [0, count), into out (see Distances).
-  void Buckets(uint32_t a, const uint32_t* b, int count, uint8_t* out) const {
+  void Buckets(uint32_t a, const uint32_t* b, int count, uint32_t* out) const {
     for (int k = 0; k < count; ++k) out[k] = Bucket(a, b[k]);
   }
 
-  uint8_t RowBucket(int row_a, int row_b) const {
+  uint32_t RowBucket(int row_a, int row_b) const {
     return Bucket(encoded_->code(row_a, attr_), encoded_->code(row_b, attr_));
   }
 
   /// Band of one raw distance under this table's thresholds.
-  uint8_t BucketOf(double d) const {
-    uint8_t j = 0;
+  uint32_t BucketOf(double d) const {
+    uint32_t j = 0;
     for (double t : thresholds_) {
       if (d <= t) return j;
       ++j;

@@ -13,7 +13,6 @@
 #include "common/thread_pool.h"
 #include "discovery/discovery_util.h"
 #include "engine/evidence.h"
-#include "metric/code_distance.h"
 #include "quality/similarity_facets.h"
 
 namespace famtree {
@@ -78,15 +77,14 @@ Result<MatchResult> MdMatcher::Match(const Relation& relation,
   FAMTREE_ASSIGN_OR_RETURN(
       const EncodedRelation* encoded,
       ResolveEncoding(relation, options.cache, &local_encoding));
-  // Kernel path: the rules' predicates compile onto one threshold-bucket
-  // facet per distinct (attr, metric) of a PairComparator word — for edit
-  // distance a byte-wide bucket table instead of a full distance table —
-  // and a rule matches a pair exactly when every predicate
-  // reads "bucket <= its threshold's index". Buckets are "d <= threshold",
-  // the plain overload's similarity test, so NaN distances are dissimilar
-  // on both paths. A rule with a NaN threshold matches no pair (`d <= NaN`
-  // never holds) and is dropped up front. Facet sets wider than 64 bits
-  // scan one exact distance table per facet instead.
+  // The rules' predicates compile onto one threshold-bucket facet per
+  // distinct (attr, metric) of a PairComparator word — for edit distance a
+  // bucket table instead of a full distance table — and a rule matches a
+  // pair exactly when every predicate reads "bucket <= its threshold's
+  // index". Buckets are "d <= threshold", the plain overload's similarity
+  // test, so NaN distances are dissimilar on both. A rule with a NaN
+  // threshold matches no pair (`d <= NaN` never holds) and is dropped up
+  // front.
   std::vector<const Md*> live;
   for (const Md& rule : rules_) {
     bool nan = false;
@@ -97,22 +95,14 @@ Result<MatchResult> MdMatcher::Match(const Relation& relation,
   }
   SimilarityFacets facets;
   for (const Md* rule : live) facets.Add(rule->lhs());
-  std::unique_ptr<PairComparator> comparator;
+  FAMTREE_ASSIGN_OR_RETURN(
+      std::unique_ptr<PairComparator> comparator,
+      PairComparator::Make(*encoded, facets.columns(), options.pool));
   std::vector<SimilarityTest> tests;
-  std::vector<std::unique_ptr<CodeDistanceTable>> tables;
-  if (facets.packable() && facets.bits() <= 64) {
-    FAMTREE_ASSIGN_OR_RETURN(
-        comparator,
-        PairComparator::Make(*encoded, facets.columns(), options.pool));
-    for (const Md* rule : live) {
-      tests.push_back(facets.Compile(rule->lhs(), comparator->layout()));
-    }
-  } else {
-    for (const EvidenceColumn& facet : facets.columns()) {
-      tables.push_back(std::make_unique<CodeDistanceTable>(
-          *encoded, facet.attr, facet.metric, options.pool));
-    }
+  for (const Md* rule : live) {
+    tests.push_back(facets.Compile(rule->lhs(), comparator->layout()));
   }
+  const int lanes = comparator->num_lanes();
   // Per-anchor-row scans are independent: row i collects its per-rule
   // match count and the partners to union. The union-find merges replay
   // serially below; the cluster partition is the same for any merge order
@@ -124,41 +114,24 @@ Result<MatchResult> MdMatcher::Match(const Relation& relation,
       int64_t anchors_done,
       AnytimeParallelFor(ctx, options.pool, n, [&](int64_t i) {
     const int anchor = static_cast<int>(i);
-    if (comparator != nullptr) {
-      uint64_t words[PairComparator::kStripRows];
-      for (int j0 = anchor + 1; j0 < n; j0 += PairComparator::kStripRows) {
-        const int m = std::min(PairComparator::kStripRows, n - j0);
-        comparator->Strip(anchor, j0, m, words);
+    auto words = std::make_unique_for_overwrite<uint64_t[]>(
+        static_cast<size_t>(lanes) * PairComparator::kStripRows);
+    uint8_t hold[PairComparator::kStripRows];
+    uint8_t any[PairComparator::kStripRows];
+    for (int j0 = anchor + 1; j0 < n; j0 += PairComparator::kStripRows) {
+      const int m = std::min(PairComparator::kStripRows, n - j0);
+      comparator->Strip(anchor, j0, m, words.get());
+      std::fill(any, any + m, 0);
+      for (const SimilarityTest& test : tests) {
+        test.Holds(words.get(), m, hold);
         for (int k = 0; k < m; ++k) {
-          bool any = false;
-          for (const SimilarityTest& test : tests) {
-            if (test.Holds(words[k])) {
-              ++counts[i];
-              any = true;
-            }
-          }
-          if (any) partners[i].push_back(j0 + k);
+          counts[i] += hold[k];
+          any[k] |= hold[k];
         }
       }
-      return Status::OK();
-    }
-    for (int j = anchor + 1; j < n; ++j) {
-      bool any = false;
-      for (const Md* rule : live) {
-        bool similar = true;
-        for (const SimilarityPredicate& p : rule->lhs()) {
-          int f = facets.FacetOf(p);
-          if (!(tables[f]->RowDistance(anchor, j) <= p.threshold)) {
-            similar = false;
-            break;
-          }
-        }
-        if (similar) {
-          ++counts[i];
-          any = true;
-        }
+      for (int k = 0; k < m; ++k) {
+        if (any[k]) partners[i].push_back(j0 + k);
       }
-      if (any) partners[i].push_back(j);
     }
     return Status::OK();
       }));

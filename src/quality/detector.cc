@@ -72,56 +72,99 @@ bool CellsMatchCodes(const Relation& relation, const EncodedRelation& encoded,
   return true;
 }
 
+/// A test of one lane's bits: (lane & mask) == value, or != value when
+/// `equal` is false.
+struct LaneTest {
+  int lane = 0;
+  uint64_t mask = 0;
+  uint64_t value = 0;
+  bool equal = true;
+};
+
+/// Whether test `t` holds on word k of a lane-major strip of `count` words.
+inline bool Passes(const LaneTest& t, const uint64_t* words, int count,
+                   int k) {
+  return ((words[static_cast<size_t>(t.lane) * count + k] & t.mask) ==
+          t.value) == t.equal;
+}
+
+/// out[k] = whether every test holds on word k of a lane-major strip of
+/// `count` words, one test at a time over the whole strip.
+void AllPass(const std::vector<LaneTest>& tests, const uint64_t* words,
+             int count, uint8_t* out) {
+  std::fill(out, out + count, 1);
+  for (const LaneTest& t : tests) {
+    const uint64_t* lane = words + static_cast<size_t>(t.lane) * count;
+    const uint64_t mask = t.mask, value = t.value;
+    if (t.equal) {
+      for (int k = 0; k < count; ++k) out[k] &= (lane[k] & mask) == value;
+    } else {
+      for (int k = 0; k < count; ++k) out[k] &= (lane[k] & mask) != value;
+    }
+  }
+}
+
+/// Adds (mask, value) to the equality test of `lane` in `tests`, one such
+/// test per lane.
+void AddFixedBits(std::vector<LaneTest>* tests, int lane, uint64_t mask,
+                  uint64_t value) {
+  for (LaneTest& t : *tests) {
+    if (t.lane != lane || !t.equal) continue;
+    t.mask |= mask;
+    t.value |= value;
+    return;
+  }
+  tests->push_back(LaneTest{lane, mask, value, true});
+}
+
 /// An MD lowered onto the word: similar on the LHS buckets, identified when
 /// every RHS comparison field reads "equal" (zero).
 struct WordMd {
   int rule = 0;
   SimilarityTest lhs;
-  uint64_t rhs_mask = 0;
+  std::vector<LaneTest> rhs;
 };
 
 /// A two-tuple DC lowered onto the word. The predicates on one attribute
 /// intersect into one accept set over its comparison field (0 equal,
-/// 1 less, 2 greater; an equality bit reads 0 or 1 = unequal), and every
-/// accept set but {less, greater} on an order field is a pattern of fixed
-/// bits: the DC holds on a word when (word & mask) == value and each
-/// `nonzero` field reads less or greater. An empty accept set can never
-/// hold; it lowers to a zero `nonzero` field.
+/// 1 less, 2 greater, 3 unordered; an equality bit reads 0 or 1 = unequal),
+/// and every accept set but {less, greater, unordered} on an order field is
+/// a pattern of fixed bits: the DC holds on a word when every lane test
+/// does — fixed bits per lane, plus a nonzero test per {less, greater,
+/// unordered} field. An empty accept set can never hold; it lowers to a
+/// test that no word passes.
 struct WordDc {
   int rule = 0;
-  uint64_t mask = 0;
-  uint64_t value = 0;
-  std::vector<uint64_t> nonzero;
-
-  bool Holds(uint64_t word) const {
-    bool ok = (word & mask) == value;
-    for (uint64_t field : nonzero) ok &= (word & field) != 0;
-    return ok;
-  }
+  std::vector<LaneTest> tests;
 
   /// Adds the constraint "the field in `layout` reads a value of `accept`"
   /// (bit t of `accept` = field value t).
   void Require(const EvidenceSet::ColumnLayout& layout, unsigned accept) {
+    const int lane = layout.lane;
     const uint64_t field = layout.cmp_mask();
+    auto fix = [&](uint64_t mask, uint64_t value) {
+      AddFixedBits(&tests, lane, mask, value);
+    };
+    const LaneTest never{lane, 0, 0, false};
     if (layout.cmp == EvidenceColumn::Cmp::kEquality) {
       switch (accept & 0b011) {
-        case 0b001: mask |= field; break;
-        case 0b010: mask |= field; value |= field; break;
+        case 0b001: fix(field, 0); break;
+        case 0b010: fix(field, field); break;
         case 0b011: break;
-        default: nonzero.push_back(0); break;
+        default: tests.push_back(never); break;
       }
       return;
     }
     const uint64_t lo = field & (field >> 1), hi = field & ~lo;
-    switch (accept & 0b111) {
-      case 0b001: mask |= field; break;
-      case 0b010: mask |= field; value |= lo; break;
-      case 0b100: mask |= field; value |= hi; break;
-      case 0b011: mask |= hi; break;
-      case 0b101: mask |= lo; break;
-      case 0b110: nonzero.push_back(field); break;
-      case 0b111: break;
-      default: nonzero.push_back(0); break;
+    switch (accept & 0b1111) {
+      case 0b0001: fix(field, 0); break;
+      case 0b0010: fix(field, lo); break;
+      case 0b0100: fix(field, hi); break;
+      case 0b0011: fix(hi, 0); break;
+      case 0b0101: fix(lo, 0); break;
+      case 0b1110: tests.push_back(LaneTest{lane, field, 0, false}); break;
+      case 0b1111: break;
+      default: tests.push_back(never); break;
     }
   }
 };
@@ -130,7 +173,7 @@ struct WordDc {
 unsigned AcceptSet(CmpOp op) {
   switch (op) {
     case CmpOp::kEq: return 0b001;
-    case CmpOp::kNeq: return 0b110;
+    case CmpOp::kNeq: return 0b1110;
     case CmpOp::kLt: return 0b010;
     case CmpOp::kLe: return 0b011;
     case CmpOp::kGt: return 0b100;
@@ -146,46 +189,38 @@ bool IsOrderOp(CmpOp op) { return op != CmpOp::kEq && op != CmpOp::kNeq; }
 /// one threshold-bucket facet per distinct (attr, metric) of the MD
 /// predicates (SimilarityFacets), and one comparison facet per attribute an
 /// MD identifies or a DC reads — an order facet when some DC orders it, an
-/// equality bit otherwise. Rules whose shape the word cannot express, or
-/// that would push it past 64 bits, are left to their Validate.
+/// equality bit otherwise. Rules whose shape the word cannot express are
+/// left to their Validate.
 class PairRuleWord {
  public:
   PairRuleWord(const Relation& relation, const EncodedRelation& encoded)
       : relation_(relation),
         encoded_(encoded),
-        faithful_(relation.num_columns(), -1),
-        has_nan_(relation.num_columns(), -1) {}
+        faithful_(relation.num_columns(), -1) {}
 
-  /// Adds rule `index` when it compiles and still fits; false leaves it to
-  /// Validate.
+  /// Adds rule `index` when it compiles; false leaves it to Validate.
   bool TryAdd(int index, const Dependency& rule) {
-    SimilarityFacets facets = facets_;
-    std::vector<std::pair<int, EvidenceColumn::Cmp>> cmps = cmps_;
     if (typeid(rule) == typeid(Md)) {
       const auto& md = static_cast<const Md&>(rule);
       if (!MdCompiles(md)) return false;
-      facets.Add(md.lhs());
+      facets_.Add(md.lhs());
       for (int a : md.rhs().ToVector()) {
-        NeedCmp(&cmps, a, EvidenceColumn::Cmp::kEquality);
+        NeedCmp(a, EvidenceColumn::Cmp::kEquality);
       }
-      if (!Fits(facets, cmps)) return false;
       mds_.push_back(index);
-    } else if (typeid(rule) == typeid(Dc)) {
+      return true;
+    }
+    if (typeid(rule) == typeid(Dc)) {
       const auto& dc = static_cast<const Dc&>(rule);
       if (!DcCompiles(dc)) return false;
       for (const DcPredicate& p : dc.predicates()) {
-        NeedCmp(&cmps, p.lhs.attr,
-                IsOrderOp(p.op) ? EvidenceColumn::Cmp::kOrder
-                                : EvidenceColumn::Cmp::kEquality);
+        NeedCmp(p.lhs.attr, IsOrderOp(p.op) ? EvidenceColumn::Cmp::kOrder
+                                            : EvidenceColumn::Cmp::kEquality);
       }
-      if (!Fits(facets, cmps)) return false;
       dcs_.push_back(index);
-    } else {
-      return false;
+      return true;
     }
-    facets_ = std::move(facets);
-    cmps_ = std::move(cmps);
-    return true;
+    return false;
   }
 
   bool empty() const { return mds_.empty() && dcs_.empty(); }
@@ -208,6 +243,7 @@ class PairRuleWord {
         std::unique_ptr<PairComparator> pc,
         PairComparator::Make(encoded_, std::move(config), pool));
     const std::vector<EvidenceSet::ColumnLayout>& layout = pc->layout();
+    const int lanes = pc->num_lanes();
     auto cmp_layout = [&](int attr) -> const EvidenceSet::ColumnLayout& {
       size_t k = 0;
       while (cmps_[k].first != attr) ++k;
@@ -220,7 +256,8 @@ class PairRuleWord {
       w.rule = index;
       w.lhs = facets_.Compile(md.lhs(), layout);
       for (int a : md.rhs().ToVector()) {
-        w.rhs_mask |= cmp_layout(a).cmp_mask();
+        const EvidenceSet::ColumnLayout& c = cmp_layout(a);
+        AddFixedBits(&w.rhs, c.lane, c.cmp_mask(), 0);
       }
       mds.push_back(std::move(w));
     }
@@ -286,34 +323,42 @@ class PairRuleWord {
                 hit.emplace_back(static_cast<int>(r), j);
               }
             };
-            // Partners j < i (DCs only), then j > i, in strips.
-            uint64_t words[PairComparator::kStripRows];
-            auto check = [&](int j0, int j1) {
+            // Partners j < i (DCs only), then j > i, in strips; each rule
+            // tests a whole strip, lane by lane, before its hits are
+            // recorded in j order.
+            auto words = std::make_unique_for_overwrite<uint64_t[]>(
+                static_cast<size_t>(lanes) * PairComparator::kStripRows);
+            uint8_t hold[PairComparator::kStripRows];
+            auto check = [&](int j0, int j1, bool with_mds) {
               for (int s0 = j0; s0 < j1; s0 += PairComparator::kStripRows) {
                 const int m = std::min(PairComparator::kStripRows, j1 - s0);
-                pc->Strip(i, s0, m, words);
-                for (int k = 0; k < m; ++k) {
-                  const int j = s0 + k;
-                  const uint64_t w = words[k];
-                  if (j > i) {
-                    for (size_t r = 0; r < num_mds; ++r) {
-                      if (!mds[r].lhs.Holds(w)) continue;
-                      ++sim[r];
-                      if ((w & mds[r].rhs_mask) == 0) {
-                        ++ident[r];
-                      } else {
-                        record(r, j);
-                      }
+                pc->Strip(i, s0, m, words.get());
+                for (size_t r = 0; r < num_mds && with_mds; ++r) {
+                  mds[r].lhs.Holds(words.get(), m, hold);
+                  for (int k = 0; k < m; ++k) {
+                    if (!hold[k]) continue;
+                    ++sim[r];
+                    bool identified = true;
+                    for (const LaneTest& t : mds[r].rhs) {
+                      identified &= Passes(t, words.get(), m, k);
+                    }
+                    if (identified) {
+                      ++ident[r];
+                    } else {
+                      record(r, s0 + k);
                     }
                   }
-                  for (size_t d = 0; d < dcs.size(); ++d) {
-                    if (dcs[d].Holds(w)) record(num_mds + d, j);
+                }
+                for (size_t d = 0; d < dcs.size(); ++d) {
+                  AllPass(dcs[d].tests, words.get(), m, hold);
+                  for (int k = 0; k < m; ++k) {
+                    if (hold[k]) record(num_mds + d, s0 + k);
                   }
                 }
               }
             };
-            if (!dcs.empty()) check(0, i);
-            check(i + 1, n);
+            if (!dcs.empty()) check(0, i, false);
+            check(i + 1, n, true);
             for (size_t r = 0; r < num_rules; ++r) {
               violations[r].fetch_add(viol[r], std::memory_order_relaxed);
             }
@@ -386,7 +431,7 @@ class PairRuleWord {
   }
 
   /// Two-tuple DCs whose every predicate compares ta.A with tb.A of one
-  /// in-schema attribute; order predicates also need a NaN-free column.
+  /// in-schema attribute.
   bool DcCompiles(const Dc& dc) {
     if (dc.predicates().empty()) return false;
     int nc = relation_.num_columns();
@@ -394,8 +439,7 @@ class PairRuleWord {
       if (p.lhs.kind != DcOperand::Kind::kTupleA ||
           p.rhs.kind != DcOperand::Kind::kTupleB ||
           p.lhs.attr != p.rhs.attr || p.lhs.attr < 0 || p.lhs.attr >= nc ||
-          !Faithful(p.lhs.attr) ||
-          (IsOrderOp(p.op) && HasNan(p.lhs.attr))) {
+          !Faithful(p.lhs.attr)) {
         return false;
       }
     }
@@ -409,37 +453,20 @@ class PairRuleWord {
     return faithful_[attr] == 1;
   }
 
-  bool HasNan(int attr) {
-    if (has_nan_[attr] < 0) has_nan_[attr] = DictHasNan(encoded_, attr);
-    return has_nan_[attr] == 1;
-  }
-
   /// Ensures `attr` has a comparison facet at least as strong as `cmp`.
-  static void NeedCmp(std::vector<std::pair<int, EvidenceColumn::Cmp>>* cmps,
-                      int attr, EvidenceColumn::Cmp cmp) {
-    for (auto& [a, c] : *cmps) {
+  void NeedCmp(int attr, EvidenceColumn::Cmp cmp) {
+    for (auto& [a, c] : cmps_) {
       if (a != attr) continue;
       if (cmp == EvidenceColumn::Cmp::kOrder) c = cmp;
       return;
     }
-    cmps->emplace_back(attr, cmp);
-  }
-
-  static bool Fits(const SimilarityFacets& facets,
-                   const std::vector<std::pair<int, EvidenceColumn::Cmp>>&
-                       cmps) {
-    int bits = facets.bits();
-    for (const auto& [attr, cmp] : cmps) {
-      bits += cmp == EvidenceColumn::Cmp::kOrder ? 2 : 1;
-    }
-    return facets.packable() && bits <= 64;
+    cmps_.emplace_back(attr, cmp);
   }
 
   const Relation& relation_;
   const EncodedRelation& encoded_;
-  // Per-column guards, computed on first use: -1 unknown, 0 no, 1 yes.
+  // Per-column guard, computed on first use: -1 unknown, 0 no, 1 yes.
   std::vector<int> faithful_;
-  std::vector<int> has_nan_;
   SimilarityFacets facets_;
   std::vector<std::pair<int, EvidenceColumn::Cmp>> cmps_;
   std::vector<int> mds_, dcs_;  // rule indices, in rule order

@@ -53,11 +53,12 @@ class ViolationDetector {
   /// at most one block's worth of `max_violations_per_rule` witnesses per
   /// rule (charged to the `context`'s budget until merged). A rule stays on
   /// its Validate when the word cannot express it: single-tuple DCs, DCs
-  /// with constants, cross-column or tb-vs-ta predicates; order predicates
-  /// on a column whose dictionary holds a NaN; NaN or negative thresholds
-  /// and invalid rules (so their Status is unchanged); columns whose cells
-  /// differ from their dictionary representative (1 beside 1.0, 0.0 beside
-  /// -0.0); rules that would push the word past 64 bits. Those rules, and
+  /// with constants, cross-column or tb-vs-ta predicates; NaN or negative
+  /// thresholds and invalid rules (so their Status is unchanged); columns
+  /// whose cells differ from their dictionary representative (1 beside
+  /// 1.0, 0.0 beside -0.0). The word takes as many 64-bit lanes as the
+  /// rules need, and a NaN cell's order field reads "unordered", which
+  /// satisfies only `!=`, as under Value's operators. Those rules, and
   /// every other class, are validated concurrently on the `pool`, one slot
   /// per rule. With a `cache`, FD rules are first checked against the
   /// shared PLI store — a holding FD is confirmed from two cached

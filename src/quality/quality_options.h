@@ -17,9 +17,8 @@ class ThreadPool;
 /// relation it serves (appliers that mutate a working copy re-encode that
 /// copy instead). Pairwise matching goes through the shared comparison
 /// kernel (engine/evidence.h): similarity predicates compile to per-pair
-/// threshold-bucket bits decoded by bitmask per rule; rule sets whose word
-/// exceeds 64 bits keep per-predicate distance-table scans with identical
-/// output.
+/// threshold-bucket bits decoded by bitmask per rule, over a word of as
+/// many 64-bit lanes as the rule set needs.
 struct QualityOptions {
   ThreadPool* pool = nullptr;
   PliCache* cache = nullptr;

@@ -21,13 +21,6 @@ void SimilarityFacets::Add(const std::vector<SimilarityPredicate>& lhs) {
   }
 }
 
-bool SimilarityFacets::packable() const {
-  for (const EvidenceColumn& c : columns_) {
-    if (static_cast<int>(c.thresholds.size()) > kMaxThresholds) return false;
-  }
-  return true;
-}
-
 int SimilarityFacets::FacetOf(const SimilarityPredicate& p) const {
   for (size_t f = 0; f < columns_.size(); ++f) {
     if (columns_[f].attr == p.attr && columns_[f].metric == p.metric) {
@@ -47,7 +40,7 @@ SimilarityTest SimilarityFacets::Compile(
     uint64_t k = static_cast<uint64_t>(
         std::lower_bound(t.begin(), t.end(), p.threshold) - t.begin());
     test.checks.push_back(SimilarityTest::Check{
-        layout[f].bucket_mask(), k << layout[f].bucket_shift});
+        layout[f].lane, layout[f].bucket_mask(), k << layout[f].bucket_shift});
   }
   return test;
 }

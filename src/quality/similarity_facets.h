@@ -1,6 +1,7 @@
 #ifndef FAMTREE_QUALITY_SIMILARITY_FACETS_H_
 #define FAMTREE_QUALITY_SIMILARITY_FACETS_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -11,20 +12,25 @@ namespace famtree {
 
 /// A conjunction of "bucket <= k" tests over one comparison word. Each
 /// check reads its facet's bucket field in place: bucket <= k exactly when
-/// (word & mask) <= k << shift.
+/// (lane & mask) <= k << shift.
 struct SimilarityTest {
   struct Check {
+    int lane = 0;
     uint64_t mask = 0;
     uint64_t bound = 0;
   };
   std::vector<Check> checks;
 
-  /// Branch-free over the checks: pair walks feed it words whose outcome
-  /// is data-dependent, where an early exit mispredicts.
-  bool Holds(uint64_t word) const {
-    bool ok = true;
-    for (const Check& c : checks) ok &= (word & c.mask) <= c.bound;
-    return ok;
+  /// out[k] = whether the test holds on word k of a lane-major strip of
+  /// `count` words (lane l of word k at words[l * count + k]). One check at
+  /// a time over the whole strip, branch-free: pair walks feed it words
+  /// whose outcome is data-dependent, where an early exit mispredicts.
+  void Holds(const uint64_t* words, int count, uint8_t* out) const {
+    std::fill(out, out + count, 1);
+    for (const Check& c : checks) {
+      const uint64_t* lane = words + static_cast<size_t>(c.lane) * count;
+      for (int k = 0; k < count; ++k) out[k] &= (lane[k] & c.mask) <= c.bound;
+    }
   }
 };
 
@@ -40,10 +46,6 @@ struct SimilarityTest {
 /// through this.
 class SimilarityFacets {
  public:
-  /// Most thresholds one facet may carry: the byte-wide bucket tables
-  /// memoize at most 254.
-  static constexpr int kMaxThresholds = 254;
-
   /// Registers the thresholds of `lhs`, which must not be NaN (a NaN has no
   /// place in a sorted list; such a predicate matches no pair, so callers
   /// drop its rule first).
@@ -52,18 +54,11 @@ class SimilarityFacets {
   /// One facet per distinct (attr, metric), in first-registration order.
   const std::vector<EvidenceColumn>& columns() const { return columns_; }
 
-  /// Word bits the facets take.
-  int bits() const { return EvidenceWordBits(columns_); }
-
-  /// True when every registered predicate reads from a bucket: at most
-  /// kMaxThresholds per facet.
-  bool packable() const;
-
   /// Index into columns() of the facet serving `p` (registered), or -1.
   int FacetOf(const SimilarityPredicate& p) const;
 
-  /// The test of a registered, packable `lhs` over a word whose layout
-  /// starts with columns(), in order.
+  /// The test of a registered `lhs` over a word whose layout starts with
+  /// columns(), in order.
   SimilarityTest Compile(
       const std::vector<SimilarityPredicate>& lhs,
       const std::vector<EvidenceSet::ColumnLayout>& layout) const;

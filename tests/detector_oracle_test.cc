@@ -167,7 +167,8 @@ std::vector<DependencyPtr> MixedRules(uint64_t seed) {
 }
 
 /// Enough MDs on distinct metric objects to push the word past 64 bits:
-/// the later ones stay on Validate.
+/// it takes more lanes, and every rule still runs on the compiled pair
+/// walk, checked against Validate like any other.
 std::vector<DependencyPtr> WideRules() {
   std::vector<DependencyPtr> rules;
   for (int k = 0; k < 70; ++k) {

@@ -1,13 +1,16 @@
 // Property tests for the shared pairwise evidence kernel: on random
-// mixed-type relations (nulls, cross-representation numerics, strings, up
-// to the 63-attribute boundary) and on numeric relations with NaN and
-// infinite cells, the tiled, pruned, parallel, pair-list and delta (append)
-// builds must all produce the evidence multiset a naive Value-based double
-// loop produces — same words, same counts, same per-word distance
-// aggregates, bit for bit — and every strip of the PairComparator kernel
-// must equal its one-partner Word. Plus EvidenceCache hit/eviction
-// behavior, and engine-served evidence matching a fresh engine's on
-// relations that share a code matrix but not their values.
+// mixed-type relations (nulls, cross-representation numerics, strings) and
+// on numeric relations with NaN and infinite cells, under one-lane and
+// multi-lane (65-200 bit) configs with one- and two-column order facets,
+// the tiled, pruned, parallel, pair-list and delta (append) builds must all
+// produce the evidence multiset a naive Value-based double loop produces —
+// same words, same counts, same per-word distance aggregates, bit for bit —
+// and every strip of the PairComparator kernel must equal its one-partner
+// Word. Two-column order facets, mirrored, must give the predicate
+// outcomes DcPredicate::Eval gives on every ordered pair. Plus
+// EvidenceCache hit/eviction behavior, and engine-served evidence matching
+// a fresh engine's on relations that share a code matrix but not their
+// values.
 //
 // Integers beyond 2^53 beside doubles are left out of every generator:
 // there `==` is not transitive (2^53 + 1 == 2^53.0 == 2^53, yet the two
@@ -16,6 +19,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
@@ -29,6 +33,7 @@
 
 #include "common/rng.h"
 #include "common/thread_pool.h"
+#include "deps/dc.h"
 #include "discovery/fastdc.h"
 #include "discovery/md_discovery.h"
 #include "engine/engine.h"
@@ -105,6 +110,22 @@ MetricPtr RandomMetric(Rng* rng) {
   }
 }
 
+/// Sometimes appends a two-column order facet (a, b) with its mirror
+/// (b, a).
+void AddCrossFacets(Rng* rng, int cols, std::vector<EvidenceColumn>* config) {
+  if (cols < 2 || rng->Uniform(0, 1) == 0) return;
+  int a = static_cast<int>(rng->Uniform(0, cols - 1));
+  int b = static_cast<int>(rng->Uniform(0, cols - 2));
+  if (b >= a) ++b;
+  for (auto [x, y] : {std::pair{a, b}, std::pair{b, a}}) {
+    EvidenceColumn col;
+    col.attr = x;
+    col.b_attr = y;
+    col.cmp = EvidenceColumn::Cmp::kOrder;
+    config->push_back(col);
+  }
+}
+
 std::vector<EvidenceColumn> RandomConfig(Rng* rng, int cols) {
   std::vector<EvidenceColumn> config;
   for (int c = 0; c < cols; ++c) {
@@ -135,31 +156,46 @@ std::vector<EvidenceColumn> RandomConfig(Rng* rng, int cols) {
     col.attr = 0;
     config.push_back(col);
   }
+  AddCrossFacets(rng, cols, &config);
   return config;
 }
 
+/// A word in oracle form: its lanes, lane 0 first, so std::map orders
+/// oracle words as the kernel sorts them.
+using Lanes = std::vector<uint64_t>;
+
 /// The independently computed word layout (the documented packing rule:
-/// config order, comparison bits then bucket bits).
+/// config order, comparison bits then bucket bits, and a column that does
+/// not fit in what is left of a 64-bit lane starts the next lane).
 struct OracleLayout {
+  int lane = 0;
   int cmp_shift = 0;
   int bucket_shift = 0;
   int bucket_bits = 0;
 };
 
-std::vector<OracleLayout> LayoutOf(const std::vector<EvidenceColumn>& config) {
+std::vector<OracleLayout> LayoutOf(const std::vector<EvidenceColumn>& config,
+                                   int* num_lanes) {
   std::vector<OracleLayout> lay(config.size());
-  int shift = 0;
+  int lane = 0, shift = 0;
   for (size_t c = 0; c < config.size(); ++c) {
-    lay[c].cmp_shift = shift;
-    if (config[c].cmp == EvidenceColumn::Cmp::kEquality) shift += 1;
-    if (config[c].cmp == EvidenceColumn::Cmp::kOrder) shift += 2;
+    int cmp_bits = config[c].cmp == EvidenceColumn::Cmp::kEquality ? 1
+                   : config[c].cmp == EvidenceColumn::Cmp::kOrder  ? 2
+                                                                   : 0;
     if (config[c].metric != nullptr && !config[c].thresholds.empty()) {
-      lay[c].bucket_shift = shift;
       int states = static_cast<int>(config[c].thresholds.size()) + 1;
       while ((1 << lay[c].bucket_bits) < states) ++lay[c].bucket_bits;
-      shift += lay[c].bucket_bits;
     }
+    if (shift + cmp_bits + lay[c].bucket_bits > 64) {
+      ++lane;
+      shift = 0;
+    }
+    lay[c].lane = lane;
+    lay[c].cmp_shift = shift;
+    lay[c].bucket_shift = shift + cmp_bits;
+    shift += cmp_bits + lay[c].bucket_bits;
   }
+  *num_lanes = lane + 1;
   return lay;
 }
 
@@ -174,33 +210,38 @@ struct OracleEntry {
   std::vector<OracleAgg> aggs;
 };
 
-/// The documented order facet: SortsBefore, with NaN last. Two NaN cells
-/// never compare equal and tie under SortsBefore; the kernel's rank puts
-/// the earlier row's NaN first (NaN codes rank in code order, and each
-/// NaN cell gets the next code in row order).
-int OracleOrder(const Value& a, const Value& b, int i, int j) {
-  if (SortsBefore(a, b)) return 1;
-  if (SortsBefore(b, a)) return 2;
-  return i < j ? 1 : 2;
+bool IsNanValue(const Value& v) {
+  return v.type() == ValueType::kDouble && std::isnan(v.as_double());
+}
+
+/// The documented order field, Value's order: 0 equal, 1 less, 2
+/// greater, and 3 (unordered) for a NaN against a number or a NaN, which
+/// Value's operators leave neither equal, below nor above. A NaN against a
+/// null or a string still orders by type.
+int OracleOrder(const Value& a, const Value& b) {
+  if (a == b) return 0;
+  if (a < b) return 1;
+  if (b < a) return 2;
+  EXPECT_TRUE(IsNanValue(a) || IsNanValue(b));
+  return 3;
 }
 
 /// Naive double-loop oracle straight off the Value interface.
-uint64_t OracleWord(const Relation& r,
-                    const std::vector<EvidenceColumn>& config,
-                    const std::vector<OracleLayout>& lay, int i, int j,
-                    std::vector<double>* dists) {
-  uint64_t w = 0;
+Lanes OracleWord(const Relation& r, const std::vector<EvidenceColumn>& config,
+                 const std::vector<OracleLayout>& lay, int num_lanes, int i,
+                 int j, std::vector<double>* dists) {
+  Lanes w(num_lanes, 0);
   dists->clear();
   for (size_t c = 0; c < config.size(); ++c) {
     const Value& a = r.Get(i, config[c].attr);
     const Value& b = r.Get(j, config[c].attr);
+    uint64_t& lane = w[lay[c].lane];
     if (config[c].cmp == EvidenceColumn::Cmp::kEquality) {
-      w |= static_cast<uint64_t>(!(a == b)) << lay[c].cmp_shift;
+      lane |= static_cast<uint64_t>(!(a == b)) << lay[c].cmp_shift;
     } else if (config[c].cmp == EvidenceColumn::Cmp::kOrder) {
-      if (!(a == b)) {
-        w |= static_cast<uint64_t>(OracleOrder(a, b, i, j))
-             << lay[c].cmp_shift;
-      }
+      const Value& other =
+          config[c].b_attr >= 0 ? r.Get(j, config[c].b_attr) : b;
+      lane |= static_cast<uint64_t>(OracleOrder(a, other)) << lay[c].cmp_shift;
     }
     if (config[c].metric != nullptr) {
       double d = config[c].metric->Distance(a, b);
@@ -212,7 +253,7 @@ uint64_t OracleWord(const Relation& r,
             break;
           }
         }
-        w |= bucket << lay[c].bucket_shift;
+        lane |= bucket << lay[c].bucket_shift;
       }
       if (config[c].track_max) dists->push_back(d);
     }
@@ -220,19 +261,19 @@ uint64_t OracleWord(const Relation& r,
   return w;
 }
 
-std::map<uint64_t, OracleEntry> OracleEvidenceForPairs(
+std::map<Lanes, OracleEntry> OracleEvidenceForPairs(
     const Relation& r, const std::vector<EvidenceColumn>& config,
     const std::vector<std::pair<int, int>>& pairs) {
-  std::vector<OracleLayout> lay = LayoutOf(config);
-  std::map<uint64_t, OracleEntry> out;
+  int num_lanes = 0;
+  std::vector<OracleLayout> lay = LayoutOf(config, &num_lanes);
+  std::map<Lanes, OracleEntry> out;
   int tracked = 0;
   for (const EvidenceColumn& c : config) {
     if (c.track_max) ++tracked;
   }
   std::vector<double> dists;
   for (const auto& [i, j] : pairs) {
-    uint64_t w = OracleWord(r, config, lay, i, j, &dists);
-    OracleEntry& e = out[w];
+    OracleEntry& e = out[OracleWord(r, config, lay, num_lanes, i, j, &dists)];
     if (e.aggs.empty()) e.aggs.resize(tracked);
     ++e.count;
     for (int t = 0; t < tracked; ++t) {
@@ -248,7 +289,7 @@ std::map<uint64_t, OracleEntry> OracleEvidenceForPairs(
   return out;
 }
 
-std::map<uint64_t, OracleEntry> OracleEvidence(
+std::map<Lanes, OracleEntry> OracleEvidence(
     const Relation& r, const std::vector<EvidenceColumn>& config) {
   std::vector<std::pair<int, int>> pairs;
   for (int i = 0; i + 1 < r.num_rows(); ++i) {
@@ -259,11 +300,15 @@ std::map<uint64_t, OracleEntry> OracleEvidence(
 
 /// A built set in oracle form, to compare two builds with
 /// ExpectMatchesOracle.
-std::map<uint64_t, OracleEntry> EntriesOf(const EvidenceSet& set) {
-  std::map<uint64_t, OracleEntry> out;
-  for (size_t w = 0; w < set.words().size(); ++w) {
-    OracleEntry& e = out[set.words()[w].bits];
-    e.count = set.words()[w].count;
+Lanes LanesOf(const EvidenceSet& set, size_t w) {
+  return Lanes(set.lanes(w), set.lanes(w) + set.num_lanes());
+}
+
+std::map<Lanes, OracleEntry> EntriesOf(const EvidenceSet& set) {
+  std::map<Lanes, OracleEntry> out;
+  for (size_t w = 0; w < set.num_words(); ++w) {
+    OracleEntry& e = out[LanesOf(set, w)];
+    e.count = set.count(w);
     for (int t = 0; t < set.num_tracked(); ++t) {
       const EvidenceSet::Aggregate& a = set.agg(w, t);
       e.aggs.push_back(OracleAgg{a.max_all, a.max_finite, a.saw_nonfinite});
@@ -274,8 +319,15 @@ std::map<uint64_t, OracleEntry> EntriesOf(const EvidenceSet& set) {
 
 /// Blanks the aggregates of the all-unequal word: the pruned build
 /// synthesizes it with zero aggregates by contract.
-void BlankAllUnequal(std::map<uint64_t, OracleEntry>* oracle, int cols) {
-  auto it = oracle->find((uint64_t{1} << cols) - 1);
+void BlankAllUnequal(std::map<Lanes, OracleEntry>* oracle,
+                     const std::vector<EvidenceColumn>& config) {
+  int num_lanes = 0;
+  std::vector<OracleLayout> lay = LayoutOf(config, &num_lanes);
+  Lanes all_unequal(num_lanes, 0);
+  for (const OracleLayout& l : lay) {
+    all_unequal[l.lane] |= uint64_t{1} << l.cmp_shift;
+  }
+  auto it = oracle->find(all_unequal);
   if (it != oracle->end()) {
     for (OracleAgg& a : it->second.aggs) a = OracleAgg{};
   }
@@ -298,15 +350,57 @@ std::vector<EvidenceColumn> PrunableConfig(Rng* rng, int cols) {
   return config;
 }
 
+/// A config of 65-200 bits (two to four lanes): random facets over
+/// repeated columns, with bucket lists of up to 40 thresholds, and
+/// sometimes a two-column order facet pair.
+std::vector<EvidenceColumn> WideConfig(Rng* rng, int cols) {
+  const int target = static_cast<int>(rng->Uniform(65, 186));
+  std::vector<EvidenceColumn> config;
+  while (EvidenceWordBits(config) < target) {
+    EvidenceColumn col;
+    col.attr = static_cast<int>(rng->Uniform(0, cols - 1));
+    switch (rng->Uniform(0, 2)) {
+      case 0: col.cmp = EvidenceColumn::Cmp::kNone; break;
+      case 1: col.cmp = EvidenceColumn::Cmp::kEquality; break;
+      default: col.cmp = EvidenceColumn::Cmp::kOrder; break;
+    }
+    if (rng->Uniform(0, 1) == 0) {
+      col.metric = RandomMetric(rng);
+      int nth = static_cast<int>(rng->Uniform(1, 40));
+      for (int t = 0; t < nth; ++t) col.thresholds.push_back(t * 0.5);
+      col.track_max = rng->Uniform(0, 2) == 0;
+    }
+    config.push_back(std::move(col));
+  }
+  AddCrossFacets(rng, cols, &config);
+  return config;
+}
+
+/// 65-200 equality facets over repeated columns (pruning-eligible), with a
+/// tracked metric on some.
+std::vector<EvidenceColumn> WidePrunableConfig(Rng* rng, int cols) {
+  std::vector<EvidenceColumn> config;
+  const int facets = static_cast<int>(rng->Uniform(65, 200));
+  for (int f = 0; f < facets; ++f) {
+    EvidenceColumn col;
+    col.attr = static_cast<int>(rng->Uniform(0, cols - 1));
+    if (rng->Uniform(0, 7) == 0) {
+      col.metric = RandomMetric(rng);
+      col.track_max = true;
+    }
+    config.push_back(std::move(col));
+  }
+  return config;
+}
+
 void ExpectMatchesOracle(const EvidenceSet& set,
-                         const std::map<uint64_t, OracleEntry>& oracle,
+                         const std::map<Lanes, OracleEntry>& oracle,
                          const std::string& label) {
-  ASSERT_EQ(set.words().size(), oracle.size()) << label;
+  ASSERT_EQ(set.num_words(), oracle.size()) << label;
   size_t idx = 0;
   for (const auto& [w, entry] : oracle) {
-    const EvidenceSet::Word& word = set.words()[idx];
-    EXPECT_EQ(word.bits, w) << label << " word " << idx;
-    EXPECT_EQ(word.count, entry.count) << label << " word " << idx;
+    EXPECT_EQ(LanesOf(set, idx), w) << label << " word " << idx;
+    EXPECT_EQ(set.count(idx), entry.count) << label << " word " << idx;
     for (int t = 0; t < set.num_tracked(); ++t) {
       const EvidenceSet::Aggregate& a = set.agg(idx, t);
       EXPECT_EQ(a.max_all, entry.aggs[t].max_all)
@@ -321,7 +415,9 @@ void ExpectMatchesOracle(const EvidenceSet& set,
 }
 
 TEST(EvidencePropertyTest, TiledAndParallelBuildsMatchNaiveOracle) {
+  // Every fourth seed runs a config of 65-200 bits, two to four lanes.
   ThreadPool pool2(2), pool8(8);
+  int multi_lane = 0;
   for (uint64_t seed = 0; seed < 40; ++seed) {
     int rows = 8 + static_cast<int>(seed % 7) * 9;
     int cols = 2 + static_cast<int>(seed % 5);
@@ -329,8 +425,9 @@ TEST(EvidencePropertyTest, TiledAndParallelBuildsMatchNaiveOracle) {
     Relation r = MakeMixedRandomRelation(seed, rows, cols, domain);
     EncodedRelation enc(r);
     Rng rng(seed ^ 0xfeedfaceULL);
-    std::vector<EvidenceColumn> config = RandomConfig(&rng, cols);
-    std::map<uint64_t, OracleEntry> oracle = OracleEvidence(r, config);
+    std::vector<EvidenceColumn> config =
+        seed % 4 == 3 ? WideConfig(&rng, cols) : RandomConfig(&rng, cols);
+    std::map<Lanes, OracleEntry> oracle = OracleEvidence(r, config);
 
     EvidenceOptions serial;
     serial.tile_rows = 1 + static_cast<int>(seed % 16);  // odd tile shapes
@@ -339,6 +436,7 @@ TEST(EvidencePropertyTest, TiledAndParallelBuildsMatchNaiveOracle) {
     ExpectMatchesOracle(**s, oracle, "serial seed " + std::to_string(seed));
     EXPECT_EQ((*s)->total_pairs(),
               static_cast<int64_t>(rows) * (rows - 1) / 2);
+    if ((*s)->num_lanes() > 1) ++multi_lane;
 
     for (ThreadPool* pool : {&pool2, &pool8}) {
       EvidenceOptions popt;
@@ -349,6 +447,7 @@ TEST(EvidencePropertyTest, TiledAndParallelBuildsMatchNaiveOracle) {
                           "pooled seed " + std::to_string(seed));
     }
   }
+  EXPECT_GE(multi_lane, 10);
 }
 
 TEST(EvidencePropertyTest, PrunedBuildMatchesDenseAndOracle) {
@@ -360,9 +459,11 @@ TEST(EvidencePropertyTest, PrunedBuildMatchesDenseAndOracle) {
     Relation r = MakeMixedRandomRelation(seed * 31 + 7, rows, cols, domain);
     EncodedRelation enc(r);
     Rng rng(seed ^ 0x0ddba11ULL);
-    std::vector<EvidenceColumn> config = PrunableConfig(&rng, cols);
-    std::map<uint64_t, OracleEntry> oracle = OracleEvidence(r, config);
-    BlankAllUnequal(&oracle, cols);
+    std::vector<EvidenceColumn> config = seed % 4 == 3
+                                             ? WidePrunableConfig(&rng, cols)
+                                             : PrunableConfig(&rng, cols);
+    std::map<Lanes, OracleEntry> oracle = OracleEvidence(r, config);
+    BlankAllUnequal(&oracle, config);
 
     PliCache pli(r);
     for (bool use_pli : {false, true}) {
@@ -383,10 +484,16 @@ TEST(EvidencePropertyTest, PrunedBuildMatchesDenseAndOracle) {
 }
 
 TEST(EvidencePropertyTest, PairListMatchesUnorderedPlusMirror) {
+  // Odd seeds carry NaN cells, so order fields read "unordered" (3), which
+  // the mirror keeps; two-column facets (a, b) and (b, a) mirror into each
+  // other.
+  int64_t unordered_fields = 0;
   for (uint64_t seed = 0; seed < 20; ++seed) {
     int rows = 6 + static_cast<int>(seed % 5) * 7;
     int cols = 2 + static_cast<int>(seed % 4);
-    Relation r = MakeMixedRandomRelation(seed * 17 + 3, rows, cols, 4);
+    Relation r = seed % 2 == 0
+                     ? MakeMixedRandomRelation(seed * 17 + 3, rows, cols, 4)
+                     : MakeNonFiniteRelation(seed * 17 + 3, rows, cols, 4);
     EncodedRelation enc(r);
     std::vector<EvidenceColumn> config;
     for (int c = 0; c < cols; ++c) {
@@ -396,6 +503,8 @@ TEST(EvidencePropertyTest, PairListMatchesUnorderedPlusMirror) {
                            : EvidenceColumn::Cmp::kEquality;
       config.push_back(col);
     }
+    Rng rng(seed ^ 0x3177ULL);
+    AddCrossFacets(&rng, cols, &config);
     // All ordered pairs i != j ...
     std::vector<std::pair<int, int>> pairs;
     for (int i = 0; i < rows; ++i) {
@@ -408,26 +517,39 @@ TEST(EvidencePropertyTest, PairListMatchesUnorderedPlusMirror) {
     // ... must equal the unordered multiset plus its mirror.
     auto unordered = BuildEvidence(enc, config, {});
     ASSERT_TRUE(unordered.ok());
-    std::map<uint64_t, int64_t> expected;
-    for (const EvidenceSet::Word& w : (*unordered)->words()) {
-      expected[w.bits] += w.count;
-      expected[(*unordered)->MirrorOf(w.bits)] += w.count;
+    const EvidenceSet& set = **unordered;
+    std::map<Lanes, int64_t> expected;
+    for (size_t w = 0; w < set.num_words(); ++w) {
+      Lanes mirror(set.num_lanes()), back(set.num_lanes());
+      set.MirrorOf(set.lanes(w), mirror.data());
+      set.MirrorOf(mirror.data(), back.data());
+      EXPECT_EQ(back, LanesOf(set, w)) << "seed " << seed;
+      for (const EvidenceSet::ColumnLayout& c : set.layout()) {
+        if (c.cmp != EvidenceColumn::Cmp::kOrder) continue;
+        if (set.layout()[c.mirror].CmpOf(set.lanes(w)) != 3) continue;
+        ++unordered_fields;
+        EXPECT_EQ(c.CmpOf(mirror.data()), 3) << "seed " << seed;
+      }
+      expected[LanesOf(set, w)] += set.count(w);
+      expected[mirror] += set.count(w);
     }
-    ASSERT_EQ((*listed)->words().size(), expected.size()) << "seed " << seed;
+    ASSERT_EQ((*listed)->num_words(), expected.size()) << "seed " << seed;
     size_t idx = 0;
-    for (const auto& [bits, count] : expected) {
-      EXPECT_EQ((*listed)->words()[idx].bits, bits) << "seed " << seed;
-      EXPECT_EQ((*listed)->words()[idx].count, count) << "seed " << seed;
+    for (const auto& [lanes, count] : expected) {
+      EXPECT_EQ(LanesOf(**listed, idx), lanes) << "seed " << seed;
+      EXPECT_EQ((*listed)->count(idx), count) << "seed " << seed;
       ++idx;
     }
     EXPECT_EQ((*listed)->total_pairs(),
               static_cast<int64_t>(pairs.size()));
   }
+  EXPECT_GT(unordered_fields, 0);
 }
 
 TEST(EvidencePropertyTest, WideRelationUsesSparsePathCorrectly) {
   // 63 equality facets push the word to 63 bits — far past the dense
-  // accumulator — and still must match the oracle.
+  // accumulator — and still must match the oracle; a 64th facet of two
+  // bits opens a second lane.
   const int kCols = 63, kRows = 24;
   Rng rng(4242);
   std::vector<std::string> names;
@@ -449,17 +571,20 @@ TEST(EvidencePropertyTest, WideRelationUsesSparsePathCorrectly) {
     config.push_back(col);
   }
   EXPECT_EQ(EvidenceWordBits(config), 63);
-  std::map<uint64_t, OracleEntry> oracle = OracleEvidence(r, config);
   ThreadPool pool8(8);
   EvidenceOptions opt;
   opt.pool = &pool8;
   auto s = BuildEvidence(enc, config, opt);
   ASSERT_TRUE(s.ok());
-  ExpectMatchesOracle(**s, oracle, "wide");
-  // One more facet would overflow the word; the kernel must refuse.
+  EXPECT_EQ((*s)->num_lanes(), 1);
+  ExpectMatchesOracle(**s, OracleEvidence(r, config), "wide");
   config.push_back(config.back());
   config.back().cmp = EvidenceColumn::Cmp::kOrder;
-  EXPECT_FALSE(BuildEvidence(enc, config, {}).ok());
+  auto two = BuildEvidence(enc, config, opt);
+  ASSERT_TRUE(two.ok()) << two.status().ToString();
+  EXPECT_EQ((*two)->num_lanes(), 2);
+  EXPECT_EQ((*two)->layout().back().lane, 1);
+  ExpectMatchesOracle(**two, OracleEvidence(r, config), "wide, two lanes");
 }
 
 TEST(EvidencePropertyTest, NonFiniteColumnsMatchNaiveOracle) {
@@ -473,8 +598,9 @@ TEST(EvidencePropertyTest, NonFiniteColumnsMatchNaiveOracle) {
     Relation r = MakeNonFiniteRelation(seed * 13 + 5, rows, cols, domain);
     EncodedRelation enc(r);
     Rng rng(seed ^ 0xabad1deaULL);
-    std::vector<EvidenceColumn> config = RandomConfig(&rng, cols);
-    std::map<uint64_t, OracleEntry> oracle = OracleEvidence(r, config);
+    std::vector<EvidenceColumn> config =
+        seed % 4 == 3 ? WideConfig(&rng, cols) : RandomConfig(&rng, cols);
+    std::map<Lanes, OracleEntry> oracle = OracleEvidence(r, config);
     for (ThreadPool* pool : {static_cast<ThreadPool*>(nullptr), &pool8}) {
       EvidenceOptions opt;
       opt.pool = pool;
@@ -486,9 +612,11 @@ TEST(EvidencePropertyTest, NonFiniteColumnsMatchNaiveOracle) {
                               (pool ? " pooled" : ""));
     }
 
-    std::vector<EvidenceColumn> prunable = PrunableConfig(&rng, cols);
-    std::map<uint64_t, OracleEntry> pruned_oracle = OracleEvidence(r, prunable);
-    BlankAllUnequal(&pruned_oracle, cols);
+    std::vector<EvidenceColumn> prunable = seed % 4 == 3
+                                               ? WidePrunableConfig(&rng, cols)
+                                               : PrunableConfig(&rng, cols);
+    std::map<Lanes, OracleEntry> pruned_oracle = OracleEvidence(r, prunable);
+    BlankAllUnequal(&pruned_oracle, prunable);
     EvidenceOptions popt;
     popt.prune_all_unequal = true;
     popt.tile_rows = 1 + static_cast<int>(seed % 5);
@@ -511,7 +639,8 @@ TEST(EvidencePropertyTest, PairListWithMetricsMatchesOracle) {
                      : MakeMixedRandomRelation(seed * 7 + 1, rows, cols, 5);
     EncodedRelation enc(r);
     Rng rng(seed ^ 0x5eedULL);
-    std::vector<EvidenceColumn> config = RandomConfig(&rng, cols);
+    std::vector<EvidenceColumn> config =
+        seed % 3 == 2 ? WideConfig(&rng, cols) : RandomConfig(&rng, cols);
     std::vector<std::pair<int, int>> pairs;
     int num_pairs = static_cast<int>(rng.Uniform(1, 4 * rows));
     while (static_cast<int>(pairs.size()) < num_pairs) {
@@ -522,7 +651,7 @@ TEST(EvidencePropertyTest, PairListWithMetricsMatchesOracle) {
         if (j != i) pairs.push_back({i, j});
       }
     }
-    std::map<uint64_t, OracleEntry> oracle =
+    std::map<Lanes, OracleEntry> oracle =
         OracleEvidenceForPairs(r, config, pairs);
     EvidenceOptions opt;
     opt.tile_rows = 1 + static_cast<int>(seed % 3);
@@ -552,8 +681,11 @@ TEST(EvidencePropertyTest, DeltaPlusMergeEqualsColdBuild) {
     EncodedRelation enc(r), prefix_enc(prefix);
     Rng rng(seed ^ 0xde17aULL);
     for (bool pruned : {false, true}) {
+      const bool wide = seed % 3 == 1;
       std::vector<EvidenceColumn> config =
-          pruned ? PrunableConfig(&rng, cols) : RandomConfig(&rng, cols);
+          pruned ? (wide ? WidePrunableConfig(&rng, cols)
+                         : PrunableConfig(&rng, cols))
+                 : (wide ? WideConfig(&rng, cols) : RandomConfig(&rng, cols));
       EvidenceOptions opt;
       opt.prune_all_unequal = pruned;
       opt.tile_rows = 1 + 2 * static_cast<int>(seed % 7);  // odd tiles
@@ -593,8 +725,8 @@ TEST(EvidencePropertyTest, RunsLongerThanOneStripMatchOracle) {
     const std::string label = "long runs seed " + std::to_string(seed);
 
     std::vector<EvidenceColumn> prunable = PrunableConfig(&rng, cols);
-    std::map<uint64_t, OracleEntry> pruned_oracle = OracleEvidence(r, prunable);
-    BlankAllUnequal(&pruned_oracle, cols);
+    std::map<Lanes, OracleEntry> pruned_oracle = OracleEvidence(r, prunable);
+    BlankAllUnequal(&pruned_oracle, prunable);
     EvidenceOptions popt;
     popt.prune_all_unequal = true;
     auto pruned = BuildEvidence(enc, prunable, popt);
@@ -635,9 +767,14 @@ void ExpectStripMatchesWords(const PairComparator& pc, int i,
                              const std::string& label) {
   const int count = static_cast<int>(partners.size());
   std::vector<double> one(std::max(1, pc.num_tracked()));
+  std::vector<uint64_t> lanes(pc.num_lanes());
   for (int k = 0; k < count; ++k) {
-    ASSERT_EQ(words[k], pc.Word(i, partners[k], one.data()))
-        << label << " anchor " << i << " partner " << partners[k];
+    pc.Word(i, partners[k], lanes.data(), one.data());
+    for (int l = 0; l < pc.num_lanes(); ++l) {
+      ASSERT_EQ(words[static_cast<size_t>(l) * count + k], lanes[l])
+          << label << " anchor " << i << " partner " << partners[k]
+          << " lane " << l;
+    }
     for (int t = 0; t < pc.num_tracked(); ++t) {
       EXPECT_EQ(std::bit_cast<uint64_t>(dists[t * count + k]),
                 std::bit_cast<uint64_t>(one[t]))
@@ -659,14 +796,15 @@ TEST(EvidencePropertyTest, StripWordsEqualOnePartnerWord) {
                      : MakeMixedRandomRelation(seed + 40, rows, cols, 6);
     EncodedRelation enc(r);
     Rng rng(seed ^ 0x57819ULL);
-    std::vector<EvidenceColumn> config = RandomConfig(&rng, cols);
+    std::vector<EvidenceColumn> config =
+        seed % 2 == 1 ? WideConfig(&rng, cols) : RandomConfig(&rng, cols);
     auto made = PairComparator::Make(enc, config, nullptr);
     ASSERT_TRUE(made.ok()) << made.status().ToString();
     const PairComparator& pc = **made;
     auto strip_of = [&](int i, const std::vector<int>& partners,
                         bool contiguous, const std::string& label) {
       const int count = static_cast<int>(partners.size());
-      std::vector<uint64_t> words(count);
+      std::vector<uint64_t> words(static_cast<size_t>(count) * pc.num_lanes());
       std::vector<double> dists(static_cast<size_t>(count) *
                                 pc.num_tracked());
       if (contiguous) {
@@ -699,6 +837,97 @@ TEST(EvidencePropertyTest, StripWordsEqualOnePartnerWord) {
       strip_of(i, listed, false, "pair list");
     }
   }
+}
+
+TEST(EvidencePropertyTest, TwoColumnOrderFacetsMatchDcPredicateEval) {
+  // Every ordered column pair (a, b), a != b, as a two-column order facet,
+  // plus a one-column facet per column; up to 36 facets, so wider schemas
+  // span two lanes. Each facet decodes into the six predicates
+  // ta.a op tb.b; over the unordered multiset plus its mirror, and over an
+  // explicit list of every ordered pair, the outcome multiset must equal
+  // DcPredicate::Eval's on every ordered pair of distinct rows.
+  const CmpOp kOps[] = {CmpOp::kEq, CmpOp::kNeq, CmpOp::kLt,
+                        CmpOp::kLe, CmpOp::kGt,  CmpOp::kGe};
+  for (uint64_t seed = 0; seed < 12; ++seed) {
+    const int rows = 6 + static_cast<int>(seed % 5) * 6;
+    const int cols = 3 + static_cast<int>(seed % 4);
+    Relation r = seed % 2 == 0
+                     ? MakeMixedRandomRelation(seed * 7 + 19, rows, cols, 4)
+                     : MakeNonFiniteRelation(seed * 7 + 19, rows, cols, 4);
+    EncodedRelation enc(r);
+    std::vector<EvidenceColumn> config;
+    std::vector<DcPredicate> preds;
+    for (int a = 0; a < cols; ++a) {
+      for (int b = 0; b < cols; ++b) {
+        EvidenceColumn col;
+        col.attr = a;
+        col.b_attr = a == b ? -1 : b;
+        col.cmp = EvidenceColumn::Cmp::kOrder;
+        config.push_back(col);
+        for (CmpOp op : kOps) {
+          preds.push_back(
+              DcPredicate{DcOperand::TupleA(a), op, DcOperand::TupleB(b)});
+        }
+      }
+    }
+    using Outcomes = std::vector<bool>;
+    auto decode = [&](const EvidenceSet& set, const uint64_t* lanes) {
+      Outcomes out;
+      for (size_t c = 0; c < config.size(); ++c) {
+        const int t = set.layout()[c].CmpOf(lanes);
+        out.insert(out.end(), {t == 0, t != 0, t == 1, (t & 2) == 0, t == 2,
+                               (t & 1) == 0});
+      }
+      return out;
+    };
+    std::map<Outcomes, int64_t> want;
+    std::vector<std::pair<int, int>> pairs;
+    for (int i = 0; i < rows; ++i) {
+      for (int j = 0; j < rows; ++j) {
+        if (i == j) continue;
+        pairs.push_back({i, j});
+        Outcomes o;
+        for (const DcPredicate& p : preds) o.push_back(p.Eval(r, i, j));
+        ++want[o];
+      }
+    }
+    auto unordered = BuildEvidence(enc, config, {});
+    ASSERT_TRUE(unordered.ok()) << unordered.status().ToString();
+    const EvidenceSet& set = **unordered;
+    EXPECT_EQ(set.num_lanes(), cols == 6 ? 2 : 1);
+    std::map<Outcomes, int64_t> got;
+    std::vector<uint64_t> mirror(set.num_lanes());
+    for (size_t w = 0; w < set.num_words(); ++w) {
+      got[decode(set, set.lanes(w))] += set.count(w);
+      set.MirrorOf(set.lanes(w), mirror.data());
+      got[decode(set, mirror.data())] += set.count(w);
+    }
+    EXPECT_EQ(got, want) << "seed " << seed;
+    auto listed = BuildEvidenceForPairs(enc, config, pairs, {});
+    ASSERT_TRUE(listed.ok()) << listed.status().ToString();
+    std::map<Outcomes, int64_t> listed_got;
+    for (size_t w = 0; w < (*listed)->num_words(); ++w) {
+      listed_got[decode(**listed, (*listed)->lanes(w))] +=
+          (*listed)->count(w);
+    }
+    EXPECT_EQ(listed_got, want) << "seed " << seed;
+  }
+}
+
+TEST(EvidencePropertyTest, TwoColumnFacetNeedsItsMirror) {
+  Relation r = MakeMixedRandomRelation(5, 10, 3, 4);
+  EncodedRelation enc(r);
+  std::vector<EvidenceColumn> config(1);
+  config[0].attr = 0;
+  config[0].b_attr = 1;
+  config[0].cmp = EvidenceColumn::Cmp::kOrder;
+  EXPECT_FALSE(PairComparator::Make(enc, config, nullptr).ok());
+  config[0].cmp = EvidenceColumn::Cmp::kEquality;
+  EXPECT_FALSE(PairComparator::Make(enc, config, nullptr).ok());
+  config[0].cmp = EvidenceColumn::Cmp::kOrder;
+  config.push_back(config[0]);
+  std::swap(config[1].attr, config[1].b_attr);
+  EXPECT_TRUE(PairComparator::Make(enc, config, nullptr).ok());
 }
 
 TEST(EvidenceCacheTest, HitsMissesAndSharedEntries) {
@@ -776,6 +1005,22 @@ TEST(EvidenceCacheTest, KeySensitivity) {
   other_threshold[0].thresholds = {2.0};
   EXPECT_NE(EvidenceCache::KeyFor(fp1, with_metric),
             EvidenceCache::KeyFor(fp1, other_threshold));
+  // So is the second order column: comparing each column with itself and
+  // comparing a with b (and b with a) are different entries.
+  std::vector<EvidenceColumn> cross = order;
+  cross[0].b_attr = 1;
+  cross[1].b_attr = 0;
+  const uint64_t fpu = RelationFingerprint(up);
+  EXPECT_NE(EvidenceCache::KeyFor(fpu, order),
+            EvidenceCache::KeyFor(fpu, cross));
+  EvidenceCache cache;
+  auto same_set = GetOrBuildEvidence(&cache, eu, fpu, order, {});
+  auto cross_set = GetOrBuildEvidence(&cache, eu, fpu, cross, {});
+  ASSERT_TRUE(same_set.ok() && cross_set.ok());
+  EXPECT_NE(same_set.value().get(), cross_set.value().get());
+  EXPECT_EQ(cache.stats().misses, 2);
+  EXPECT_EQ(cache.stats().hits, 0);
+  ExpectMatchesOracle(**cross_set, OracleEvidence(up, cross), "cross");
 }
 
 TEST(EvidenceCacheTest, EvictsLeastRecentlyUsedOverBudget) {

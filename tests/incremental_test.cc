@@ -111,12 +111,15 @@ void ExpectSamePartition(const StrippedPartition& got,
 
 void ExpectSameEvidence(const EvidenceSet& got, const EvidenceSet& want,
                         const std::string& what) {
-  ASSERT_EQ(got.words().size(), want.words().size()) << what;
+  ASSERT_EQ(got.num_words(), want.num_words()) << what;
   EXPECT_EQ(got.total_pairs(), want.total_pairs()) << what;
   ASSERT_EQ(got.num_tracked(), want.num_tracked()) << what;
-  for (size_t i = 0; i < got.words().size(); ++i) {
-    EXPECT_EQ(got.words()[i].bits, want.words()[i].bits) << what << " @" << i;
-    EXPECT_EQ(got.words()[i].count, want.words()[i].count) << what << " @" << i;
+  ASSERT_EQ(got.num_lanes(), want.num_lanes()) << what;
+  for (size_t i = 0; i < got.num_words(); ++i) {
+    for (int l = 0; l < got.num_lanes(); ++l) {
+      EXPECT_EQ(got.lanes(i)[l], want.lanes(i)[l]) << what << " @" << i;
+    }
+    EXPECT_EQ(got.count(i), want.count(i)) << what << " @" << i;
     for (int t = 0; t < got.num_tracked(); ++t) {
       const EvidenceSet::Aggregate& a = got.agg(i, t);
       const EvidenceSet::Aggregate& b = want.agg(i, t);

@@ -174,13 +174,12 @@ TEST_P(PortedDeterminismTest, HolisticRepairMatchesOracle) {
 }
 
 TEST_P(PortedDeterminismTest, DedupMatchMatchesOracle) {
-  // The matcher runs the evidence kernel unless its facets — one per
-  // distinct (attr, metric), so "wide"'s 61 extra rules still fit in 10
-  // bits — need more than 64 bits, which sends it to per-facet
-  // distance-table scans ("wide_metrics": every extra rule on its own
-  // metric object); both must read a NaN cell's distances as dissimilar, as
-  // the plain overload does. "nan_threshold" adds a rule whose NaN
-  // threshold matches no pair.
+  // The matcher runs the evidence kernel on one facet per distinct
+  // (attr, metric): "wide"'s 61 extra rules still fit in 10 bits, and
+  // "wide_metrics" puts every extra rule on its own metric object, so its
+  // word takes several 64-bit lanes. Every variant must read a NaN cell's
+  // distances as dissimilar, as the plain overload does. "nan_threshold"
+  // adds a rule whose NaN threshold matches no pair.
   for (const char* variant :
        {"kernel", "nan", "nan_threshold", "wide", "wide_metrics"}) {
     ThreadPool pool(GetParam());
